@@ -122,7 +122,6 @@ struct LayerCounts {
 LayerCounts layer_counts_from_registry(const std::string& json);
 
 struct WorldOutcome {
-  double setup_s = 0;  ///< host: Cluster construction + spawns
   double run_s = 0;    ///< host: wall time of the engine run
   double cpu_s = 0;    ///< host: process CPU time during the run
   bool threw = false;
@@ -140,6 +139,7 @@ struct WorldOutcome {
   LayerCounts counts;
   std::vector<double> flow_us[5];  ///< pack/submit/wire/unpack/notify
   std::vector<std::vector<Span>> spans;  ///< per node
+  std::vector<double> span_vus[kSpanCount];  ///< span durations (virtual us)
 
   std::size_t attempted() const;
   std::size_t failed() const;
@@ -157,6 +157,10 @@ WorldOutcome run_world(const Inputs& in, bool traced, int workers);
 
 /// Host threads hybrid_app's partitioned engine uses in the timed runs.
 inline constexpr int kHybridWorkers = 4;
+
+/// Host seconds to build one world (Cluster constructor + spawns). The world
+/// is torn down unrun, untimed.
+double setup_s(const Inputs& in);
 
 struct Metric {
   std::string name;

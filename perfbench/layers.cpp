@@ -136,10 +136,8 @@ std::vector<Metric> layer_metrics(const std::vector<WorldOutcome>& traced) {
     for (int i = 0; i < 5; ++i) {
       flow[i].insert(flow[i].end(), w.flow_us[i].begin(), w.flow_us[i].end());
     }
-    for (const auto& node : w.spans) {
-      for (const Span& s : node) {
-        span_us[s.name].push_back(static_cast<double>(s.v1 - s.v0) / 1e3);
-      }
+    for (int i = 0; i < kSpanCount; ++i) {
+      span_us[i].insert(span_us[i].end(), w.span_vus[i].begin(), w.span_vus[i].end());
     }
   }
   const double worlds = static_cast<double>(std::max<std::size_t>(traced.size(), 1));

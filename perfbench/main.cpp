@@ -2,8 +2,7 @@
 // checks every delivered message and the determinism contract, and prints
 // the metrics. The last line of stdout is the JSON result.
 //
-//   mtbench --workload NAME --seed N --seconds S --trace 0|1
-//           [--workers N] [--spans DIR]
+//   mtbench --workload NAME --seed N --seconds S --trace 0|1 [--spans DIR]
 //
 // --trace 0 prints the end-to-end metrics of untraced runs; --trace 1 the
 // per-layer metrics of a traced run (registry, flow tracer and benchmark
@@ -65,14 +64,13 @@ struct Options {
   std::uint64_t seed = 0;
   double seconds = 0;
   bool trace = false;
-  int workers = kHybridWorkers;
   std::string spans_dir;
 };
 
 [[noreturn]] void usage(const std::string& msg) {
   std::fprintf(stderr,
                "mtbench: %s\nusage: mtbench --workload NAME --seed N "
-               "--seconds S --trace 0|1 [--workers N] [--spans DIR]\n",
+               "--seconds S --trace 0|1 [--spans DIR]\n",
                msg.c_str());
   std::exit(2);
 }
@@ -100,9 +98,6 @@ Options parse(int argc, char** argv) {
       if (v != "0" && v != "1") usage("--trace takes 0 or 1");
       o.trace = v == "1";
       have_t = true;
-    } else if (a == "--workers") {
-      o.workers = std::atoi(v.c_str());
-      if (o.workers < 1) usage("--workers must be >= 1");
     } else if (a == "--spans") {
       o.spans_dir = v;
     } else {
@@ -153,21 +148,39 @@ constexpr double kNoSample = 1e300;
 /// world's best run more likely met a quiet host.
 constexpr std::size_t kTimedWorlds = 4;
 
+/// Construction time one set-up sample spends: a sample lasts milliseconds
+/// even where one world takes tens of microseconds.
+constexpr double kSetupSampleS = 0.01;
+
+/// One set-up sample: builds world @p in back to back until kSetupSampleS
+/// of construction time is spent; the mean per build.
+double setup_sample(const Inputs& in) {
+  double total = 0;
+  std::size_t built = 0;
+  for (; total < kSetupSampleS; ++built) total += setup_s(in);
+  return total / static_cast<double>(built);
+}
+
 /// Host-timed runs of the seed's worlds: whole cycles over every world until
 /// @p budget seconds are spent, at least two. Cycle 0 runs every world,
 /// warms the pools and is the virtual reference; the later cycles run the
-/// first kTimedWorlds worlds and give the host figures.
+/// first kTimedWorlds worlds and give the host figures. With
+/// @p sample_setup, each later cycle also takes one set-up sample of one
+/// timed world, in turn, so the samples spread over the whole budget.
 struct Timed {
+  /// Cycle 0's worlds. Only world 0 keeps its spans, the ones written out;
+  /// the others' span durations are already folded into span_vus.
   std::vector<WorldOutcome> first;
   /// Per world: fastest timed run's host us per delivered message and
-  /// fastest construction. Noise on a shared host only ever adds time.
+  /// fastest set-up sample. Noise on a shared host only ever adds time.
   std::vector<double> best_us_per_msg, best_setup_s;
-  std::vector<double> us_per_msg, cpu_per_wall, ns_per_event;
+  /// One entry per timed run, or per set-up sample.
+  std::vector<double> us_per_msg, cpu_per_wall, ns_per_event, setup_s;
   bool repeat_identical = true;
 };
 
 Timed timed_loop(const std::vector<Inputs>& inputs, bool traced, int workers,
-                 double budget, Tally& tally) {
+                 bool sample_setup, double budget, Tally& tally) {
   Timed t;
   t.best_us_per_msg.assign(inputs.size(), kNoSample);
   t.best_setup_s.assign(inputs.size(), kNoSample);
@@ -179,6 +192,7 @@ Timed timed_loop(const std::vector<Inputs>& inputs, bool traced, int workers,
       WorldOutcome o = run_world(inputs[k], traced, workers);
       tally.add(o);
       if (cycle == 0) {
+        if (k > 0) o.spans = {};
         t.first.push_back(std::move(o));
         continue;
       }
@@ -189,11 +203,15 @@ Timed timed_loop(const std::vector<Inputs>& inputs, bool traced, int workers,
         t.us_per_msg.push_back(us);
         t.best_us_per_msg[k] = std::min(t.best_us_per_msg[k], us);
       }
-      t.best_setup_s[k] = std::min(t.best_setup_s[k], o.setup_s);
       if (o.run_s > 0) t.cpu_per_wall.push_back(o.cpu_s / o.run_s);
       if (o.events > 0) {
         t.ns_per_event.push_back(o.run_s * 1e9 / static_cast<double>(o.events));
       }
+    }
+    if (cycle > 0 && sample_setup) {
+      const std::size_t k = static_cast<std::size_t>(cycle - 1) % worlds;
+      t.setup_s.push_back(setup_sample(inputs[k]));
+      t.best_setup_s[k] = std::min(t.best_setup_s[k], t.setup_s.back());
     }
   }
   return t;
@@ -276,18 +294,23 @@ int main(int argc, char** argv) {
   Tally tally;
   std::vector<std::string> mismatches;
   const double plain_budget = opt.trace ? opt.seconds / 2 : opt.seconds;
-  const Timed plain = timed_loop(inputs, false, opt.workers, plain_budget, tally);
+  const Timed plain =
+      timed_loop(inputs, false, kHybridWorkers, true, plain_budget, tally);
   if (!plain.repeat_identical) mismatches.push_back("two runs of one seed");
+  // Before any traced world runs: the untraced program's peak.
+  const double rss_mb = peak_rss_mb();
 
   Timed traced;
   if (opt.trace) {
-    traced = timed_loop(inputs, true, opt.workers, opt.seconds - plain_budget,
-                        tally);
+    traced = timed_loop(inputs, true, kHybridWorkers, false,
+                        opt.seconds - plain_budget, tally);
     if (!traced.repeat_identical) mismatches.push_back("two traced runs of one seed");
   } else {
     for (const Inputs& in : inputs) {
-      traced.first.push_back(run_world(in, true, opt.workers));
-      tally.add(traced.first.back());
+      WorldOutcome o = run_world(in, true, kHybridWorkers);
+      tally.add(o);
+      o.spans = {};
+      traced.first.push_back(std::move(o));
     }
   }
   for (std::size_t k = 0; k < inputs.size(); ++k) {
@@ -298,18 +321,16 @@ int main(int argc, char** argv) {
   }
 
   // hybrid_app's schedule must not depend on how many host threads run it.
-  std::vector<double> alt_us_per_msg;
-  const int alt_workers = opt.workers == 1 ? kHybridWorkers : 1;
+  // The workers=1 pass is timed like the main one, so its host figure can be
+  // set beside host_us_per_msg (README.md, finding a).
+  Timed serial;
   if (opt.workload == Workload::kHybridApp) {
+    serial = timed_loop(inputs, false, 1, false, opt.seconds / 4, tally);
     for (std::size_t k = 0; k < inputs.size(); ++k) {
-      const WorldOutcome o = run_world(inputs[k], false, alt_workers);
-      tally.add(o);
-      if (!o.same_virtual(plain.first[k])) {
-        mismatches.push_back("hybrid_app at workers=" + std::to_string(opt.workers) +
-                             " vs workers=" + std::to_string(alt_workers));
-      }
-      if (o.delivered() > 0) {
-        alt_us_per_msg.push_back(o.run_s * 1e6 / static_cast<double>(o.delivered()));
+      if (!serial.first[k].same_virtual(plain.first[k]) || !serial.repeat_identical) {
+        mismatches.push_back("hybrid_app at workers=" + std::to_string(kHybridWorkers) +
+                             " vs workers=1");
+        break;
       }
     }
   }
@@ -318,7 +339,7 @@ int main(int argc, char** argv) {
   const std::vector<Metric> end_to_end = {
       {"host_us_per_msg", median_of_best(plain.best_us_per_msg), "us"},
       {"setup_s", median_of_best(plain.best_setup_s), "s"},
-      {"peak_rss_mb", peak_rss_mb(), "MB"},
+      {"peak_rss_mb", rss_mb, "MB"},
       {"vlat_us_p50", vm.p50_us, "us"},
       {"vlat_us_p99", vm.p99_us, "us"},
       {"vmakespan_us", vm.makespan_us, "us"},
@@ -351,7 +372,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.seed), inputs.size(),
               plain.us_per_msg.size(), vm.samples);
   for (const Metric& m : end_to_end) {
-    std::printf("  %-34s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());
+    std::printf("  %-34s %14.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
   }
   std::printf("  %-34s %14.4f %s  (%zu of %zu: %zu missing, %zu misordered, "
               "%zu corrupt, %zu failed worlds)\n",
@@ -363,10 +384,16 @@ int main(int argc, char** argv) {
     std::printf("  %-34s %14.4f us  (q1 %.4f, q3 %.4f, over every timed run)\n",
                 "host_us_per_msg median", median(plain.us_per_msg), q1, q3);
   }
-  if (!alt_us_per_msg.empty()) {
-    std::printf("  %-34s %14.4f us  (host_us_per_msg, %zu worlds)\n",
-                ("workers=" + std::to_string(alt_workers) + " check pass").c_str(),
-                median(alt_us_per_msg), alt_us_per_msg.size());
+  {
+    const auto [q1, q3] = quartiles(plain.setup_s);
+    std::printf("  %-34s %14.4g s   (q1 %.4g, q3 %.4g, over %zu samples)\n",
+                "setup_s median", median(plain.setup_s), q1, q3,
+                plain.setup_s.size());
+  }
+  if (!serial.first.empty()) {
+    std::printf("  %-34s %14.4f us  (%zu timed runs)\n",
+                "host_us_per_msg at workers=1",
+                median_of_best(serial.best_us_per_msg), serial.us_per_msg.size());
   }
   for (const Metric& m : per_layer) {
     std::printf("  %-34s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());

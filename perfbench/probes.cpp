@@ -26,13 +26,17 @@ double ns_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
 }
 
+ProbeResult summarize(const char* name, const std::vector<double>& v) {
+  const double med = median(v);
+  const auto [q1, q3] = quartiles(v);
+  return {name, med, med > 0 ? (q3 - q1) / med : 0};
+}
+
 /// Runs @p once kReps times; each call returns host ns per operation.
 ProbeResult repeat(const char* name, const std::function<double()>& once) {
   std::vector<double> v;
   for (int r = 0; r < kReps; ++r) v.push_back(once());
-  const double med = median(v);
-  const auto [q1, q3] = quartiles(v);
-  return {name, med, med > 0 ? (q3 - q1) / med : 0};
+  return summarize(name, v);
 }
 
 double probe_events() {
@@ -191,19 +195,39 @@ double probe_match(int k) {
   return ns;
 }
 
+/// The matching probes. Each repetition measures k = 1, 64, 1024 and
+/// kScanDepth back to back. Per arrival, the send, NIC, progress and wait
+/// path costs more than a 1024-deep scan, so the scan is also reported as
+/// its marginal cost per posted receive, (t_deep - t_1) / (kScanDepth - 1),
+/// from two points of one repetition at a depth where the scan dominates.
+std::vector<ProbeResult> match_probes() {
+  constexpr int kScanDepth = 16384;
+  std::vector<double> k1, k64, k1024, scan;
+  for (int r = 0; r < kReps; ++r) {
+    k1.push_back(probe_match(1));
+    k64.push_back(probe_match(64));
+    k1024.push_back(probe_match(1024));
+    scan.push_back((probe_match(kScanDepth) - k1.back()) / (kScanDepth - 1));
+  }
+  return {summarize("nmad.probe_ns_match_k1", k1),
+          summarize("nmad.probe_ns_match_k64", k64),
+          summarize("nmad.probe_ns_match_k1024", k1024),
+          summarize("nmad.probe_ns_match_scan", scan)};
+}
+
 }  // namespace
 
 std::vector<ProbeResult> run_probes() {
-  return {
+  std::vector<ProbeResult> probes = {
       repeat("simcore.probe_ns_per_event", probe_events),
       repeat("simthread.probe_ns_per_switch", probe_switch),
       repeat("sync.probe_ns_uncontended", [] { return probe_spinlock(1); }),
       repeat("sync.probe_ns_contended", [] { return probe_spinlock(2); }),
       repeat("simnet.probe_ns_per_packet", probe_nic),
       repeat("nmad.probe_ns_wire_chunk", probe_wire_chunk),
-      repeat("nmad.probe_ns_match_k1", [] { return probe_match(1); }),
-      repeat("nmad.probe_ns_match_k64", [] { return probe_match(64); }),
-      repeat("nmad.probe_ns_match_k1024", [] { return probe_match(1024); }),  };
+  };
+  for (ProbeResult& p : match_probes()) probes.push_back(std::move(p));
+  return probes;
 }
 
 }  // namespace pb

@@ -6,9 +6,11 @@ Run one workload (builds the benchmark from ../src on first use):
     python3 perfbench/run.py --workload pingpong --seed 1 --seconds 10 --trace 0
 
 The last line of stdout is the JSON result. --out FILE also appends the
-result, tagged with workload, seed and trace, to a JSON-lines file.
+result, tagged with workload, seed, trace and start time, to a JSON-lines
+file.
 
-Compare two such files (a parent commit's and a change's runs):
+Compare two such files (a parent commit's and a change's runs, taken in
+alternation so that slow phases of the host hit both sides):
 
     python3 perfbench/run.py compare base.jsonl change.jsonl
 """
@@ -19,6 +21,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -26,7 +29,6 @@ BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD, "mtbench")
 SPANS = os.path.join(ROOT, ".perfbench_out")
 WORKLOADS = ("pingpong", "fanin_shared", "fanin_endpoints", "hybrid_app")
-RUN_TIMEOUT_S = 170
 
 
 def fail(msg):
@@ -56,13 +58,15 @@ def run(args):
     cmd = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--spans", SPANS]
-    if args.workers is not None:
-        cmd += ["--workers", str(args.workers)]
+    # The timed passes take at most 1.25 x --seconds; the rest is check
+    # passes and probes of a few seconds.
+    timeout_s = 2 * args.seconds + 60
+    started = time.time()
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        fail(f"benchmark did not finish within {RUN_TIMEOUT_S} s")
+        fail(f"benchmark did not finish within {timeout_s} s")
     lines = proc.stdout.rstrip("\n").split("\n")
     try:
         result = json.loads(lines[-1])
@@ -73,7 +77,7 @@ def run(args):
         print(line)
     if args.out:
         record = {"workload": args.workload, "seed": args.seed,
-                  "trace": args.trace, "result": result}
+                  "trace": args.trace, "started": started, "result": result}
         with open(args.out, "a") as f:
             f.write(json.dumps(record) + "\n")
     print(json.dumps(result))
@@ -107,6 +111,13 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def interleaved(base, change):
+    """True unless every run of one side started before the other's first."""
+    tb = [r["started"] for runs in base.values() for r in runs if "started" in r]
+    tc = [r["started"] for runs in change.values() for r in runs if "started" in r]
+    return bool(tb and tc) and min(tb) < max(tc) and min(tc) < max(tb)
+
+
 def compare(base_path, change_path):
     """Per (workload, metric): medians, quartiles, ratio and pair wins.
 
@@ -116,6 +127,10 @@ def compare(base_path, change_path):
     """
     specs = metric_specs()
     base, change = load_runs(base_path), load_runs(change_path)
+    if not interleaved(base, change):
+        print("warning: the base and change runs were not taken in "
+              "alternation; host metrics may differ by the host's phase, "
+              "not by the change")
     print(f"{'workload':16} {'metric':34} {'base p50':>12} {'base q1-q3':>23} "
           f"{'change p50':>12} {'ratio':>7} {'wins':>7}  verdict")
     for key in sorted(set(base) & set(change)):
@@ -162,8 +177,6 @@ def main(argv):
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--seconds", required=True, type=int)
     p.add_argument("--trace", required=True, type=int, choices=(0, 1))
-    p.add_argument("--workers", type=int,
-                   help="hybrid_app host threads (default 4)")
     p.add_argument("--out", help="append the tagged result to this file")
     return run(p.parse_args(argv))
 

@@ -360,6 +360,25 @@ void build_hybrid(nm::Cluster& world, const Inputs& in, Recorder& rec,
   }
 }
 
+/// Per-world state the fibers of a world refer to; it must outlive the run.
+struct WorldState {
+  std::vector<std::unique_ptr<sync::Barrier>> barriers;
+  std::vector<char> reduce_bad;
+};
+
+/// Spawns the workload's fibers into @p world.
+void build(nm::Cluster& world, const Inputs& in, Recorder& rec, WorldState& st) {
+  st.reduce_bad.assign(static_cast<std::size_t>(world.num_nodes()), 0);
+  switch (in.workload) {
+    case Workload::kPingpong: build_pingpong(world, in, rec); break;
+    case Workload::kFaninShared:
+    case Workload::kFaninEndpoints: build_fanin(world, in, rec); break;
+    case Workload::kHybridApp:
+      build_hybrid(world, in, rec, st.barriers, st.reduce_bad);
+      break;
+  }
+}
+
 }  // namespace
 
 std::optional<Workload> parse_workload(std::string_view name) {
@@ -503,21 +522,10 @@ WorldOutcome run_world(const Inputs& in, bool traced, int workers) {
   try {
     const nm::ClusterConfig cfg = config_for(in.workload, workers);
     if (traced) out.spans.resize(static_cast<std::size_t>(cfg.nodes));
-    std::vector<std::unique_ptr<sync::Barrier>> barriers;
-    std::vector<char> reduce_bad(static_cast<std::size_t>(cfg.nodes), 0);
-
-    const std::int64_t t0 = host_ns();
+    WorldState st;
     nm::Cluster world(cfg);
     Recorder rec(out, world.engine(), traced);
-    switch (in.workload) {
-      case Workload::kPingpong: build_pingpong(world, in, rec); break;
-      case Workload::kFaninShared:
-      case Workload::kFaninEndpoints: build_fanin(world, in, rec); break;
-      case Workload::kHybridApp:
-        build_hybrid(world, in, rec, barriers, reduce_bad);
-        break;
-    }
-    out.setup_s = static_cast<double>(host_ns() - t0) * 1e-9;
+    build(world, in, rec, st);
 
     if (traced) {
       world.enable_flow_trace();
@@ -535,8 +543,8 @@ WorldOutcome run_world(const Inputs& in, bool traced, int workers) {
     out.windows = e.windows_executed();
     out.cross = e.cross_events();
     out.overflows = e.mailbox_overflows();
-    out.collective_ok =
-        std::none_of(reduce_bad.begin(), reduce_bad.end(), [](char b) { return b; });
+    out.collective_ok = std::none_of(st.reduce_bad.begin(), st.reduce_bad.end(),
+                                     [](char b) { return b; });
     if (traced) {
       reg.set_enabled(false);
       out.counts = layer_counts_from_registry(reg.to_json());
@@ -544,6 +552,11 @@ WorldOutcome run_world(const Inputs& in, bool traced, int workers) {
       const auto segs = world.flow_trace()->breakdown();
       for (std::size_t i = 0; i < segs.size() && i < 5; ++i) {
         out.flow_us[i] = segs[i].us.samples();
+      }
+      for (const auto& node : out.spans) {
+        for (const Span& s : node) {
+          out.span_vus[s.name].push_back(static_cast<double>(s.v1 - s.v0) / 1e3);
+        }
       }
     }
   } catch (const std::exception& ex) {
@@ -553,6 +566,21 @@ WorldOutcome run_world(const Inputs& in, bool traced, int workers) {
                  workload_name(in.workload), ex.what());
   }
   return out;
+}
+
+double setup_s(const Inputs& in) {
+  // The world never runs, so nothing is recorded. The outcome still makes
+  // run_world's allocations: the fanin worlds' build time moves with the
+  // heap's layout (README.md, baseline).
+  WorldOutcome out;
+  for (const auto& ch : in.sizes) out.msgs.emplace_back(ch.size());
+  const nm::ClusterConfig cfg = config_for(in.workload, kHybridWorkers);
+  WorldState st;
+  const std::int64_t t0 = host_ns();
+  nm::Cluster world(cfg);
+  Recorder rec(out, world.engine(), false);
+  build(world, in, rec, st);
+  return static_cast<double>(host_ns() - t0) * 1e-9;
 }
 
 }  // namespace pb
