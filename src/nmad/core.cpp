@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/flow.hpp"
-#include "simcore/trace.hpp"
 #include "simexplore/ctl.hpp"
 #include "simsan/context.hpp"
 
@@ -64,13 +63,14 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
   }
   auto& reg = obs::MetricsRegistry::global();
   const std::string& node = sched_.machine().name();
-  stats_.sends = reg.counter({"nmad", node, -1, "sends"});
-  stats_.recvs = reg.counter({"nmad", node, -1, "recvs"});
-  stats_.packets_rx = reg.counter({"nmad", node, -1, "packets_rx"});
-  stats_.chunks_rx = reg.counter({"nmad", node, -1, "chunks_rx"});
-  stats_.unexpected_chunks = reg.counter({"nmad", node, -1, "unexpected_chunks"});
-  stats_.rdv_handshakes = reg.counter({"nmad", node, -1, "rdv_handshakes"});
-  stats_.progress_passes = reg.counter({"nmad", node, -1, "progress_passes"});
+  m_sends_ = reg.counter({"nmad", node, -1, "sends"});
+  m_recvs_ = reg.counter({"nmad", node, -1, "recvs"});
+  m_packets_rx_ = reg.counter({"nmad", node, -1, "packets_rx"});
+  m_chunks_rx_ = reg.counter({"nmad", node, -1, "chunks_rx"});
+  m_unexpected_chunks_ = reg.counter({"nmad", node, -1, "unexpected_chunks"});
+  m_rdv_handshakes_ = reg.counter({"nmad", node, -1, "rdv_handshakes"});
+  m_progress_passes_ = reg.counter({"nmad", node, -1, "progress_passes"});
+  m_rx_rejected_ = reg.counter({"nmad", node, -1, "rx_rejected"});
   m_bytes_copied_ = reg.counter({"nmad", node, -1, "data.bytes_copied"});
   m_copies_ = reg.counter({"nmad", node, -1, "data.copies"});
   m_deliver_bytes_copied_ =
@@ -81,7 +81,8 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
   m_copies_per_msg_ = reg.histogram({"nmad", node, -1, "data.copies_per_msg"});
   submit_tasklet_ = std::make_unique<piom::Tasklet>(
       [this](mth::HookContext& hctx) {
-        progress_try(hctx, /*submission_only=*/true);
+        progress_pass(hctx, /*own_ep=*/-1, /*use_try=*/true,
+                      /*submission_only=*/true);
       },
       name_ + "-submit");
 }
@@ -365,7 +366,7 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   req->total_len_ = len;
   req->total_known_ = true;
   ++active_reqs_;
-  stats_.sends.add_always();
+  m_sends_.add_always();
   ep.m_sends_.inc();
 
   const bool rdv = len > cfg_.rdv_threshold;
@@ -413,10 +414,6 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
     ep.strategy_->arrange(cfg_, *gate, ep.rail_ptrs_, ctx, staged);
   }
   ep.locks_.unlock(Domain::kCollect);
-
-  PM2_TRACE("nmad", kDebug, "%s: isend tag %llu len %zu seq %u (%s)",
-            name_.c_str(), static_cast<unsigned long long>(tag), len,
-            req->msg_seq_, rdv ? "rdv" : "eager");
 
   // Transmit phase.
   if (inline_submit) {
@@ -537,7 +534,7 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
     SIMSAN_ACCESS(ep.san_deferred_);
     ep.deferred_pws_.emplace_back(&gate, cts);
     *adopted_rdv = true;
-    stats_.rdv_handshakes.add_always();
+    m_rdv_handshakes_.add_always();
   } else {
     // Scatter the retained unexpected pieces into the user buffer: the
     // single host copy of the unexpected eager path.
@@ -576,7 +573,7 @@ Request* Core::launch_recv(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   req->gate_ = gate;
   req->tag_ = tag;
   ++active_reqs_;
-  stats_.recvs.add_always();
+  m_recvs_.add_always();
   ep.m_recvs_.inc();
 
   bool adopted_rdv = false;
@@ -600,7 +597,7 @@ Request* Core::launch_recv_wildcard(mth::ExecContext& ctx, Request* req,
   req->gate_ = gate;
   req->tag_ = kAnyTag;
   ++active_reqs_;
-  stats_.recvs.add_always();
+  m_recvs_.add_always();
 
   // Publish first: a message arriving on any endpoint after this instant
   // sees the wildcard in the shared list, and any message that arrived
@@ -715,11 +712,8 @@ void Core::wait(Request* req) {
     if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
       // Polling goes through PIOMan (Fig. 6 configuration).
       pioman_->poll_once(ctx);
-    } else if (num_eps_ == 1) {
-      progress(ctx);
     } else {
-      stats_.progress_passes.add_always();
-      progress_multi(ctx, own.id_, /*use_try=*/true);
+      progress_pass(ctx, own.id_, /*use_try=*/true);
     }
   };
 
@@ -790,38 +784,18 @@ std::size_t Core::wait_any(const std::vector<Request*>& reqs) {
   assert(std::any_of(reqs.begin(), reqs.end(),
                      [](Request* r) { return r != nullptr; }) &&
          "wait_any with no live requests");
-  if (num_eps_ == 1) {
-    auto& locks = eps_[0]->locks_;
-    locks.lock_library();
-    for (;;) {
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        // Cheap host peek first; one priced read on the hit.
-        if (reqs[i] != nullptr && reqs[i]->flag_.is_set()) {
-          reqs[i]->flag_.test();
-          locks.unlock_library();
-          return i;
-        }
-      }
-      ctx.charge(sched_.costs().spin_retry);
-      if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
-        pioman_->poll_once(ctx);
-      } else {
-        progress(ctx);
-      }
-      if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
-        const int depth = locks.release_library_all();
-        sched_.maybe_preempt();
-        locks.reacquire_library(depth);
-      }
-    }
-  }
-  // Multi-endpoint: the requests may span endpoints, so no single library
-  // lock can cover the loop; progress all endpoints (blocking is safe --
-  // no endpoint lock is held between passes).
+  // With one endpoint the loop is one library visit, like wait()'s. The
+  // requests of several endpoints share no library lock, so at N > 1 the
+  // loop holds none and its blocking passes are safe: no endpoint lock is
+  // held between passes.
+  LockSet* held = num_eps_ == 1 ? &eps_[0]->locks_ : nullptr;
+  if (held != nullptr) held->lock_library();
   for (;;) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
+      // Cheap host peek first; one priced read on the hit.
       if (reqs[i] != nullptr && reqs[i]->flag_.is_set()) {
         reqs[i]->flag_.test();
+        if (held != nullptr) held->unlock_library();
         return i;
       }
     }
@@ -832,7 +806,9 @@ std::size_t Core::wait_any(const std::vector<Request*>& reqs) {
       progress(ctx);
     }
     if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
+      const int depth = held != nullptr ? held->release_library_all() : 0;
       sched_.maybe_preempt();
+      if (held != nullptr) held->reacquire_library(depth);
     }
   }
 }
@@ -855,73 +831,9 @@ std::size_t Core::recv(Gate* gate, Tag tag, void* buf, std::size_t capacity) {
 // Progression
 // --------------------------------------------------------------------------
 
-bool Core::progress(mth::ExecContext& ctx) {
-  stats_.progress_passes.add_always();
-  if (num_eps_ > 1) {
-    // Thread context holding no endpoint lock: blocking passes over every
-    // endpoint are safe (one endpoint's locks at a time).
-    return progress_multi(ctx, /*own_ep=*/-1, /*use_try=*/false);
-  }
-  Endpoint& ep = *eps_[0];
-  ep.locks_.lock_library();
-  bool any = flush_deferred(ep, false);
-  any |= submit_step(ctx, ep, false);
-  any |= pump_step(ctx, false);
-  if (ep.resubmit_hint_) {
-    ep.resubmit_hint_ = false;
-    any |= flush_deferred(ep, false);
-    any |= submit_step(ctx, ep, false);
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_try(mth::ExecContext& ctx, bool submission_only) {
-  stats_.progress_passes.add_always();
-  if (num_eps_ > 1) {
-    return progress_multi(ctx, /*own_ep=*/-1, /*use_try=*/true,
-                          submission_only);
-  }
-  Endpoint& ep = *eps_[0];
-  if (!ep.locks_.try_lock_library()) return false;
-  bool any = flush_deferred(ep, true);
-  any |= submit_step(ctx, ep, true);
-  if (!submission_only) {
-    any |= pump_step(ctx, true);
-    if (ep.resubmit_hint_) {
-      ep.resubmit_hint_ = false;
-      any |= flush_deferred(ep, true);
-      any |= submit_step(ctx, ep, true);
-    }
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_ep(mth::ExecContext& ctx, Endpoint& ep, bool blocking,
-                       bool submission_only) {
-  const bool use_try = !blocking;
-  if (blocking) {
-    ep.locks_.lock_library();
-  } else if (!ep.locks_.try_lock_library()) {
-    return false;
-  }
-  bool any = flush_deferred(ep, use_try);
-  any |= submit_step(ctx, ep, use_try);
-  if (!submission_only) {
-    any |= drain_parked(ctx, ep, use_try);
-    if (ep.resubmit_hint_) {
-      ep.resubmit_hint_ = false;
-      any |= flush_deferred(ep, use_try);
-      any |= submit_step(ctx, ep, use_try);
-    }
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
-                          bool submission_only) {
+bool Core::progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
+                         bool submission_only) {
+  m_progress_passes_.add_always();
   bool any = false;
   // Deterministic round-robin start so no endpoint is structurally starved
   // when many contexts drive progression.
@@ -930,13 +842,41 @@ bool Core::progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
   for (int k = 0; k < num_eps_; ++k) {
     const int e = (start + k) % num_eps_;
     Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-    const bool blocking = !use_try || e == own_ep;
-    const bool adv = progress_ep(ctx, ep, blocking, submission_only);
-    if (adv && use_try && e != own_ep) ep.m_steals_.inc();
+    // Blocking only on the endpoint this context owns (on every endpoint
+    // for a blocking pass); a foreign endpoint is try-locked, so no context
+    // ever waits on two endpoints' locks.
+    const bool steal = use_try && e != own_ep;
+    if (!steal) {
+      ep.locks_.lock_library();
+    } else if (!ep.locks_.try_lock_library()) {
+      continue;
+    }
+    bool adv = flush_deferred(ep, steal);
+    adv |= submit_step(ctx, ep, steal);
+    if (!submission_only) {
+      // The single endpoint drains its rails inside the library visit;
+      // N > 1 endpoints take their parked packets here and share
+      // drain_rails below.
+      adv |= num_eps_ == 1 ? pump_step(ctx, steal)
+                           : drain_parked(ctx, ep, steal);
+      if (ep.resubmit_hint_) {
+        ep.resubmit_hint_ = false;
+        adv |= flush_deferred(ep, steal);
+        adv |= submit_step(ctx, ep, steal);
+      }
+    }
+    ep.locks_.unlock_library();
+    if (adv && steal) ep.m_steals_.inc();
     any |= adv;
   }
-  if (!submission_only) any |= pump_step_multi(ctx, own_ep, use_try);
+  if (!submission_only && num_eps_ > 1) {
+    any |= drain_rails(ctx, own_ep, use_try);
+  }
   return any;
+}
+
+bool Core::progress(mth::ExecContext& ctx) {
+  return progress_pass(ctx, /*own_ep=*/-1, /*use_try=*/false);
 }
 
 bool Core::poll(mth::ExecContext& ctx) {
@@ -946,9 +886,10 @@ bool Core::poll(mth::ExecContext& ctx) {
     // to be submitted to a network").
     if (!has_submission_work()) return false;
     ctx.charge(sched_.costs().idle_offload_detect);
-    return progress_try(ctx, /*submission_only=*/true);
+    return progress_pass(ctx, /*own_ep=*/-1, /*use_try=*/true,
+                         /*submission_only=*/true);
   }
-  return progress_try(ctx);
+  return progress_pass(ctx, /*own_ep=*/-1, /*use_try=*/true);
 }
 
 bool Core::pending() const {
@@ -1177,7 +1118,7 @@ bool Core::pump_step(mth::ExecContext& ctx, bool use_try) {
   return any;
 }
 
-bool Core::pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try) {
+bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
   bool any = false;
   auto completer = [this](std::vector<Request*> reqs) {
     on_chunks_wire_done(reqs);
@@ -1185,12 +1126,12 @@ bool Core::pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try) {
   // Per-endpoint transfer lists: drain tx completions and pending commits.
   for (int e = 0; e < num_eps_; ++e) {
     Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-    const bool blocking = !use_try || e == own_ep;
+    const bool steal = use_try && e != own_ep;
     for (int r = 0; r < num_rails(); ++r) {
       Driver& d = *ep.drivers_[static_cast<std::size_t>(r)];
       if (!d.has_pending()) continue;
       const Domain dom = ep.locks_.driver_domain(r);
-      if (blocking) {
+      if (!steal) {
         ep.locks_.lock(dom);
       } else if (!ep.locks_.try_lock(dom)) {
         continue;
@@ -1198,80 +1139,28 @@ bool Core::pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try) {
       SIMSAN_ACCESS(d.san_xfer());
       const bool adv = d.drain(completer) > 0;
       ep.locks_.unlock(dom);
-      if (adv && use_try && e != own_ep) ep.m_steals_.inc();
+      if (adv && steal) ep.m_steals_.inc();
       any |= adv;
     }
   }
-  if (cfg_.rx_queues > 1) {
-    any |= pump_rails_mq(ctx, own_ep, use_try);
-    return any;
-  }
-  // Shared NIC completion queues: the rx doorbell is atomic MMIO (see
-  // endpoint.hpp), so polling needs no lock; each popped packet is then
-  // demultiplexed to its owning endpoint via the wire endpoint id.
-  for (int r = 0; r < num_rails(); ++r) {
-    net::Nic& nic = *nics_[static_cast<std::size_t>(r)];
-    if (!nic.rx_pending()) {
-      nic.poll();  // doorbell peek: priced like the single-endpoint pump
-      continue;
-    }
-    // The peek above is the lock-free atomic doorbell read; with a single
-    // completion queue the drain stays serialized -- that *is* the
-    // single-queue contention model (and the historical schedule). A
-    // contended pass skips the rail: it is already being drained.
-    sync::SpinLock& rx_lock = *nic_rx_locks_[static_cast<std::size_t>(r)];
-    if (!rx_lock.try_lock()) continue;
-    for (int k = 0; k < 4; ++k) {
-      auto pkt = nic.poll();
-      if (!pkt) break;
-      const int e =
-          static_cast<int>(peek_packet_ep(pkt->payload)) % num_eps_;
-      Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-      auto park = [&] {
-        const bool locked = leaf_try(*park_lock_);
-        if (locked) SIMSAN_ACCESS(san_parked_);
-        parked_rx_[static_cast<std::size_t>(e)].emplace_back(r,
-                                                             std::move(*pkt));
-        if (locked) park_lock_->unlock();
-      };
-      // FIFO per endpoint: once packets are parked for e, later arrivals
-      // must queue behind them or matching would observe reordering.
-      if (!parked_rx_[static_cast<std::size_t>(e)].empty()) {
-        park();
-        continue;
-      }
-      const bool blocking = !use_try || e == own_ep;
-      bool locked;
-      if (blocking) {
-        ep.locks_.lock(Domain::kMatching);
-        locked = true;
-      } else {
-        locked = ep.locks_.try_lock(Domain::kMatching);
-      }
-      if (!locked) {
-        park();
-        continue;
-      }
-      process_packet_locked(ctx, ep, r, *pkt);
-      ep.locks_.unlock(Domain::kMatching);
-      if (use_try && e != own_ep) ep.m_steals_.inc();
-      any = true;
-    }
-    rx_lock.unlock();
-  }
-  return any;
-}
-
-bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
+  // Receive side: the M rings of each rail, the own ring first, then any
+  // other raised doorbell in ascending order (helping keeps wildcard
+  // matches and stalled peers live when only one context polls). Polling
+  // needs no endpoint lock: the rx doorbell is atomic MMIO (see
+  // endpoint.hpp), and Nic::poll claims a packet before charging it.
   const int nq = cfg_.rx_queues;
-  bool any = false;
+  const int own_q = own_ep >= 0 ? own_ep % nq : -1;
   for (int r = 0; r < num_rails(); ++r) {
     net::Nic& nic = *nics_[static_cast<std::size_t>(r)];
-    const int own_q = own_ep >= 0 ? own_ep % nq : -1;
+    // Ring guard (see core.hpp): one drainer per ring at a time, and a pass
+    // that finds the ring taken moves on -- it is being drained. At M = 1
+    // the guard is the priced rx try-lock, the single-queue contention
+    // model; at M > 1 the unpriced ownership flag.
+    sync::SpinLock* rx_lock =
+        nq == 1 ? nic_rx_locks_[static_cast<std::size_t>(r)].get() : nullptr;
+    std::uint8_t* busy =
+        nq > 1 ? mq_ring_busy_[static_cast<std::size_t>(r)].data() : nullptr;
     bool any_pending = false;
-    // Own ring first (the queue this endpoint's packets are steered to),
-    // then help any other raised doorbell in ascending order: helping keeps
-    // wildcard matches and stalled peers live when only one context polls.
     for (int qi = 0; qi < nq; ++qi) {
       int q;
       if (own_q >= 0) {
@@ -1279,66 +1168,63 @@ bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
       } else {
         q = qi;
       }
-      if (!nic.rx_pending(q)) continue;  // unpriced per-ring doorbell peek
+      // Unpriced doorbell peek. The single queue peeks the whole NIC, which
+      // still sees a packet another fiber has claimed and is mid-charge on.
+      if (nq == 1 ? !nic.rx_pending() : !nic.rx_pending(q)) continue;
       any_pending = true;
-      // Drain-ownership flag (see core.hpp): claims are fiber-atomic but
-      // processing order is not -- one drainer per ring at a time, a
-      // raised flag means the ring is already being serviced, move on.
-      auto& busy = mq_ring_busy_[static_cast<std::size_t>(r)];
-      if (busy[static_cast<std::size_t>(q)]) continue;
-      busy[static_cast<std::size_t>(q)] = 1;
+      if (rx_lock != nullptr) {
+        if (!rx_lock->try_lock()) continue;
+      } else {
+        if (busy[q]) continue;
+        busy[q] = 1;
+      }
       for (int k = 0; k < 4; ++k) {
-        // poll(q) claims the packet before charging its cost, so the
-        // observe/dequeue pair is atomic under fiber yield: no lock, and
-        // two pollers can never commit to the same doorbell observation.
         auto pkt = nic.poll(q);
         if (!pkt) break;
+        // Dispatch to the owning endpoint's matching, or park the packet
+        // for that endpoint's next pass when a try pass cannot take its
+        // lock. FIFO per endpoint: once packets are parked for e, later
+        // arrivals queue behind them or matching would observe reordering.
         const int e =
             static_cast<int>(peek_packet_ep(pkt->payload)) % num_eps_;
         Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-        auto park = [&] {
-          const bool locked = leaf_try(*park_lock_);
-          if (locked) SIMSAN_ACCESS(san_parked_);
-          parked_rx_[static_cast<std::size_t>(e)].emplace_back(
-              r, std::move(*pkt));
-          if (locked) park_lock_->unlock();
-        };
-        // FIFO per endpoint: once packets are parked for e, later arrivals
-        // queue behind them or matching would observe reordering.
-        if (!parked_rx_[static_cast<std::size_t>(e)].empty()) {
-          park();
-          continue;
-        }
-        const bool blocking = !use_try || e == own_ep;
-        bool locked;
-        if (blocking) {
-          ep.locks_.lock(Domain::kMatching);
-          locked = true;
-        } else {
-          locked = ep.locks_.try_lock(Domain::kMatching);
+        auto& parked = parked_rx_[static_cast<std::size_t>(e)];
+        const bool steal = use_try && e != own_ep;
+        bool locked = false;
+        if (parked.empty()) {
+          if (!steal) {
+            ep.locks_.lock(Domain::kMatching);
+            locked = true;
+          } else {
+            locked = ep.locks_.try_lock(Domain::kMatching);
+          }
         }
         if (!locked) {
-          park();
+          const bool leaf = leaf_try(*park_lock_);
+          if (leaf) SIMSAN_ACCESS(san_parked_);
+          parked.emplace_back(r, std::move(*pkt));
+          if (leaf) park_lock_->unlock();
           continue;
         }
         process_packet_locked(ctx, ep, r, *pkt);
         ep.locks_.unlock(Domain::kMatching);
-        if (use_try && e != own_ep) ep.m_steals_.inc();
+        if (steal) ep.m_steals_.inc();
         any = true;
       }
-      busy[static_cast<std::size_t>(q)] = 0;
+      if (rx_lock != nullptr) {
+        rx_lock->unlock();
+      } else {
+        busy[q] = 0;
+      }
     }
-    if (!any_pending) {
-      // All doorbells down: one priced empty poll on the own ring, matching
-      // the single-queue pump's idle-pass cost model.
-      nic.poll(own_q >= 0 ? own_q : 0);
-    }
+    // All doorbells down: one priced empty poll on the own ring, the
+    // single-endpoint pump's idle-pass cost.
+    if (!any_pending) nic.poll(own_q >= 0 ? own_q : 0);
   }
   return any;
 }
 
 bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
-  if (parked_rx_.empty()) return false;  // single-endpoint core
   auto& q = parked_rx_[static_cast<std::size_t>(ep.id_)];
   if (q.empty()) return false;  // unpriced host peek
   if (use_try) {
@@ -1364,7 +1250,7 @@ bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
 
 void Core::process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
                                  const net::Packet& pkt) {
-  stats_.packets_rx.add_always();
+  m_packets_rx_.add_always();
   auto& map = ep.src_to_gate_.at(static_cast<std::size_t>(rail));
   auto gi = map.find(pkt.src_port);
   Gate* gate = gi == map.end() ? nullptr : gi->second;
@@ -1381,8 +1267,7 @@ void Core::process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       gate = gi == map.end() ? nullptr : gi->second;
     }
     if (gate == nullptr) {
-      PM2_TRACE("nmad", kWarn, "%s: packet from unknown port %d dropped",
-                name_.c_str(), pkt.src_port);
+      m_rx_rejected_.inc();
       return;
     }
   }
@@ -1392,13 +1277,10 @@ void Core::process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
   const std::uint8_t* data = nullptr;
   void* note = nullptr;
   while (auto h = reader.next(&data, &note)) {
-    stats_.chunks_rx.add_always();
+    m_chunks_rx_.add_always();
     handle_chunk_locked(ctx, ep, rail, *gate, *h, data, note, backing);
   }
-  if (!reader.ok()) {
-    PM2_TRACE("nmad", kError, "%s: malformed packet from port %d",
-              name_.c_str(), pkt.src_port);
-  }
+  if (!reader.ok()) m_rx_rejected_.inc();
 }
 
 void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
@@ -1415,7 +1297,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       Request* req = it->second;
       assert(!req->rdv_granted_);
       req->rdv_granted_ = true;
-      stats_.rdv_handshakes.add_always();
+      m_rdv_handshakes_.add_always();
       PackWrapper pw;
       pw.kind = PackWrapper::Kind::kRdvData;
       pw.req = req;
@@ -1534,7 +1416,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
             h.chunk_len));
       }
       um->filled += h.chunk_len;
-      stats_.unexpected_chunks.add_always();
+      m_unexpected_chunks_.add_always();
       if (h.kind == ChunkKind::kEager && h.offset == 0 &&
           match_order_enforced()) {
         bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
@@ -1582,7 +1464,7 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     SIMSAN_ACCESS(ep.san_deferred_);
     ep.deferred_pws_.emplace_back(&gate, cts);
     ep.resubmit_hint_ = true;
-    stats_.rdv_handshakes.add_always();
+    m_rdv_handshakes_.add_always();
   } else {
     UnexpectedMsg um;
     um.tag = tag;
@@ -1591,7 +1473,7 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     um.is_rdv = true;
     um.rts_cookie = cookie;
     gate.unexpected_.push_back(std::move(um));
-    stats_.unexpected_chunks.add_always();
+    m_unexpected_chunks_.add_always();
   }
   if (match_order_enforced()) bump_match_seq_locked(ctx, ep, gate, msg_seq);
 }
@@ -1652,9 +1534,6 @@ void Core::deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
   if (req->filled_ == req->total_len_) {
     gate.bound_recvs_.erase(h.msg_seq);
     complete_request(req);
-    PM2_TRACE("nmad", kDebug, "%s: recv complete tag %llu seq %u len %zu",
-              name_.c_str(), static_cast<unsigned long long>(h.tag), h.msg_seq,
-              req->filled_);
   }
 }
 
@@ -1680,17 +1559,9 @@ mth::Thread* Core::start_poll_thread() {
     ep.poll_thread_ = sched_.spawn(
         [this, e] {
           auto& ctx = mth::ExecContext::current();
-          if (num_eps_ == 1) {
-            while (!poll_thread_stop_) {
-              progress(ctx);  // every pass consumes time; the loop is paced
-            }
-          } else {
-            // Own this endpoint (blocking), steal from the others (try).
-            while (!poll_thread_stop_) {
-              stats_.progress_passes.add_always();
-              progress_multi(ctx, e, /*use_try=*/true);
-            }
-          }
+          // Own this endpoint (blocking), steal from the others (try). Every
+          // pass consumes time, so the loop is paced.
+          while (!poll_thread_stop_) progress_pass(ctx, e, /*use_try=*/true);
         },
         attrs);
   }

@@ -16,6 +16,16 @@
 //               route to endpoint tag % N, and progression steals work
 //               across endpoints with try-locks.
 //
+// Progression is one pass (progress_pass), whichever context drives it: a
+// wait, a PIOMan hook, the poll thread or the submit tasklet. It visits
+// every endpoint from a round-robin cursor, blocking on the endpoint the
+// caller owns and try-locking the rest. The single endpoint drains its
+// rails inside that library visit (pump_step). With N > 1 endpoints one
+// shared drain (drain_rails) then walks the M rings of each rail and hands
+// every packet to its endpoint's matching, or parks it for the owner. Its
+// ring guard is the priced rx try-lock at M = 1 -- the serialized
+// single-queue drain -- and an unpriced ownership flag at M > 1.
+//
 // Locking discipline: a thread never holds two lock domains at once on the
 // blocking paths (collect -> unlock -> driver -> unlock -> matching), which
 // keeps the coarse mapping (every domain = one global lock) deadlock-free.
@@ -170,13 +180,11 @@ class Core final : public piom::PollSource {
 
   // --- progression -------------------------------------------------------------
 
-  /// One full progression pass with blocking locks (thread context).
+  /// One full progression pass with blocking locks (thread context holding
+  /// no endpoint lock).
   bool progress(mth::ExecContext& ctx);
 
-  /// Hook-safe pass: try-locks only, never blocks.
-  bool progress_try(mth::ExecContext& ctx, bool submission_only = false);
-
-  // PollSource interface (PIOMan).
+  // PollSource interface (PIOMan): hook-safe passes, try-locks only.
   bool poll(mth::ExecContext& ctx) override;
   bool pending() const override;
 
@@ -194,22 +202,6 @@ class Core final : public piom::PollSource {
   /// this core's side of each flow; nullptr detaches.
   void set_flow_tracer(obs::FlowTracer* tracer, int node_id);
 
-  // --- statistics ----------------------------------------------------------------
-
-  /// Thin view over registry counters, labeled (nmad, <machine>). Fields
-  /// convert implicitly to std::uint64_t so legacy reads keep compiling;
-  /// new code should prefer MetricsRegistry::counter_value lookups.
-  struct Stats {
-    obs::Counter sends;
-    obs::Counter recvs;
-    obs::Counter packets_rx;
-    obs::Counter chunks_rx;
-    obs::Counter unexpected_chunks;
-    obs::Counter rdv_handshakes;
-    obs::Counter progress_passes;
-  };
-  const Stats& stats() const { return stats_; }
-
   /// Incomplete (not yet completed) requests.
   int active_requests() const { return active_reqs_; }
 
@@ -226,22 +218,19 @@ class Core final : public piom::PollSource {
   bool submit_step(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
   bool commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
                      bool use_try);
+  /// The progression pass. Visits every endpoint from the round-robin
+  /// cursor: blocking on @p own_ep (-1 = none) and, unless @p use_try, on
+  /// every endpoint; try-lock stealing elsewhere. @p submission_only passes
+  /// (offload tasklet, idle cores) flush and submit but drain nothing.
+  bool progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
+                     bool submission_only = false);
+  /// Single-endpoint rail drain, run inside the library visit.
   bool pump_step(mth::ExecContext& ctx, bool use_try);
-  bool pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try);
-  /// Multi-queue rail drain (rx_queues > 1): each context drains the ring
-  /// its own endpoint is steered to first, then helps any other ring whose
-  /// doorbell is raised -- lock-free, Nic::poll claims fiber-atomically.
-  bool pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try);
+  /// Multi-endpoint rail drain: tx completions of every endpoint, then the
+  /// M rings of each rail -- own ring first, then any raised doorbell --
+  /// with each packet dispatched to its endpoint's matching or parked.
+  bool drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try);
   bool drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
-  /// One progression pass over a single endpoint. @p blocking passes may
-  /// block on this endpoint's locks; try passes never block anywhere.
-  bool progress_ep(mth::ExecContext& ctx, Endpoint& ep, bool blocking,
-                   bool submission_only = false);
-  /// Multi-endpoint pass: blocking on @p own_ep (-1 = none), try-lock
-  /// stealing on every other endpoint, starting from the deterministic
-  /// round-robin cursor.
-  bool progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
-                      bool submission_only = false);
   void process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
                              const net::Packet& pkt);
   void handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
@@ -321,21 +310,21 @@ class Core final : public piom::PollSource {
   std::unique_ptr<sync::SpinLock> park_lock_;
   std::vector<std::deque<std::pair<int, net::Packet>>> parked_rx_;  // per ep
   san::Shared san_parked_{"nm.rxpark"};
-  /// One poller at a time per shared single-queue NIC completion queue
-  /// (N > 1 endpoints with rx_queues == 1 only). Nic::poll now claims the
-  /// packet before charging (fiber-atomic), so the lock is no longer a
-  /// correctness requirement -- it stays because the serialized drain *is*
-  /// the single-queue contention model (and keeps historical schedules
-  /// byte-identical). With rx_queues > 1 the per-queue drain runs lock-free:
-  /// each ring has one owning endpoint, and helpers claim atomically.
+  /// drain_rails' ring guard at M = 1: one poller at a time per shared
+  /// single-queue NIC completion queue (N > 1 endpoints with rx_queues == 1
+  /// only). Nic::poll claims the packet before charging (fiber-atomic), so
+  /// the lock is not a correctness requirement -- it stays, priced, because
+  /// the serialized drain *is* the single-queue contention model (and keeps
+  /// historical schedules byte-identical).
   std::vector<std::unique_ptr<sync::SpinLock>> nic_rx_locks_;
-  /// Per-(rail, ring) drain-ownership flag for the multi-queue path. Not a
-  /// lock: never blocked on, never priced. A context that finds the flag up
-  /// skips the ring -- its owner is mid-drain. Needed because a poll charge
-  /// yields the claiming fiber: without the flag a helper could claim seq N
-  /// and yield while the ring's owner claims and *processes* seq N+1 first,
-  /// breaking per-endpoint matching FIFO (claims are atomic, processing
-  /// order is not). Plain bytes suffice: a node's fibers share one worker.
+  /// drain_rails' ring guard at M > 1: a per-(rail, ring) drain-ownership
+  /// flag. Not a lock: never blocked on, never priced. A context that finds
+  /// the flag up skips the ring -- its owner is mid-drain. Needed because a
+  /// poll charge yields the claiming fiber: without the flag a helper could
+  /// claim seq N and yield while the ring's owner claims and *processes*
+  /// seq N+1 first, breaking per-endpoint matching FIFO (claims are atomic,
+  /// processing order is not). Plain bytes suffice: a node's fibers share
+  /// one worker.
   std::vector<std::vector<std::uint8_t>> mq_ring_busy_;
   int rr_ = 0;  ///< deterministic round-robin progression cursor
 
@@ -347,7 +336,18 @@ class Core final : public piom::PollSource {
   bool poll_thread_stop_ = false;
   mth::Thread* poll_thread_ = nullptr;
 
-  Stats stats_;
+  // Traffic counters, labeled (nmad, <machine>). Always on (add_always):
+  // they count whether or not the registry is enabled.
+  obs::Counter m_sends_;
+  obs::Counter m_recvs_;
+  obs::Counter m_packets_rx_;
+  obs::Counter m_chunks_rx_;
+  obs::Counter m_unexpected_chunks_;
+  obs::Counter m_rdv_handshakes_;
+  obs::Counter m_progress_passes_;
+  /// Packets dropped on receive: unknown source port or malformed payload.
+  /// Registry-gated, like the data-path counters below.
+  obs::Counter m_rx_rejected_;
 
   // Data-path copy observability (registry-gated; zero cost when the
   // registry is disabled). "Copies" are host memcpys of payload bytes --

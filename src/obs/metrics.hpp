@@ -198,9 +198,9 @@ class Counter {
     if (r.enabled_ && idx_ != kInvalidMetric) r.counter_cell(idx_) += delta;
   }
 
-  /// Unconditional add, for counters whose call sites predate the registry
-  /// and are documented as always-on (nmad::Core::Stats). Still one array
-  /// store; independent of enabled().
+  /// Unconditional add, for counters documented as always-on (the nmad
+  /// core's traffic counters: sends, recvs, progress_passes, ...). Still one
+  /// array store; independent of enabled().
   void add_always(std::uint64_t delta = 1) {
     if (idx_ != kInvalidMetric)
       MetricsRegistry::global().counter_cell(idx_) += delta;
@@ -211,7 +211,6 @@ class Counter {
                ? MetricsRegistry::global().counter_total(idx_)
                : 0;
   }
-  operator std::uint64_t() const { return value(); }
 
  private:
   friend class MetricsRegistry;

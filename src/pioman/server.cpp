@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "simcore/trace.hpp"
 #include "simsan/context.hpp"
 
 namespace pm2::piom {
@@ -89,8 +88,6 @@ void Server::enable_hooks() {
   idle_hook_id_ = sched_.add_idle_hook(mth::Hook{run, want});
   switch_hook_id_ = sched_.add_switch_hook(mth::Hook{run, nullptr});
   timer_hook_id_ = sched_.add_timer_hook(mth::Hook{run, nullptr});
-  PM2_TRACE("pioman", kInfo, "hooks enabled (poll core binding: %d)",
-            poll_core_);
 }
 
 void Server::remove_hooks() {

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "simcore/trace.hpp"
 #include "sync/context_util.hpp"
 
 namespace pm2::piom {
@@ -47,8 +46,6 @@ void TaskletEngine::drain(mth::HookContext& ctx) {
     ++t->runs_;
     ++executed_;
     m_executed_.inc();
-    PM2_TRACE("tasklet", kDebug, "run '%s' on core %d", t->name().c_str(),
-              ctx.core());
     t->fn_(ctx);
   }
 }

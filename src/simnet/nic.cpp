@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "simcore/chrome_trace.hpp"
-#include "simcore/trace.hpp"
 #include "simexplore/ctl.hpp"
 #include "simthread/exec_context.hpp"
 
@@ -188,10 +187,6 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
 
   const sim::Time arrival =
       wire_end + params_.wire_latency + params_.rx_deliver_delay;
-  PM2_TRACE("nic", kDebug, "port %d -> %d: %zu B ch%u seq %llu, arrives %s",
-            port_, dst_port, size, static_cast<unsigned>(channel),
-            static_cast<unsigned long long>(pkt.seq),
-            sim::format_time(arrival).c_str());
   fabric_.deliver_at(arrival, byte_time(params_.wire_ns_per_byte, size),
                      std::move(pkt));
   return SendHandle(std::move(state));

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "simcore/chrome_trace.hpp"
-#include "simcore/trace.hpp"
 #include "simexplore/ctl.hpp"
 #include "simsan/context.hpp"
 
@@ -90,8 +89,6 @@ Thread* Scheduler::spawn(ThreadFunc body, ThreadAttrs attrs) {
   Thread* t = owned.get();
   threads_.push_back(std::move(owned));
   ++live_threads_;
-  PM2_TRACE("sched", kDebug, "spawn thread %llu '%s'",
-            static_cast<unsigned long long>(t->id()), t->name().c_str());
   if (running_ != nullptr && Fiber::current() != nullptr) {
     charge_current(costs().thread_spawn);
   }
@@ -291,8 +288,6 @@ void Scheduler::finish_thread(int core, Thread* t) {
   t->state_ = ThreadState::kFinished;
   c.last_run = t;
   c.current = nullptr;
-  PM2_TRACE("sched", kDebug, "thread %llu '%s' finished",
-            static_cast<unsigned long long>(t->id()), t->name().c_str());
   for (Thread* j : t->joiners_) {
     if (san::on()) {
       // finish_thread runs in the engine context, so the generic wake()

