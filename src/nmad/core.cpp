@@ -43,6 +43,7 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
     throw std::invalid_argument("nm::Core: rx_queues must be in [1, 256]");
   }
   num_eps_ = cfg_.endpoints;
+  active_eps_.resize(num_eps_);
   home_partition_ = engine().current_partition();
   // Endpoints first: endpoint 0's LockSet registers its lock instruments
   // before the core-level counters below, preserving the historical
@@ -57,7 +58,6 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
     wildcard_lock_ =
         std::make_unique<sync::SpinLock>(sched_, name_ + "-wildcard");
     park_lock_ = std::make_unique<sync::SpinLock>(sched_, name_ + "-rxpark");
-    parked_rx_.resize(static_cast<std::size_t>(num_eps_));
     san_wildcard_.set_name(name_ + ".wildcard");
     san_parked_.set_name(name_ + ".rxpark");
   }
@@ -410,6 +410,7 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
     pw.kind = PackWrapper::Kind::kEager;
     gate->out_list_.push_back(pw);
   }
+  mark_active(ep);
   if (inline_submit) {
     ep.strategy_->arrange(cfg_, *gate, ep.rail_ptrs_, ctx, staged);
   }
@@ -533,6 +534,7 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
     cts.rdv_window = req;  // the window the grant advertises
     SIMSAN_ACCESS(ep.san_deferred_);
     ep.deferred_pws_.emplace_back(&gate, cts);
+    mark_active(ep);
     *adopted_rdv = true;
     m_rdv_handshakes_.add_always();
   } else {
@@ -839,40 +841,72 @@ bool Core::progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
   // when many contexts drive progression.
   const int start = rr_;
   rr_ = (rr_ + 1) % num_eps_;
-  for (int k = 0; k < num_eps_; ++k) {
-    const int e = (start + k) % num_eps_;
-    Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-    // Blocking only on the endpoint this context owns (on every endpoint
-    // for a blocking pass); a foreign endpoint is try-locked, so no context
-    // ever waits on two endpoints' locks.
-    const bool steal = use_try && e != own_ep;
-    if (!steal) {
-      ep.locks_.lock_library();
-    } else if (!ep.locks_.try_lock_library()) {
-      continue;
-    }
-    bool adv = flush_deferred(ep, steal);
-    adv |= submit_step(ctx, ep, steal);
-    if (!submission_only) {
-      // The single endpoint drains its rails inside the library visit;
-      // N > 1 endpoints take their parked packets here and share
-      // drain_rails below.
-      adv |= num_eps_ == 1 ? pump_step(ctx, steal)
-                           : drain_parked(ctx, ep, steal);
-      if (ep.resubmit_hint_) {
-        ep.resubmit_hint_ = false;
-        adv |= flush_deferred(ep, steal);
-        adv |= submit_step(ctx, ep, steal);
+  // N = 1 and kCoarse visit every endpoint: there an idle visit is priced
+  // (pump_step's doorbell poll, the foreign library try-lock), so skipping
+  // one would move the schedule. Elsewhere only the active bits are
+  // visited, which is what keeps a pass O(active endpoints).
+  const bool visit_all = num_eps_ == 1 || cfg_.lock == LockMode::kCoarse;
+  // The endpoints from the cursor on, as two ascending runs.
+  for (const auto& [lo, hi] :
+       {std::pair{start, num_eps_}, std::pair{0, start}}) {
+    for (int e = lo; e < hi; ++e) {
+      if (!visit_all) {
+        e = next_visit(e, hi);
+        if (e == hi) break;
       }
+      Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
+      // Blocking only on the endpoint this context owns (on every endpoint
+      // for a blocking pass); a foreign endpoint is try-locked, so no
+      // context ever waits on two endpoints' locks.
+      const bool steal = use_try && e != own_ep;
+      if (!steal) {
+        ep.locks_.lock_library();
+      } else if (!ep.locks_.try_lock_library()) {
+        continue;
+      }
+      bool adv = flush_deferred(ep, steal);
+      adv |= submit_step(ctx, ep, steal);
+      if (!submission_only) {
+        // The single endpoint drains its rails inside the library visit;
+        // N > 1 endpoints take their parked packets here and share
+        // drain_rails below.
+        adv |= num_eps_ == 1 ? pump_step(ctx, steal)
+                             : drain_parked(ctx, ep, steal);
+        if (ep.resubmit_hint_) {
+          ep.resubmit_hint_ = false;
+          adv |= flush_deferred(ep, steal);
+          adv |= submit_step(ctx, ep, steal);
+        }
+      }
+      ep.locks_.unlock_library();
+      // Only a visit clears the bit, at its end, and only after re-checking
+      // every structure: no yield between the check and the clear. Where
+      // every endpoint is visited the walk never reads the bits, so the
+      // visit leaves them set.
+      if (!visit_all && ep.idle()) active_eps_.reset(e);
+      if (adv && steal) ep.m_steals_.inc();
+      any |= adv;
     }
-    ep.locks_.unlock_library();
-    if (adv && steal) ep.m_steals_.inc();
-    any |= adv;
   }
   if (!submission_only && num_eps_ > 1) {
     any |= drain_rails(ctx, own_ep, use_try);
   }
   return any;
+}
+
+int Core::next_visit(int from, int end) const {
+  const int next = active_eps_.next(from);
+  const int e = next < 0 ? end : std::min(next, end);
+  if (san::on()) {
+    for (int skipped = from; skipped < e; ++skipped) {
+      const Endpoint& ep = *eps_[static_cast<std::size_t>(skipped)];
+      if (!ep.idle()) {
+        san::violation("progress-skipped-busy-endpoint",
+                       ep.name() + " has queued work but no active bit");
+      }
+    }
+  }
+  return e;
 }
 
 bool Core::progress(mth::ExecContext& ctx) {
@@ -900,8 +934,9 @@ bool Core::pending() const {
 }
 
 bool Core::has_submission_work() const {
-  for (const auto& ep : eps_) {
-    if (ep->has_submission_work()) return true;
+  // A clear bit is an idle endpoint, so an empty mask answers at once.
+  for (int e = active_eps_.next(0); e >= 0; e = active_eps_.next(e + 1)) {
+    if (eps_[static_cast<std::size_t>(e)]->has_submission_work()) return true;
   }
   return false;
 }
@@ -927,12 +962,14 @@ bool Core::flush_deferred(Endpoint& ep, bool use_try) {
       if (ep.locks_.try_lock(Domain::kMatching)) {
         SIMSAN_ACCESS(ep.san_deferred_);
         for (auto& e : local) ep.deferred_pws_.push_back(std::move(e));
+        mark_active(ep);
         ep.locks_.unlock(Domain::kMatching);
         return false;
       }
       // Extremely contended: re-queue without the lock. Host execution is
       // single-threaded, so this is safe; the locks model cost, not safety.
       for (auto& e : local) ep.deferred_pws_.push_back(std::move(e));
+      mark_active(ep);
       return false;
     }
   } else {
@@ -946,6 +983,7 @@ bool Core::flush_deferred(Endpoint& ep, bool use_try) {
       gate->out_list_.push_back(pw);
     }
   }
+  mark_active(ep);
   ep.locks_.unlock(Domain::kCollect);
   return true;
 }
@@ -1039,6 +1077,7 @@ bool Core::commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
         for (auto& a : staged) {
           if (a.rail == r) drv.commit(std::move(a.pkt));
         }
+        mark_active(ep);
         continue;
       }
     } else {
@@ -1048,6 +1087,9 @@ bool Core::commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
     for (auto& a : staged) {
       if (a.rail == r) drv.commit(std::move(a.pkt));
     }
+    // Marked before the drain: its post charges, and packets still pending
+    // must stay visible to passes that run meanwhile.
+    mark_active(ep);
     posted |= drv.drain(completer) > 0;
     ep.locks_.unlock(d);
   }
@@ -1124,7 +1166,8 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
     on_chunks_wire_done(reqs);
   };
   // Per-endpoint transfer lists: drain tx completions and pending commits.
-  for (int e = 0; e < num_eps_; ++e) {
+  // A driver with pending packets has its endpoint's active bit set.
+  for (int e = active_eps_.next(0); e >= 0; e = active_eps_.next(e + 1)) {
     Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
     const bool steal = use_try && e != own_ep;
     for (int r = 0; r < num_rails(); ++r) {
@@ -1161,21 +1204,13 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
     std::uint8_t* busy =
         nq > 1 ? mq_ring_busy_[static_cast<std::size_t>(r)].data() : nullptr;
     bool any_pending = false;
-    for (int qi = 0; qi < nq; ++qi) {
-      int q;
-      if (own_q >= 0) {
-        q = qi == 0 ? own_q : (qi <= own_q ? qi - 1 : qi);
-      } else {
-        q = qi;
-      }
-      // Unpriced doorbell peek. The single queue peeks the whole NIC, which
-      // still sees a packet another fiber has claimed and is mid-charge on.
-      if (nq == 1 ? !nic.rx_pending() : !nic.rx_pending(q)) continue;
+    // Drains ring q, whose doorbell is up.
+    auto drain_ring = [&](int q) {
       any_pending = true;
       if (rx_lock != nullptr) {
-        if (!rx_lock->try_lock()) continue;
+        if (!rx_lock->try_lock()) return;
       } else {
-        if (busy[q]) continue;
+        if (busy[q]) return;
         busy[q] = 1;
       }
       for (int k = 0; k < 4; ++k) {
@@ -1188,7 +1223,7 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
         const int e =
             static_cast<int>(peek_packet_ep(pkt->payload)) % num_eps_;
         Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-        auto& parked = parked_rx_[static_cast<std::size_t>(e)];
+        auto& parked = ep.parked_rx_;
         const bool steal = use_try && e != own_ep;
         bool locked = false;
         if (parked.empty()) {
@@ -1203,6 +1238,7 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
           const bool leaf = leaf_try(*park_lock_);
           if (leaf) SIMSAN_ACCESS(san_parked_);
           parked.emplace_back(r, std::move(*pkt));
+          mark_active(ep);
           if (leaf) park_lock_->unlock();
           continue;
         }
@@ -1216,6 +1252,17 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
       } else {
         busy[q] = 0;
       }
+    };
+    // Unpriced doorbell peeks. The single queue peeks the whole NIC, which
+    // still sees a packet another fiber has claimed and is mid-charge on;
+    // M > 1 reads the raised-ring mask and skips every lowered ring.
+    if (nq == 1) {
+      if (nic.rx_pending()) drain_ring(0);
+    } else {
+      if (own_q >= 0 && nic.rx_pending(own_q)) drain_ring(own_q);
+      for (int q = nic.next_raised(0); q >= 0; q = nic.next_raised(q + 1)) {
+        if (q != own_q) drain_ring(q);
+      }
     }
     // All doorbells down: one priced empty poll on the own ring, the
     // single-endpoint pump's idle-pass cost.
@@ -1225,7 +1272,7 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
 }
 
 bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
-  auto& q = parked_rx_[static_cast<std::size_t>(ep.id_)];
+  auto& q = ep.parked_rx_;
   if (q.empty()) return false;  // unpriced host peek
   if (use_try) {
     if (!ep.locks_.try_lock(Domain::kMatching)) return false;
@@ -1314,6 +1361,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       SIMSAN_ACCESS(ep.san_deferred_);
       ep.deferred_pws_.emplace_back(req->gate_, pw);
       ep.resubmit_hint_ = true;
+      mark_active(ep);
       return;
     }
     case ChunkKind::kRts: {
@@ -1464,6 +1512,7 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     SIMSAN_ACCESS(ep.san_deferred_);
     ep.deferred_pws_.emplace_back(&gate, cts);
     ep.resubmit_hint_ = true;
+    mark_active(ep);
     m_rdv_handshakes_.add_always();
   } else {
     UnexpectedMsg um;

@@ -18,13 +18,21 @@
 //
 // Progression is one pass (progress_pass), whichever context drives it: a
 // wait, a PIOMan hook, the poll thread or the submit tasklet. It visits
-// every endpoint from a round-robin cursor, blocking on the endpoint the
-// caller owns and try-locking the rest. The single endpoint drains its
-// rails inside that library visit (pump_step). With N > 1 endpoints one
-// shared drain (drain_rails) then walks the M rings of each rail and hands
-// every packet to its endpoint's matching, or parks it for the owner. Its
-// ring guard is the priced rx try-lock at M = 1 -- the serialized
-// single-queue drain -- and an unpriced ownership flag at M > 1.
+// the endpoints whose bit is set in the active-endpoint bitmap, from a
+// round-robin cursor, blocking on the endpoint the caller owns and
+// try-locking the rest. The bit is set at every insertion into an
+// endpoint's queues, before anything that can charge, and cleared only by
+// a visit, at its end, after Endpoint::idle() re-checks every structure;
+// so a skipped endpoint is one whose visit would do nothing. N = 1 and
+// kCoarse visit every endpoint regardless, and leave the bits set: there
+// an idle visit is priced (pump_step's doorbell poll, the foreign library
+// try-lock). The single endpoint drains its rails inside that library
+// visit (pump_step). With N > 1 endpoints one shared drain (drain_rails)
+// then drains the tx lists of the active endpoints, walks the raised
+// rings of each rail's doorbell mask, and hands every packet to its
+// endpoint's matching, or parks it for the owner. Its ring guard is the
+// priced rx try-lock at M = 1 -- the serialized single-queue drain -- and
+// an unpriced ownership flag at M > 1.
 //
 // Locking discipline: a thread never holds two lock domains at once on the
 // blocking paths (collect -> unlock -> driver -> unlock -> matching), which
@@ -56,6 +64,7 @@
 #include "nmad/wire_format.hpp"
 #include "pioman/server.hpp"
 #include "pioman/tasklet.hpp"
+#include "simcore/bitmap.hpp"
 #include "simnet/nic.hpp"
 #include "simthread/scheduler.hpp"
 #include "sync/spinlock.hpp"
@@ -218,17 +227,19 @@ class Core final : public piom::PollSource {
   bool submit_step(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
   bool commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
                      bool use_try);
-  /// The progression pass. Visits every endpoint from the round-robin
-  /// cursor: blocking on @p own_ep (-1 = none) and, unless @p use_try, on
-  /// every endpoint; try-lock stealing elsewhere. @p submission_only passes
-  /// (offload tasklet, idle cores) flush and submit but drain nothing.
+  /// The progression pass. Visits the endpoints whose active bit is set,
+  /// from the round-robin cursor: blocking on @p own_ep (-1 = none) and,
+  /// unless @p use_try, on every endpoint; try-lock stealing elsewhere.
+  /// @p submission_only passes (offload tasklet, idle cores) flush and
+  /// submit but drain nothing.
   bool progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
                      bool submission_only = false);
   /// Single-endpoint rail drain, run inside the library visit.
   bool pump_step(mth::ExecContext& ctx, bool use_try);
-  /// Multi-endpoint rail drain: tx completions of every endpoint, then the
-  /// M rings of each rail -- own ring first, then any raised doorbell --
-  /// with each packet dispatched to its endpoint's matching or parked.
+  /// Multi-endpoint rail drain: tx completions of the active endpoints,
+  /// then the M rings of each rail -- own ring first, then the raised
+  /// doorbells in ascending order -- with each packet dispatched to its
+  /// endpoint's matching or parked.
   bool drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try);
   bool drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
   void process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
@@ -265,6 +276,10 @@ class Core final : public piom::PollSource {
   void complete_request(Request* req);
   void on_chunks_wire_done(const std::vector<Request*>& reqs);
   bool has_submission_work() const;
+  void mark_active(const Endpoint& ep) { active_eps_.set(ep.id_); }
+  /// First endpoint in [@p from, @p end) whose active bit is set (@p end if
+  /// none). Under simsan, checks that every endpoint it skips is idle.
+  int next_visit(int from, int end) const;
 
   /// Flow-trace sequence: the endpoint id is folded into the high bits at
   /// N > 1 (mirroring the wire encoding) so flows on different endpoints
@@ -303,12 +318,11 @@ class Core final : public piom::PollSource {
   std::unique_ptr<sync::SpinLock> wildcard_lock_;
   std::deque<Request*> wildcard_recvs_;
   san::Shared san_wildcard_{"nm.wildcard"};
-  /// Packets polled off a shared NIC but owned by an endpoint whose
-  /// matching lock a try-pass could not take; drained by a later pass on
-  /// the owning endpoint. Leaf lock (taken with no other domain held, or
-  /// under a matching lock).
+  /// Guards every endpoint's parked-RX queue (Endpoint::parked_rx_):
+  /// packets polled off a shared NIC but owned by an endpoint whose
+  /// matching lock a try-pass could not take. Leaf lock (taken with no
+  /// other domain held, or under a matching lock).
   std::unique_ptr<sync::SpinLock> park_lock_;
-  std::vector<std::deque<std::pair<int, net::Packet>>> parked_rx_;  // per ep
   san::Shared san_parked_{"nm.rxpark"};
   /// drain_rails' ring guard at M = 1: one poller at a time per shared
   /// single-queue NIC completion queue (N > 1 endpoints with rx_queues == 1
@@ -327,6 +341,12 @@ class Core final : public piom::PollSource {
   /// one worker.
   std::vector<std::vector<std::uint8_t>> mq_ring_busy_;
   int rr_ = 0;  ///< deterministic round-robin progression cursor
+  /// Endpoints with queued work, one bit each. Set at every insertion into
+  /// a deferred queue, gate ctrl/out list, driver pending list or parked-RX
+  /// queue, before anything that can charge; cleared only at the end of a
+  /// progression visit that finds Endpoint::idle(). So at every yield
+  /// point a clear bit is an idle endpoint, and progression skips it.
+  sim::Bitmap active_eps_;
 
   std::vector<std::unique_ptr<Request>> req_pool_;
   std::vector<Request*> free_reqs_;

@@ -78,6 +78,13 @@ class Endpoint {
     return false;
   }
 
+  /// Nothing for a progression visit to do: no submission work, no parked
+  /// packet and no resubmit hint (unpriced host peek). The Core's
+  /// active-endpoint bit may be clear only while this holds.
+  bool idle() const {
+    return !has_submission_work() && parked_rx_.empty() && !resubmit_hint_;
+  }
+
  private:
   friend class Core;
 
@@ -106,6 +113,11 @@ class Endpoint {
   bool resubmit_hint_ = false;
 
   std::unordered_map<std::uint64_t, Request*> send_by_cookie_;
+
+  /// Packets (rail, packet) polled off a shared NIC by a context that could
+  /// not take this endpoint's matching lock; drained by this endpoint's
+  /// next visit (N > 1 only). Guarded by the Core's rx park leaf lock.
+  std::deque<std::pair<int, net::Packet>> parked_rx_;
 
   mth::Thread* poll_thread_ = nullptr;  ///< kPollThread: this ep's fiber
 

@@ -212,7 +212,7 @@ void Nic::configure_rx_queues(int n) {
         "Nic::configure_rx_queues: NIC must be quiesced (no rx traffic yet)");
   }
   rx_rings_.assign(static_cast<std::size_t>(n), {});
-  rx_doorbells_.assign(static_cast<std::size_t>(n), 0);
+  rx_doorbells_.resize(n);
   rx_claimed_.assign(static_cast<std::size_t>(n), 0);
   m_rxq_depth_.clear();
   if (n > 1) {
@@ -249,7 +249,7 @@ void Nic::enqueue_rx(Packet pkt) {
     q = static_cast<std::size_t>(rx_steer_(pkt) % nq);
   }
   rx_rings_[q].push_back(std::move(pkt));
-  rx_doorbells_[q] = 1;
+  rx_doorbells_.set(static_cast<int>(q));
   if (nq > 1) {
     m_rxq_depth_[q].set(static_cast<std::int64_t>(rx_rings_[q].size()));
   }
@@ -314,7 +314,7 @@ std::optional<Packet> Nic::poll(int q) {
   // schedules keep the historical observable timing byte for byte.
   Packet pkt = std::move(ring.front());
   ring.pop_front();
-  if (ring.empty()) rx_doorbells_[static_cast<std::size_t>(q)] = 0;
+  if (ring.empty()) rx_doorbells_.reset(q);
   ++rx_claimed_[static_cast<std::size_t>(q)];
   charge_ctx(params_.poll_hit_cost);
   --rx_claimed_[static_cast<std::size_t>(q)];

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "simcore/bitmap.hpp"
 #include "simcore/engine.hpp"
 #include "simmachine/machine.hpp"
 #include "simnet/packet.hpp"
@@ -190,9 +191,11 @@ class Nic {
   }
 
   /// Per-queue doorbell: unpriced peek of one ring's doorbell flag.
-  bool rx_pending(int q) const {
-    return rx_doorbells_[static_cast<std::size_t>(q)] != 0;
-  }
+  bool rx_pending(int q) const { return rx_doorbells_.test(q); }
+
+  /// Lowest ring >= @p from whose doorbell is raised, or -1: one unpriced
+  /// read of the doorbell mask, so a drain visits only non-empty rings.
+  int next_raised(int from) const { return rx_doorbells_.next(from); }
 
   /// Poll the completion queue: pops the oldest delivered packet, if any.
   /// Charges poll_hit/poll_empty to the current context. Payload copy-out
@@ -243,8 +246,9 @@ class Nic {
   /// One SPSC ring per RX queue (size 1 unless configure_rx_queues ran).
   /// Ring 0 with no steering is byte-for-byte the legacy rx_queue_.
   std::vector<std::deque<Packet>> rx_rings_{1};
-  /// Doorbell word per ring: set on enqueue, cleared when the ring drains.
-  std::vector<std::uint8_t> rx_doorbells_ = std::vector<std::uint8_t>(1, 0);
+  /// Doorbell mask, one bit per ring: set on enqueue, cleared when the
+  /// ring drains.
+  sim::Bitmap rx_doorbells_{1};
   /// Packets popped by an in-progress poll whose cost charge has not
   /// completed yet. Unpriced full-NIC peeks (rx_pending()) and the total
   /// depth gauge still count them -- that matches the historical

@@ -17,6 +17,7 @@
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/random.hpp"
+#include "simsan/simsan.hpp"
 
 namespace pm2::nm {
 namespace {
@@ -379,13 +380,14 @@ std::vector<char> read_file(const std::string& path) {
 }
 
 StressResult run_stress(std::uint64_t seed, const std::string& trace_path,
-                        int rx_queues = 1) {
+                        int rx_queues = 1, bool simsan = false) {
   const auto schedule = make_schedule(seed);
   ClusterConfig cfg;
   cfg.endpoints = kStressEndpoints;
   cfg.rx_queues = rx_queues;
   Cluster world(cfg);
   world.enable_flow_trace();
+  if (simsan) world.enable_simsan();
 
   for (int p = 0; p < kProducers; ++p) {
     world.spawn(0, [&world, &schedule, p, seed] {
@@ -589,6 +591,115 @@ TEST(EndpointStress, RxQueuesFourTracePinned) {
       /*rx_queues=*/4);
   EXPECT_EQ(res.trace.size(), 13876u);
   EXPECT_EQ(fnv1a64(res.trace), 0x671b263e3c1b172cull);
+}
+
+// --- 64 endpoints: the fanin shape of BM_ConcurrentSenders /64 ------------
+//
+// 64 sender fibers on node 0 each isend 16 x 64 B on their own tag (tag t
+// lives on endpoint t) to a receiver fiber on node 1 that pre-posted all 16,
+// under fine locking on the dual quad-core testbed. Each receiver waits on
+// its own endpoint and steals from the other 63, so every progression pass
+// crosses all 64 endpoints and, at rx_queues = 64, all 64 rings.
+
+constexpr int kFaninPairs = 64;
+constexpr int kFaninMsgs = 16;
+
+StressResult run_fanin64(int rx_queues, const std::string& trace_path,
+                         bool simsan = false) {
+  ClusterConfig cfg;
+  cfg.topology = mach::CacheTopology::dual_quad_core();
+  cfg.nm.lock = LockMode::kFine;
+  cfg.endpoints = kFaninPairs;
+  cfg.rx_queues = rx_queues;
+  Cluster world(cfg);
+  world.enable_flow_trace();
+  if (simsan) world.enable_simsan();
+  // Senders start once every receiver has posted its window.
+  const sim::Time settle = sim::microseconds(kFaninPairs * 5);
+  int received = 0;
+  for (int t = 0; t < kFaninPairs; ++t) {
+    const Tag tag = static_cast<Tag>(t);
+    world.spawn(0, [&world, tag, t, settle] {
+      Core& c = world.core(0);
+      world.sched(0).sleep_for(settle);
+      std::vector<std::uint8_t> m(64, static_cast<std::uint8_t>(t));
+      std::vector<Request*> win;
+      for (int i = 0; i < kFaninMsgs; ++i) {
+        win.push_back(c.isend(world.gate(0, 1), tag, m.data(), m.size()));
+      }
+      for (Request* r : win) {
+        c.wait(r);
+        c.release(r);
+      }
+    });
+    world.spawn(1, [&world, &received, tag, t] {
+      Core& c = world.core(1);
+      std::vector<std::vector<std::uint8_t>> bufs(
+          kFaninMsgs, std::vector<std::uint8_t>(64));
+      std::vector<Request*> reqs;
+      for (auto& b : bufs) {
+        reqs.push_back(c.irecv(world.gate(1, 0), tag, b.data(), b.size()));
+      }
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        c.wait(reqs[i]);
+        EXPECT_EQ(reqs[i]->received_length(), 64u);
+        EXPECT_EQ(bufs[i][0], static_cast<std::uint8_t>(t));
+        c.release(reqs[i]);
+        ++received;
+      }
+    });
+  }
+  // Capped, so a lost wakeup fails the count instead of spinning forever.
+  world.engine().run_until(sim::milliseconds(10));
+  EXPECT_EQ(received, kFaninPairs * kFaninMsgs);
+  world.write_trace_binary(trace_path);
+  StressResult res;
+  res.events = world.engine().events_executed();
+  res.trace = read_file(trace_path);
+  return res;
+}
+
+// Golden flow traces of the 64-endpoint fanin over one shared ring and over
+// one ring per endpoint: they pin the progression pass's endpoint order and
+// the drain's ring order at N = 64, where the seed-42 stress stops at 4.
+TEST(EndpointStress, SixtyFourEndpointTracesPinned) {
+  const std::string dir = testing::TempDir();
+  const StressResult one =
+      run_fanin64(/*rx_queues=*/1, dir + "pm2sim_ep64_q1.trace.bin");
+  EXPECT_EQ(one.trace.size(), 294964u);
+  EXPECT_EQ(fnv1a64(one.trace), 0x85c478c93ce040a3ull);
+  const StressResult many =
+      run_fanin64(/*rx_queues=*/64, dir + "pm2sim_ep64_q64.trace.bin");
+  EXPECT_EQ(many.trace.size(), 294964u);
+  EXPECT_EQ(fnv1a64(many.trace), 0xc470ac6250c2a8a3ull);
+}
+
+/// Findings of @p rule in the last simsan run (they outlive the world).
+std::size_t findings_of(const std::string& rule) {
+  std::size_t n = 0;
+  for (const san::Finding& f : san::Analyzer::global().findings()) {
+    if (f.rule == rule) ++n;
+  }
+  return n;
+}
+
+// The active-endpoint invariant, checked by simsan inside every progression
+// pass: an endpoint the pass skips has nothing queued. A missed mark shows
+// up here even when the schedule it moves is not pinned.
+TEST(EndpointStress, SkippedEndpointsIdleUnderSimsan) {
+  const std::string dir = testing::TempDir();
+  const std::string rule = "progress-skipped-busy-endpoint";
+  for (int rxq : {1, 4}) {
+    SCOPED_TRACE("stress, rx_queues=" + std::to_string(rxq));
+    run_stress(42, dir + "pm2sim_ep_stress_san.trace.bin", rxq,
+               /*simsan=*/true);
+    EXPECT_EQ(findings_of(rule), 0u);
+  }
+  for (int rxq : {1, 64}) {
+    SCOPED_TRACE("fanin64, rx_queues=" + std::to_string(rxq));
+    run_fanin64(rxq, dir + "pm2sim_ep64_san.trace.bin", /*simsan=*/true);
+    EXPECT_EQ(findings_of(rule), 0u);
+  }
 }
 
 }  // namespace

@@ -252,6 +252,27 @@ TEST_F(NicTest, MultiQueueSteersByKey) {
   EXPECT_FALSE(nic_b_.rx_pending());
 }
 
+// The raised-ring mask spans several 64-bit words: next_raised finds the
+// lowest raised ring at or after its argument across word boundaries, and
+// a drained ring drops out of it.
+TEST_F(NicTest, NextRaisedWalksTheDoorbellMask) {
+  nic_b_.configure_rx_queues(200);
+  nic_b_.set_rx_steer([](const Packet& p) {
+    return static_cast<int>(p.payload[0]);
+  });
+  EXPECT_EQ(nic_b_.next_raised(0), -1);
+  for (std::uint8_t k : {3, 64, 130, 199}) nic_a_.post_send(1, 0, bytes(8, k));
+  engine_.run();
+  EXPECT_EQ(nic_b_.next_raised(0), 3);
+  EXPECT_EQ(nic_b_.next_raised(4), 64);
+  EXPECT_EQ(nic_b_.next_raised(64), 64);
+  EXPECT_EQ(nic_b_.next_raised(65), 130);
+  EXPECT_EQ(nic_b_.next_raised(131), 199);
+  EXPECT_EQ(nic_b_.next_raised(200), -1);
+  ASSERT_TRUE(nic_b_.poll(64).has_value());
+  EXPECT_EQ(nic_b_.next_raised(4), 130);
+}
+
 TEST_F(NicTest, ConfigureRxQueuesRequiresQuiescedNic) {
   EXPECT_THROW(nic_b_.configure_rx_queues(0), std::invalid_argument);
   nic_a_.post_send(1, 0, bytes(8));
