@@ -72,8 +72,8 @@ TSAN_OPTIONS="halt_on_error=1" \
   --partitions=2 --workers=2 --endpoints=4 --rx-queues=4 > /dev/null
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir"/bench/rxq_simsan > /dev/null
 # Lock-free trace-ring suite under TSan: real producer/consumer threads on
-# the SPSC ring, the drain thread, the intern table, and the multi-worker
-# traced cluster all cross host-thread boundaries here.
+# the SPSC ring, the intern table, and the multi-worker traced cluster all
+# cross host-thread boundaries here.
 TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/tests/test_obs --gtest_filter='TraceRing.*:TraceLog.*'
 

@@ -227,8 +227,6 @@ BenchArgs parse_args(int argc, char** argv) {
       args.endpoints = std::atoi(a + 12);
     } else if (std::strncmp(a, "--rx-queues=", 12) == 0) {
       args.rx_queues = std::atoi(a + 12);
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      args.legacy_trace = std::strcmp(a + 8, "legacy") == 0;
     } else if (std::strncmp(a, "--explore=", 10) == 0) {
       args.explore = std::atoi(a + 10);
     } else if (std::strncmp(a, "--explore-budget=", 17) == 0) {
@@ -252,7 +250,6 @@ void apply_parallel(const BenchArgs& args, nm::ClusterConfig& cfg) {
   cfg.workers = args.workers;
   cfg.endpoints = args.endpoints;
   cfg.rx_queues = args.rx_queues;
-  cfg.legacy_trace = args.legacy_trace;
   // Onset beyond any retry count a bounded run can reach = backoff never
   // engages; the cap is irrelevant then.
   if (args.spin_backoff_off) cfg.spin_backoff_onset = 1 << 30;
@@ -406,7 +403,7 @@ void write_metrics_report(const BenchArgs& args, const nm::ClusterConfig& cfg) {
   reg.set_enabled(true);
   {
     nm::Cluster world(cfg);
-    world.enable_timeline();
+    obs::TraceLog& log = world.enable_timeline();
     obs::FlowTracer& flow = world.enable_flow_trace();
     reg.reset_values();
 
@@ -450,21 +447,15 @@ void write_metrics_report(const BenchArgs& args, const nm::ClusterConfig& cfg) {
     }, "pong", 0);
 
     world.run();
-    obs::write_report(args.metrics_out, reg, &flow, world.trace_log());
+    obs::write_report(args.metrics_out, reg, &flow, &log);
     world.write_timeline(args.metrics_out + ".trace.json");
-    if (world.trace_log() != nullptr) {
-      obs::TraceLog& log = *world.trace_log();
-      world.write_trace_binary(args.metrics_out + ".trace.bin");
-      std::printf(
-          "metrics report written: %s (timeline: %s.trace.json, binary: "
-          "%s.trace.bin; %zu trace records, %llu dropped)\n",
-          args.metrics_out.c_str(), args.metrics_out.c_str(),
-          args.metrics_out.c_str(), log.record_count(),
-          static_cast<unsigned long long>(log.dropped()));
-    } else {
-      std::printf("metrics report written: %s (timeline: %s.trace.json)\n",
-                  args.metrics_out.c_str(), args.metrics_out.c_str());
-    }
+    world.write_trace_binary(args.metrics_out + ".trace.bin");
+    std::printf(
+        "metrics report written: %s (timeline: %s.trace.json, binary: "
+        "%s.trace.bin; %zu trace records, %llu dropped)\n",
+        args.metrics_out.c_str(), args.metrics_out.c_str(),
+        args.metrics_out.c_str(), log.record_count(),
+        static_cast<unsigned long long>(log.dropped()));
   }
   reg.set_enabled(false);
 }

@@ -60,8 +60,8 @@ void write_csv(const std::string& path, const std::vector<std::size_t>& sizes,
 /// Tiny argv parser shared by the figure benches: recognizes
 /// --iters=N, --warmup=N, --csv=PATH, --metrics-out=PATH, --simsan=on|off,
 /// --partitions=N, --workers=N, --endpoints=N, --rx-queues=N,
-/// --trace=ring|legacy, --explore=K, --explore-budget=N,
-/// --explore-out=PATH, --replay=FILE, --spin-backoff=on|off.
+/// --explore=K, --explore-budget=N, --explore-out=PATH, --replay=FILE,
+/// --spin-backoff=on|off.
 struct BenchArgs {
   int iters = 200;
   int warmup = 20;
@@ -82,17 +82,14 @@ struct BenchArgs {
   std::string csv;
   /// When set, run one instrumented pingpong after the sweep and write a
   /// metrics + flow-stage report (JSON) here, plus a Perfetto timeline with
-  /// send->recv flow arrows at <PATH>.trace.json.
+  /// send->recv flow arrows at <PATH>.trace.json and the binary trace log
+  /// at <PATH>.trace.bin.
   std::string metrics_out;
   /// --simsan=on: after the sweep, run a concurrency-analysis pingpong per
   /// configuration and print the simsan report. Off by default; the figure
   /// sweeps themselves always run unanalyzed, so CSV output is identical
   /// either way.
   bool simsan = false;
-  /// --trace=legacy: record the --metrics-out timeline through the mutexed
-  /// direct-JSON path instead of the lock-free binary trace rings (debug
-  /// fallback; no .trace.bin is written then). --trace=ring is the default.
-  bool legacy_trace = false;
   /// --explore=K: after the sweep, explore the schedule space of the
   /// analysis pingpong per configuration with preemption bound K (0 = the
   /// default schedule only). -1 (default) = off; the figure sweeps

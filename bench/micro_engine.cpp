@@ -225,17 +225,14 @@ void BM_PingpongEndToEndSimsan(benchmark::State& state) {
 }
 BENCHMARK(BM_PingpongEndToEndSimsan)->Unit(benchmark::kMillisecond);
 
-void pingpong_traced_body(benchmark::State& state, bool legacy) {
+void BM_PingpongEndToEndTraced(benchmark::State& state) {
   // Same workload with the full observability surface on -- Chrome-trace
   // timeline (scheduler spans, NIC tx/rx) plus flow-lifecycle stamps --
-  // through either the lock-free binary trace rings (default) or the
-  // mutexed direct-JSON fallback. The spread between the two variants is
-  // the hot-path win of the ring sink; ctest `trace_overhead` asserts the
-  // ring variant stays within 3% of BM_PingpongEndToEnd.
+  // through the lock-free binary trace rings; ctest `trace_overhead`
+  // asserts it stays within 3% of BM_PingpongEndToEnd.
   const std::size_t kIters = 64;
   for (auto _ : state) {
     nm::ClusterConfig cfg;
-    cfg.legacy_trace = legacy;
     nm::Cluster world(cfg);
     world.enable_timeline();
     world.enable_flow_trace();
@@ -261,16 +258,7 @@ void pingpong_traced_body(benchmark::State& state, bool legacy) {
   }
   state.SetItemsProcessed(state.iterations() * kIters);
 }
-
-void BM_PingpongEndToEndTraced(benchmark::State& state) {
-  pingpong_traced_body(state, /*legacy=*/false);
-}
 BENCHMARK(BM_PingpongEndToEndTraced)->Unit(benchmark::kMillisecond);
-
-void BM_PingpongEndToEndTracedLegacy(benchmark::State& state) {
-  pingpong_traced_body(state, /*legacy=*/true);
-}
-BENCHMARK(BM_PingpongEndToEndTracedLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelEngine(benchmark::State& state) {
   // Partitioned-engine throughput: an 8-node world (4 independent pingpong

@@ -41,10 +41,10 @@ awk '
 ' "$repo_root/BENCH_engine.json"
 
 # Full-tracing cost: the pingpong run with timeline + flow tracing through
-# the lock-free trace rings vs the legacy direct-JSON recorder. The hard
-# <3% ring gate is the `trace_overhead` ctest.
+# the lock-free trace rings. The hard <3% gate is the `trace_overhead`
+# ctest.
 awk '
-  /"name": "BM_PingpongEndToEndTraced(Legacy)?_median"/ { want = 1; name = $2 }
+  /"name": "BM_PingpongEndToEndTraced_median"/ { want = 1; name = $2 }
   want && /"real_time":/ {
     gsub(/[",]/, "", name); gsub(/,/, "", $2)
     printf "  %-34s %.3f ms\n", name, $2

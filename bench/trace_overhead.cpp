@@ -1,4 +1,4 @@
-// Guard: full tracing through the binary ring sink stays cheap.
+// Guard: full tracing through the binary trace rings stays cheap.
 //
 // Runs the BM_PingpongEndToEnd workload alternately untraced and with the
 // complete observability surface on -- Chrome-trace timeline (scheduler
@@ -45,7 +45,7 @@ constexpr double kMaxRatio = 1.03;
 constexpr int kAttempts = 3;
 
 /// One full pingpong world: the BM_PingpongEndToEnd body, optionally with
-/// the ring-sink timeline + flow tracing enabled. Only world.run() is
+/// the trace-ring timeline + flow tracing enabled. Only world.run() is
 /// timed: this guards the per-record steady-state cost, not the one-time
 /// recorder setup/teardown (ring and intern-table allocation), which a
 /// whole-lifecycle timer would drown the hot path in.

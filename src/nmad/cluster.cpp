@@ -133,7 +133,6 @@ obs::TraceLog& Cluster::ensure_trace_log() {
   if (!trace_log_) {
     obs::TraceLog::Options opts;
     opts.rings = engine_.num_partitions();
-    opts.capacity = cfg_.trace_ring_capacity;
     opts.engine = &engine_;
     trace_log_ = std::make_unique<obs::TraceLog>(opts);
   }
@@ -145,35 +144,27 @@ void Cluster::run() {
   if (trace_log_) trace_log_->drain_now();
 }
 
-sim::ChromeTrace& Cluster::enable_timeline() {
+obs::TraceLog& Cluster::enable_timeline() {
+  obs::TraceLog& log = ensure_trace_log();
   if (!timeline_) {
-    timeline_ = std::make_unique<sim::ChromeTrace>();
-    // Default: route events into the per-partition trace rings (attach the
-    // sink before anything records or interns).
-    if (!cfg_.legacy_trace) timeline_->set_record_sink(&ensure_trace_log());
+    timeline_ = true;
     for (int n = 0; n < cfg_.nodes; ++n) {
-      timeline_->set_process_name(n, "node " + std::to_string(n));
-      nodes_[static_cast<std::size_t>(n)]->sched->set_timeline(timeline_.get(), n);
+      log.set_process_name(n, "node " + std::to_string(n));
+      nodes_[static_cast<std::size_t>(n)]->sched->set_timeline(&log, n);
       for (std::size_t r = 0; r < cfg_.rails.size(); ++r) {
         const int tid = 64 + static_cast<int>(r);
-        timeline_->set_thread_name(n, tid, "nic rail " + std::to_string(r));
-        nodes_[static_cast<std::size_t>(n)]->nics[r]->set_timeline(
-            timeline_.get(), n, tid);
+        log.set_thread_name(n, tid, "nic rail " + std::to_string(r));
+        nodes_[static_cast<std::size_t>(n)]->nics[r]->set_timeline(&log, n,
+                                                                   tid);
       }
     }
-    if (flow_ && cfg_.legacy_trace) flow_->set_trace(timeline_.get());
   }
-  return *timeline_;
+  return log;
 }
 
 obs::FlowTracer& Cluster::enable_flow_trace() {
   if (!flow_) {
-    flow_ = std::make_unique<obs::FlowTracer>();
-    if (cfg_.legacy_trace) {
-      if (timeline_) flow_->set_trace(timeline_.get());
-    } else {
-      flow_->set_ring(&ensure_trace_log());
-    }
+    flow_ = std::make_unique<obs::FlowTracer>(ensure_trace_log());
     for (int n = 0; n < cfg_.nodes; ++n) {
       nodes_[static_cast<std::size_t>(n)]->core->set_flow_tracer(flow_.get(),
                                                                  n);
@@ -184,14 +175,14 @@ obs::FlowTracer& Cluster::enable_flow_trace() {
 
 void Cluster::write_timeline(const std::string& path) {
   if (!timeline_) throw std::logic_error("Cluster: timeline not enabled");
-  timeline_->write(path);
+  trace_log_->write_json(path);
 }
 
 void Cluster::write_trace_binary(const std::string& path) {
   if (!trace_log_) {
     throw std::logic_error(
-        "Cluster: binary trace log not enabled (enable_timeline / "
-        "enable_flow_trace without legacy_trace)");
+        "Cluster: trace log not enabled (enable_timeline / "
+        "enable_flow_trace)");
   }
   trace_log_->write_binary(path);
 }

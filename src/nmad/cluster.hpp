@@ -15,7 +15,6 @@
 #include "obs/flow.hpp"
 #include "obs/trace_log.hpp"
 #include "pioman/server.hpp"
-#include "simcore/chrome_trace.hpp"
 #include "pioman/tasklet.hpp"
 #include "simcore/engine.hpp"
 #include "simmachine/machine.hpp"
@@ -64,14 +63,6 @@ struct ClusterConfig {
   /// partition count). Any value produces the identical schedule; > 1 uses
   /// real threads.
   int workers = 1;
-  /// Debug fallback: record timeline/flow events through the original
-  /// mutexed direct-JSON path instead of the lock-free binary trace rings.
-  /// Byte-stable only for workers == 1, and no .trace.bin can be written.
-  bool legacy_trace = false;
-  /// Records per partition trace ring (rounded up to a power of two).
-  /// Rings never lose records under the default spill policy; capacity
-  /// only tunes how often the owning worker self-drains.
-  std::size_t trace_ring_capacity = 4096;
 };
 
 class Cluster {
@@ -113,27 +104,26 @@ class Cluster {
   void run();
 
   /// Start recording a Chrome-trace timeline (thread spans per core, NIC
-  /// tx/rx). Returns the recorder, owned by the cluster.
-  sim::ChromeTrace& enable_timeline();
+  /// tx/rx) into the cluster's trace log, and return that log.
+  obs::TraceLog& enable_timeline();
 
-  /// Write the recorded timeline (enable_timeline() must have been called).
+  /// Write the recorded timeline as Chrome trace-event JSON
+  /// (enable_timeline() must have been called).
   void write_timeline(const std::string& path);
 
-  sim::ChromeTrace* timeline() { return timeline_.get(); }
-
-  /// Start flow-tracing every message's lifecycle across the cluster.
-  /// If the timeline is (or later becomes) enabled, flow events are also
-  /// recorded there so Perfetto draws send -> recv arrows.
+  /// Start flow-tracing every message's lifecycle across the cluster into
+  /// the cluster's trace log. With the timeline enabled too, the stamps
+  /// render as send -> recv arrows in Perfetto.
   obs::FlowTracer& enable_flow_trace();
 
   obs::FlowTracer* flow_trace() { return flow_.get(); }
 
-  /// The binary telemetry sink behind the timeline / flow tracer (null
-  /// until one of them is enabled, or always in legacy_trace mode).
+  /// The trace log behind the timeline and the flow tracer (null until
+  /// one of them is enabled).
   obs::TraceLog* trace_log() { return trace_log_.get(); }
 
   /// Write the captured records as a compact binary log (convert offline
-  /// with tools/trace2json). Requires the ring path (not legacy_trace).
+  /// with tools/trace2json).
   void write_trace_binary(const std::string& path);
 
   /// Start a fresh simsan analysis run over this world: resets the analyzer
@@ -162,9 +152,9 @@ class Cluster {
   sim::Engine engine_;
   std::vector<std::unique_ptr<net::Fabric>> fabrics_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Destroyed after the recorders that feed it records.
+  // Destroyed after the flow tracer that feeds it records.
   std::unique_ptr<obs::TraceLog> trace_log_;
-  std::unique_ptr<sim::ChromeTrace> timeline_;
+  bool timeline_ = false;  ///< enable_timeline() has run
   std::unique_ptr<obs::FlowTracer> flow_;
   bool simsan_owner_ = false;  ///< we enabled the analyzer; detach in dtor
 };

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/trace_log.hpp"
-#include "simcore/chrome_trace.hpp"
 
 namespace pm2::obs {
 
@@ -31,47 +30,13 @@ const char* flow_segment_name(int i) {
   return "?";
 }
 
-void FlowTracer::stamp_legacy(std::uint64_t id, FlowStage stage, sim::Time t,
-                              int node, int core) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, fresh] = flows_.try_emplace(id);
-  if (fresh) {
-    it->second.id = id;
-    order_.push_back(id);
-  }
-  Flow& f = it->second;
-  const int i = static_cast<int>(stage);
-  const bool first = !f.seen[i];
-  f.seen[i] = true;
-  f.ts[i] = t;  // last stamp wins (multi-chunk messages)
-  if (trace_ != nullptr && first) {
-    // One arrow per message: starts where the sender's NIC takes the
-    // packet, steps at delivery into the receive buffer, finishes at
-    // completion notification -- all bindable to existing thread slices.
-    switch (stage) {
-      case FlowStage::kNicPost:
-        trace_->flow_begin("msg", "flow", node, core, t, id);
-        break;
-      case FlowStage::kDeliver:
-        trace_->flow_step("msg", "flow", node, core, t, id);
-        break;
-      case FlowStage::kComplete:
-        trace_->flow_end("msg", "flow", node, core, t, id);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 void FlowTracer::ensure_ingested() const {
-  if (log_ == nullptr) return;
-  const std::size_t n = log_->record_count();
+  const std::size_t n = log_.record_count();
   if (n == ingested_) return;
   flows_.clear();
   order_.clear();
-  for (const sim::TraceRecord& r : log_->canonical_records()) {
-    if (r.phase != sim::kFlowStampPhase) continue;
+  for (const TraceRecord& r : log_.canonical_records()) {
+    if (r.phase != kFlowStampPhase) continue;
     const int i = static_cast<int>(r.dur);
     if (i < 0 || i >= kFlowStageCount) continue;
     auto [it, fresh] = flows_.try_emplace(r.id);

@@ -13,13 +13,13 @@
 // Because every node shares one virtual clock, sender- and receiver-side
 // stamps are directly comparable: the tracer derives a per-stage latency
 // breakdown (pack / submit / wire / unpack / notify SampleSets) whose
-// segments telescope exactly to the end-to-end latency, and optionally
-// emits ChromeTrace flow events (ph "s"/"t"/"f") so Perfetto draws
-// send -> recv arrows across node tracks.
+// segments telescope exactly to the end-to-end latency. Stamps are records
+// in the tracer's TraceLog, whose JSON rendering turns them into flow
+// events (ph "s"/"t"/"f") so Perfetto draws send -> recv arrows across node
+// tracks.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,10 +27,6 @@
 #include "obs/trace_log.hpp"
 #include "simcore/stats.hpp"
 #include "simcore/time.hpp"
-
-namespace pm2::sim {
-class ChromeTrace;
-}
 
 namespace pm2::obs {
 
@@ -53,21 +49,10 @@ const char* flow_segment_name(int i);
 
 class FlowTracer {
  public:
-  FlowTracer() = default;
+  /// Stamps go to @p log, which must outlive the tracer.
+  explicit FlowTracer(TraceLog& log) : log_(log) {}
   FlowTracer(const FlowTracer&) = delete;
   FlowTracer& operator=(const FlowTracer&) = delete;
-
-  /// Attach a ChromeTrace sink for flow events (nullptr detaches). Flow
-  /// events bind to the slices already recorded on (pid=node, tid=core).
-  void set_trace(sim::ChromeTrace* trace) { trace_ = trace; }
-
-  /// Route stamps into the binary telemetry ring instead (nullptr
-  /// detaches): stamp() becomes one lock-free record push -- no mutex, no
-  /// map insert -- and the aggregation below is rebuilt lazily from the
-  /// ring's canonical record order on first read (so call the read/export
-  /// methods after the run, as before). ChromeTrace flow arrows are then
-  /// synthesized by the ring's JSON conversion, not emitted here.
-  void set_ring(TraceLog* log) { log_ = log; }
 
   /// Deterministic flow id both sides can compute without a wire-format
   /// change: the (src, dst, per-gate message seq) triple is unique per
@@ -84,28 +69,24 @@ class FlowTracer {
   /// Record that flow @p id reached @p stage at virtual time @p t on
   /// (node, core). Multi-chunk messages stamp a stage repeatedly; the last
   /// stamp wins (stages mean "the *message* finished this stage"), while
-  /// the ChromeTrace flow event is emitted on the first stamp only.
-  /// Thread-safe: partitions on different host threads stamp concurrently
-  /// (each (id, stage) still comes from one partition, so last-stamp-wins
-  /// stays deterministic). The read/export methods are not locked -- call
-  /// them after the run, from one thread.
+  /// the flow-arrow event binds to the first stamp only. Hot path, inline:
+  /// one lock-free ring push, so partitions on different host threads
+  /// stamp concurrently (each (id, stage) still comes from one partition,
+  /// so last-stamp-wins stays deterministic). The read/export methods
+  /// rebuild the aggregation from the log's canonical record order when
+  /// records arrived since the last read -- call them after the run, from
+  /// one thread, and call find() again after further stamps.
   void stamp(std::uint64_t id, FlowStage stage, sim::Time t, int node,
              int core) {
-    if (log_ != nullptr) [[likely]] {
-      // Hot path, inline: one lock-free ring push; aggregation and
-      // flow-arrow emission are deferred to the canonical replay on read.
-      sim::TraceRecord r;
-      r.ts = t;
-      r.emit = t;  // stamp sites pass the partition clock as @p t
-      r.dur = static_cast<std::int64_t>(stage);
-      r.id = id;
-      r.pid = node;
-      r.tid = core;
-      r.phase = sim::kFlowStampPhase;
-      log_->push_prestamped(r);
-      return;
-    }
-    stamp_legacy(id, stage, t, node, core);
+    TraceRecord r;
+    r.ts = t;
+    r.emit = t;  // stamp sites pass the partition clock as @p t
+    r.dur = static_cast<std::int64_t>(stage);
+    r.id = id;
+    r.pid = node;
+    r.tid = core;
+    r.phase = kFlowStampPhase;
+    log_.push_prestamped(r);
   }
 
   struct Flow {
@@ -121,10 +102,7 @@ class FlowTracer {
 
   std::size_t flow_count() const;
   std::size_t completed_count() const;
-  /// First-stamp order. Deterministic in single-partition worlds and in
-  /// ring mode (canonical record order); in partitioned legacy mode it
-  /// depends on host-thread interleaving, which is why the statistics
-  /// below iterate in canonical (post-time, id) order instead.
+  /// First-stamp order in the log's canonical record order.
   const std::vector<std::uint64_t>& ids() const;
   /// nullptr if @p id was never stamped.
   const Flow* find(std::uint64_t id) const;
@@ -153,17 +131,11 @@ class FlowTracer {
   /// same way -- no matter how many host threads ran the simulation.
   std::vector<std::uint64_t> canonical_order() const;
 
-  /// Legacy mode: locked map insert plus inline ChromeTrace arrow emission.
-  void stamp_legacy(std::uint64_t id, FlowStage stage, sim::Time t, int node,
-                    int core);
-
-  /// Ring mode: rebuild flows_/order_ from the ring's canonical record
-  /// order if records arrived since the last ingest. No-op in legacy mode.
+  /// Rebuild flows_/order_ from the log's canonical record order if
+  /// records arrived since the last ingest.
   void ensure_ingested() const;
 
-  std::mutex mu_;  ///< guards flows_/order_/trace_ during legacy stamp()
-  sim::ChromeTrace* trace_ = nullptr;
-  TraceLog* log_ = nullptr;
+  TraceLog& log_;
   mutable std::unordered_map<std::uint64_t, Flow> flows_;
   mutable std::vector<std::uint64_t> order_;
   mutable std::size_t ingested_ = static_cast<std::size_t>(-1);

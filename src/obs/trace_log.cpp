@@ -1,15 +1,14 @@
 #include "obs/trace_log.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 
 #include "obs/flow.hpp"
-#include "simcore/chrome_trace.hpp"
-#include "simcore/engine.hpp"
 
 namespace pm2::obs {
 
@@ -40,10 +39,85 @@ struct BinRingHeader {
   std::uint64_t dropped;
 };
 
+TraceRecord make_record(char phase, std::uint16_t name, std::uint16_t cat,
+                        int pid, int tid, sim::Time ts, sim::Time dur) {
+  TraceRecord r;
+  r.ts = ts;
+  r.dur = dur;
+  r.pid = pid;
+  r.tid = tid;
+  r.name = name;
+  r.cat = cat;
+  r.phase = static_cast<std::uint8_t>(phase);
+  return r;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+/// Virtual nanoseconds -> trace microseconds (fractional).
+double to_trace_us(sim::Time t) { return static_cast<double>(t) / 1e3; }
+
+/// Append one trace-event JSON object (no separators, no newline) for @p r
+/// rendered as @p phase. For 'M' records @p name is the display name and
+/// @p cat the metadata kind ("process_name" / "thread_name").
+void append_event_json(std::string& out, char phase, std::string_view name,
+                       std::string_view cat, const TraceRecord& r) {
+  char buf[160];
+  out += "{\"ph\":\"";
+  out += phase;
+  out += "\",\"name\":\"";
+  append_escaped(out, phase == 'M' ? cat : name);
+  out += "\"";
+  if (phase == 'M') {
+    out += ",\"args\":{\"name\":\"";
+    append_escaped(out, name);
+    out += "\"}";
+  } else {
+    out += ",\"cat\":\"";
+    append_escaped(out, cat.empty() ? std::string_view{"sim"} : cat);
+    out += "\"";
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f", to_trace_us(r.ts));
+    out += buf;
+    if (phase == 'X') {
+      std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f", to_trace_us(r.dur));
+      out += buf;
+    }
+    if (phase == 'i') out += ",\"s\":\"t\"";
+    if (phase == 's' || phase == 't' || phase == 'f') {
+      std::snprintf(buf, sizeof(buf), ",\"id\":%llu",
+                    static_cast<unsigned long long>(r.id));
+      out += buf;
+      // Bind the arrow end to the enclosing slice, not the next one.
+      if (phase == 'f') out += ",\"bp\":\"e\"";
+    }
+  }
+  std::snprintf(buf, sizeof(buf), ",\"pid\":%d,\"tid\":%d}", r.pid, r.tid);
+  out += buf;
+}
+
 }  // namespace
 
 void TraceLog::configure(const Options& opts) {
-  stop_drain_thread();
   rings_.clear();
   const int n = opts.rings < 1 ? 1 : opts.rings;
   rings_.reserve(static_cast<std::size_t>(n));
@@ -86,12 +160,33 @@ std::uint16_t TraceLog::intern(std::string_view s) {
   return id;
 }
 
-void TraceLog::push_overflow(Ring& ring, const sim::TraceRecord& r) {
-  // Full. With inline spill and no drain thread attached, the producer is
-  // the only writer of this partition's ring, so it may take the consumer
-  // side itself -- lossless. With a drain thread (or kDrop), drop + count.
-  if (overflow_ == Overflow::kSpill &&
-      !drain_running_.load(std::memory_order_acquire)) {
+void TraceLog::complete_event(std::uint16_t name, std::uint16_t cat, int pid,
+                              int tid, sim::Time start, sim::Time duration) {
+  push(make_record('X', name, cat, pid, tid, start, duration));
+}
+
+void TraceLog::instant_event(std::uint16_t name, std::uint16_t cat, int pid,
+                             int tid, sim::Time t) {
+  push(make_record('i', name, cat, pid, tid, t, 0));
+}
+
+// The kind is interned before the name: that is the string-table order
+// every binary log so far was written in.
+void TraceLog::set_process_name(int pid, std::string_view name) {
+  const std::uint16_t kind = intern("process_name");
+  push(make_record('M', intern(name), kind, pid, 0, 0, 0));
+}
+
+void TraceLog::set_thread_name(int pid, int tid, std::string_view name) {
+  const std::uint16_t kind = intern("thread_name");
+  push(make_record('M', intern(name), kind, pid, tid, 0, 0));
+}
+
+void TraceLog::push_overflow(Ring& ring, const TraceRecord& r) {
+  // Full. With inline spill the producer is the only writer of this
+  // partition's ring, so it may take the consumer side itself -- lossless.
+  // With kDrop, drop + count.
+  if (overflow_ == Overflow::kSpill) {
     spill_ring(ring);
     if (ring.ring.try_push(r)) return;
   }
@@ -101,7 +196,7 @@ void TraceLog::push_overflow(Ring& ring, const sim::TraceRecord& r) {
 
 void TraceLog::spill_ring(Ring& r) {
   std::lock_guard<std::mutex> lock(r.consume_mu);
-  sim::TraceRecord buf[256];
+  TraceRecord buf[256];
   for (;;) {
     const std::size_t n = r.ring.pop_n(buf, 256);
     if (n == 0) break;
@@ -111,27 +206,6 @@ void TraceLog::spill_ring(Ring& r) {
 
 void TraceLog::drain_now() {
   for (auto& r : rings_) spill_ring(*r);
-}
-
-void TraceLog::start_drain_thread(std::chrono::microseconds period) {
-  if (drain_thread_.joinable()) return;
-  drain_stop_.store(false, std::memory_order_relaxed);
-  drain_running_.store(true, std::memory_order_release);
-  drain_thread_ = std::thread([this, period] {
-    while (!drain_stop_.load(std::memory_order_acquire)) {
-      drain_now();
-      std::this_thread::sleep_for(period);
-    }
-  });
-}
-
-void TraceLog::stop_drain_thread() {
-  if (!drain_thread_.joinable()) return;
-  drain_stop_.store(true, std::memory_order_release);
-  drain_thread_.join();
-  drain_thread_ = std::thread();
-  drain_running_.store(false, std::memory_order_release);
-  drain_now();
 }
 
 std::size_t TraceLog::record_count() {
@@ -155,8 +229,8 @@ std::uint64_t TraceLog::ring_dropped(int ring) const {
       std::memory_order_relaxed);
 }
 
-std::vector<sim::TraceRecord> TraceLog::canonicalize(
-    const std::vector<const std::vector<sim::TraceRecord>*>& rings) {
+std::vector<TraceRecord> TraceLog::canonicalize(
+    const std::vector<const std::vector<TraceRecord>*>& rings) {
   struct Ref {
     sim::Time emit;
     std::uint32_t ring;
@@ -176,16 +250,16 @@ std::vector<sim::TraceRecord> TraceLog::canonicalize(
   std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
     return std::tie(a.emit, a.ring, a.idx) < std::tie(b.emit, b.ring, b.idx);
   });
-  std::vector<sim::TraceRecord> out;
+  std::vector<TraceRecord> out;
   out.reserve(total);
   for (const Ref& ref : refs) out.push_back((*rings[ref.ring])[ref.idx]);
   return out;
 }
 
-std::vector<sim::TraceRecord> TraceLog::canonical_records() {
+std::vector<TraceRecord> TraceLog::canonical_records() {
   drain_now();
   std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<const std::vector<sim::TraceRecord>*> spills;
+  std::vector<const std::vector<TraceRecord>*> spills;
   locks.reserve(rings_.size());
   spills.reserve(rings_.size());
   for (auto& r : rings_) {
@@ -196,7 +270,7 @@ std::vector<sim::TraceRecord> TraceLog::canonical_records() {
 }
 
 std::string TraceLog::records_to_json(
-    const std::vector<sim::TraceRecord>& canonical,
+    const std::vector<TraceRecord>& canonical,
     const std::vector<std::string>& strings) {
   auto str = [&strings](std::uint16_t id) {
     return id < strings.size() ? std::string_view(strings[id])
@@ -205,12 +279,16 @@ std::string TraceLog::records_to_json(
   std::string out = "{\"traceEvents\":[\n";
   bool first = true;
   // Flow-arrow synthesis state: stages already seen per flow id, replayed
-  // in canonical order so "first stamp" resolves exactly as the legacy
-  // inline emission did.
+  // in canonical order so each arrow event binds to the first stamp of its
+  // stage. One arrow per message: it starts where the sender's NIC takes
+  // the packet, steps at delivery into the receive buffer and finishes at
+  // completion notification -- all bindable to existing thread slices.
   std::unordered_map<std::uint64_t, unsigned> stages_seen;
-  for (const sim::TraceRecord& r : canonical) {
-    sim::TraceEventView v;
-    if (r.phase == sim::kFlowStampPhase) {
+  for (const TraceRecord& r : canonical) {
+    char phase = static_cast<char>(r.phase);
+    std::string_view name = str(r.name);
+    std::string_view cat = str(r.cat);
+    if (r.phase == kFlowStampPhase) {
       const int stage = static_cast<int>(r.dur);
       if (stage < 0 || stage >= kFlowStageCount) continue;
       unsigned& mask = stages_seen[r.id];
@@ -218,45 +296,33 @@ std::string TraceLog::records_to_json(
       mask |= 1u << stage;
       if (!first_stamp) continue;
       switch (static_cast<FlowStage>(stage)) {
-        case FlowStage::kNicPost: v.phase = 's'; break;
-        case FlowStage::kDeliver: v.phase = 't'; break;
-        case FlowStage::kComplete: v.phase = 'f'; break;
+        case FlowStage::kNicPost: phase = 's'; break;
+        case FlowStage::kDeliver: phase = 't'; break;
+        case FlowStage::kComplete: phase = 'f'; break;
         default: continue;
       }
-      v.name = "msg";
-      v.category = "flow";
-      v.ts = r.ts;
-      v.flow_id = r.id;
-    } else {
-      v.phase = static_cast<char>(r.phase);
-      v.name = str(r.name);
-      if (v.phase == 'M') {
-        v.meta_kind = str(r.cat);
-      } else {
-        v.category = str(r.cat);
-      }
-      v.ts = r.ts;
-      v.dur = r.dur;
-      if (v.phase == 'C') {
-        v.value = std::bit_cast<double>(r.id);
-      } else {
-        v.flow_id = r.id;
-      }
+      name = "msg";
+      cat = "flow";
     }
-    v.pid = r.pid;
-    v.tid = r.tid;
     if (!first) out += ",\n";
     first = false;
-    sim::append_trace_event_json(out, v);
+    append_event_json(out, phase, name, cat, r);
   }
   out += "\n]}\n";
   return out;
 }
 
 std::string TraceLog::to_json() {
-  const std::vector<sim::TraceRecord> recs = canonical_records();
+  const std::vector<TraceRecord> recs = canonical_records();
   std::lock_guard<std::mutex> lock(intern_mu_);
   return records_to_json(recs, strings_);
+}
+
+void TraceLog::write_json(const std::string& path) {
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("TraceLog: cannot open " + path);
+  f << to_json();
+  if (!f) throw std::runtime_error("TraceLog: write failed: " + path);
 }
 
 void TraceLog::write_binary(const std::string& path) {
@@ -272,7 +338,7 @@ void TraceLog::write_binary(const std::string& path) {
   BinHeader h{};
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.version = 1;
-  h.record_size = sizeof(sim::TraceRecord);
+  h.record_size = sizeof(TraceRecord);
   h.ring_count = static_cast<std::uint32_t>(rings_.size());
   h.string_count = static_cast<std::uint32_t>(strings_.size());
   f.write(reinterpret_cast<const char*>(&h), sizeof(h));
@@ -286,7 +352,7 @@ void TraceLog::write_binary(const std::string& path) {
     if (r->spill.empty()) continue;
     f.write(reinterpret_cast<const char*>(r->spill.data()),
             static_cast<std::streamsize>(r->spill.size() *
-                                         sizeof(sim::TraceRecord)));
+                                         sizeof(TraceRecord)));
   }
   for (const std::string& s : strings_) {
     const auto len = static_cast<std::uint32_t>(s.size());
@@ -297,54 +363,67 @@ void TraceLog::write_binary(const std::string& path) {
 }
 
 TraceLog::Data TraceLog::read_binary(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) throw std::runtime_error("TraceLog: cannot open " + path);
   auto fail = [&path](const char* what) -> std::runtime_error {
     return std::runtime_error("TraceLog: " + path + ": " + what);
   };
+  // Every count in the log is checked against the bytes left in the file
+  // before anything is sized from it, so a corrupt count fails as
+  // "truncated" instead of allocating (or value-initializing) gigabytes.
+  std::uint64_t left = static_cast<std::uint64_t>(f.tellg());
+  f.seekg(0);
+  auto need = [&](std::uint64_t count, std::uint64_t each, const char* what) {
+    if (count > left / each) throw fail(what);
+  };
+  auto read = [&](void* dst, std::uint64_t bytes, const char* what) {
+    need(bytes, 1, what);
+    f.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    if (!f) throw fail(what);
+    left -= bytes;
+  };
 
   BinHeader h{};
-  f.read(reinterpret_cast<char*>(&h), sizeof(h));
-  if (!f) throw fail("truncated header");
+  read(&h, sizeof(h), "truncated header");
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0)
     throw fail("not a pm2sim trace log (bad magic)");
   if (h.version != 1) throw fail("unsupported version");
-  if (h.record_size != sizeof(sim::TraceRecord))
+  if (h.record_size != sizeof(TraceRecord))
     throw fail("record size mismatch");
 
   Data data;
+  need(h.ring_count, sizeof(BinRingHeader), "truncated ring headers");
   std::vector<BinRingHeader> ring_headers(h.ring_count);
-  f.read(reinterpret_cast<char*>(ring_headers.data()),
-         static_cast<std::streamsize>(h.ring_count * sizeof(BinRingHeader)));
-  if (!f) throw fail("truncated ring headers");
+  read(ring_headers.data(), h.ring_count * sizeof(BinRingHeader),
+       "truncated ring headers");
 
   data.rings.resize(h.ring_count);
   data.dropped.resize(h.ring_count);
   for (std::uint32_t r = 0; r < h.ring_count; ++r) {
     data.dropped[r] = ring_headers[r].dropped;
-    if (ring_headers[r].count == 0) continue;
-    data.rings[r].resize(ring_headers[r].count);
-    f.read(reinterpret_cast<char*>(data.rings[r].data()),
-           static_cast<std::streamsize>(ring_headers[r].count *
-                                        sizeof(sim::TraceRecord)));
-    if (!f) throw fail("truncated records");
+    const std::uint64_t count = ring_headers[r].count;
+    if (count == 0) continue;
+    need(count, sizeof(TraceRecord), "truncated records");
+    data.rings[r].resize(count);
+    read(data.rings[r].data(), count * sizeof(TraceRecord),
+         "truncated records");
   }
+  // Each string costs at least its 4-byte length prefix.
+  need(h.string_count, sizeof(std::uint32_t), "truncated string table");
   data.strings.resize(h.string_count);
   for (std::uint32_t i = 0; i < h.string_count; ++i) {
     std::uint32_t len = 0;
-    f.read(reinterpret_cast<char*>(&len), sizeof(len));
-    if (!f) throw fail("truncated string table");
+    read(&len, sizeof(len), "truncated string table");
     if (len > (1u << 20)) throw fail("oversized string");
     if (len == 0) continue;
     data.strings[i].resize(len);
-    f.read(data.strings[i].data(), static_cast<std::streamsize>(len));
-    if (!f) throw fail("truncated string table");
+    read(data.strings[i].data(), len, "truncated string table");
   }
   return data;
 }
 
 std::string TraceLog::data_to_json(const Data& data) {
-  std::vector<const std::vector<sim::TraceRecord>*> rings;
+  std::vector<const std::vector<TraceRecord>*> rings;
   rings.reserve(data.rings.size());
   for (const auto& r : data.rings) rings.push_back(&r);
   return records_to_json(canonicalize(rings), data.strings);

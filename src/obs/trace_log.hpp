@@ -1,27 +1,24 @@
-// pm2sim -- the binary telemetry sink: per-partition trace rings, a binary
-// log format, and the canonical merge back to ChromeTrace JSON.
+// pm2sim -- the trace recorder: per-partition trace rings, a binary log
+// format, and the canonical merge to Chrome trace-event JSON.
 //
-// TraceLog implements sim::TraceRecordSink over one TraceRing per engine
-// partition. The producer path (push) is the partition's host worker: it
-// stamps the record with the partition clock (`emit`), routes by
+// TraceLog is the one recording path for timeline events (scheduler spans,
+// hook time, NIC tx/rx) and flow-lifecycle stamps, over one TraceRing per
+// engine partition. The producer path (push) is the partition's host
+// worker: it stamps the record with the partition clock (`emit`), routes by
 // sim::tls_partition and does one lock-free SPSC ring write -- no mutex, no
 // formatting, no allocation. Strings cross the boundary as u16 ids from a
 // lock-free-read intern table (insert-locked, first sight of a string only).
 //
-// Drain side -- three ways to empty the rings, all serialized per ring by a
+// Drain side -- two ways to empty the rings, both serialized per ring by a
 // consumer mutex:
 //   * inline spill (default): when a producer finds its own ring full it
 //     drains it into that ring's spill vector itself. Lossless and
 //     deterministic -- the spill happens at the same virtual-time point in
 //     every run -- and safe because within a partition there is exactly one
 //     producer thread at a time.
-//   * a host drain thread (start_drain_thread): real concurrency for
-//     long-running sweeps. While it runs, producers never self-drain (that
-//     would make two consumers); a full ring then *drops* the record and
-//     counts it.
 //   * drain_now(): end-of-run (Cluster::run) and read-side calls.
 //
-// Overflow::kDrop makes the full-ring case always drop-with-counter
+// Overflow::kDrop makes the full-ring case drop-with-counter instead
 // (`obs.trace.dropped` on the MetricsRegistry plus a per-ring count): at a
 // fixed capacity the drop set is a pure virtual-time property, so it is
 // byte-for-byte reproducible across runs and worker counts.
@@ -30,40 +27,35 @@
 // count: records sort by (emit, ring, seq) -- `emit` is partition-clock
 // virtual time, ring is the partition id, seq the push order within the
 // ring, all host-schedule-independent. For a single-partition world this
-// order *is* append order, which is how the converted JSON byte-matches the
-// legacy direct-JSON path there.
+// order *is* push order.
 //
 // write_binary() spills everything to a compact log (48 B/record + string
 // table + per-ring sequence headers); tools/trace2json converts offline via
-// read_binary()/data_to_json(), reusing the exact JSON emitter ChromeTrace
-// uses, so online to_json() and the offline converter agree byte-for-byte.
+// read_binary()/data_to_json(), which render through the same JSON emitter
+// as to_json(), so online and offline output agree byte-for-byte.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "simcore/engine.hpp"
-#include "simcore/trace_sink.hpp"
 
 namespace pm2::obs {
 
-class TraceLog final : public sim::TraceRecordSink {
+class TraceLog {
  public:
   enum class Overflow {
-    kSpill,  ///< producer self-drains its full ring (lossless); drops only
-             ///< while a drain thread owns the consumer side
-    kDrop,   ///< full ring always drops-with-counter (deterministic drops)
+    kSpill,  ///< producer self-drains its full ring (lossless)
+    kDrop,   ///< full ring drops-with-counter (deterministic drops)
   };
 
   struct Options {
@@ -75,22 +67,38 @@ class TraceLog final : public sim::TraceRecordSink {
 
   TraceLog() { configure(Options{}); }
   explicit TraceLog(const Options& opts) { configure(opts); }
-  ~TraceLog() override { stop_drain_thread(); }
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
 
-  /// (Re)build the rings. Not callable while producers or a drain thread
-  /// are active; discards previously captured records.
+  /// (Re)build the rings. Not callable while producers are active;
+  /// discards previously captured records.
   void configure(const Options& opts);
 
-  // --- sim::TraceRecordSink -----------------------------------------------
+  // --- recording ------------------------------------------------------------
 
-  std::uint16_t intern(std::string_view s) override;
+  /// Id of @p s, assigning one on first sight; id 0 is always "". Callable
+  /// from any engine worker (lock-free lookup, locked only on first sight).
+  /// Hot call sites cache the result.
+  std::uint16_t intern(std::string_view s);
+
+  /// A completed span of [start, start+duration) on (pid, tid). Out of
+  /// line, like instant_event, so the scheduler and NIC paths that call
+  /// them behind a null check stay small when no timeline is attached.
+  void complete_event(std::uint16_t name, std::uint16_t cat, int pid, int tid,
+                      sim::Time start, sim::Time duration);
+
+  /// A point event.
+  void instant_event(std::uint16_t name, std::uint16_t cat, int pid, int tid,
+                     sim::Time t);
+
+  /// Metadata: display names for processes (nodes) and threads (cores).
+  void set_process_name(int pid, std::string_view name);
+  void set_thread_name(int pid, int tid, std::string_view name);
 
   /// The producer hot path, inline: route by partition, stamp the partition
   /// clock, one SPSC ring write. The full-ring case is the out-of-line
   /// push_overflow (self-spill or drop-with-counter).
-  void push(sim::TraceRecord r) override {
+  void push(TraceRecord r) {
     r.emit = engine_ != nullptr ? engine_->now() : 0;
     push_prestamped(r);
   }
@@ -99,7 +107,7 @@ class TraceLog final : public sim::TraceRecordSink {
   /// must be set to the partition's current virtual time. Skips the
   /// engine->now() lookup (flow stamps pass their stamp time, which *is*
   /// the partition clock at the stamp site).
-  void push_prestamped(const sim::TraceRecord& r) {
+  void push_prestamped(const TraceRecord& r) {
     auto p = static_cast<std::size_t>(sim::tls_partition);
     if (p >= rings_.size()) p = 0;
     Ring& ring = *rings_[p];
@@ -107,27 +115,16 @@ class TraceLog final : public sim::TraceRecordSink {
     push_overflow(ring, r);
   }
 
-  std::size_t record_count() override;
-  std::string to_json() override;
-
-  // --- drain ----------------------------------------------------------------
+  // --- drain and results ----------------------------------------------------
+  //
+  // Calls that read records drain the rings first, so make them after the
+  // run.
 
   /// Drain every ring into its spill store (any thread; serialized per ring).
   void drain_now();
 
-  /// Start a host thread draining all rings every @p period. While it runs,
-  /// producers drop on a full ring instead of self-draining.
-  void start_drain_thread(
-      std::chrono::microseconds period = std::chrono::microseconds(200));
-
-  /// Join the drain thread (if any) and run a final drain.
-  void stop_drain_thread();
-
-  bool drain_thread_running() const {
-    return drain_running_.load(std::memory_order_acquire);
-  }
-
-  // --- results --------------------------------------------------------------
+  /// Total records captured so far.
+  std::size_t record_count();
 
   std::size_t ring_count() const { return rings_.size(); }
 
@@ -135,13 +132,20 @@ class TraceLog final : public sim::TraceRecordSink {
   std::uint64_t dropped() const;
   std::uint64_t ring_dropped(int ring) const;
 
-  /// Drain, then return every record merged in canonical (emit, ring, seq)
-  /// order -- the byte-stable export order.
-  std::vector<sim::TraceRecord> canonical_records();
+  /// Every record merged in canonical (emit, ring, seq) order -- the
+  /// byte-stable export order.
+  std::vector<TraceRecord> canonical_records();
+
+  /// Render everything captured so far as Chrome trace-event JSON (load in
+  /// chrome://tracing or https://ui.perfetto.dev) in canonical order.
+  std::string to_json();
+
+  /// Write to_json() to @p path; throws on I/O failure.
+  void write_json(const std::string& path);
 
   /// Everything needed to interpret a log outside this process.
   struct Data {
-    std::vector<std::vector<sim::TraceRecord>> rings;
+    std::vector<std::vector<TraceRecord>> rings;
     std::vector<std::string> strings;
     std::vector<std::uint64_t> dropped;
     std::size_t record_count() const {
@@ -156,19 +160,21 @@ class TraceLog final : public sim::TraceRecordSink {
   /// dropped), raw records per ring, string table.
   void write_binary(const std::string& path);
 
-  /// Parse a binary log; throws std::runtime_error on malformed input.
+  /// Parse a binary log; throws std::runtime_error on malformed input,
+  /// including counts that claim more bytes than the file holds (checked
+  /// before anything is allocated for them).
   static Data read_binary(const std::string& path);
 
-  /// Canonical-merge @p data and render ChromeTrace JSON -- byte-identical
-  /// to what to_json() produced in the process that wrote the log.
+  /// Canonical-merge @p data and render the JSON -- byte-identical to what
+  /// to_json() produced in the process that wrote the log.
   static std::string data_to_json(const Data& data);
 
  private:
   struct Ring {
     explicit Ring(std::size_t cap) : ring(cap) {}
     TraceRing ring;
-    std::mutex consume_mu;                  ///< serializes pop_n callers
-    std::vector<sim::TraceRecord> spill;    ///< drained records, push order
+    std::mutex consume_mu;              ///< serializes pop_n callers
+    std::vector<TraceRecord> spill;     ///< drained records, push order
     std::atomic<std::uint64_t> dropped{0};
   };
 
@@ -181,13 +187,12 @@ class TraceLog final : public sim::TraceRecordSink {
   static constexpr std::size_t kInternSlots = 8192;  // power of two
   static constexpr std::size_t kMaxInterned = kInternSlots / 2;
 
-  void push_overflow(Ring& ring, const sim::TraceRecord& r);
+  void push_overflow(Ring& ring, const TraceRecord& r);
   void spill_ring(Ring& r);
-  static std::vector<sim::TraceRecord> canonicalize(
-      const std::vector<const std::vector<sim::TraceRecord>*>& rings);
-  static std::string records_to_json(
-      const std::vector<sim::TraceRecord>& canonical,
-      const std::vector<std::string>& strings);
+  static std::vector<TraceRecord> canonicalize(
+      const std::vector<const std::vector<TraceRecord>*>& rings);
+  static std::string records_to_json(const std::vector<TraceRecord>& canonical,
+                                     const std::vector<std::string>& strings);
 
   Overflow overflow_ = Overflow::kSpill;
   const sim::Engine* engine_ = nullptr;
@@ -199,10 +204,6 @@ class TraceLog final : public sim::TraceRecordSink {
   std::mutex intern_mu_;
   std::deque<InternEntry> entries_;
   std::vector<std::string> strings_{std::string()};  // id -> string; [0]=""
-
-  std::thread drain_thread_;
-  std::atomic<bool> drain_running_{false};
-  std::atomic<bool> drain_stop_{false};
 };
 
 }  // namespace pm2::obs

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "simcore/chrome_trace.hpp"
+#include "obs/trace_log.hpp"
 #include "simexplore/ctl.hpp"
 #include "simthread/exec_context.hpp"
 
@@ -192,7 +192,7 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
   return SendHandle(std::move(state));
 }
 
-void Nic::set_timeline(sim::ChromeTrace* timeline, int pid, int tid) {
+void Nic::set_timeline(obs::TraceLog* timeline, int pid, int tid) {
   timeline_ = timeline;
   timeline_pid_ = pid;
   timeline_tid_ = tid;

@@ -21,8 +21,8 @@
 #include "simnet/packet.hpp"
 #include "simnet/params.hpp"
 
-namespace pm2::sim {
-class ChromeTrace;
+namespace pm2::obs {
+class TraceLog;
 }
 
 namespace pm2::net {
@@ -215,9 +215,9 @@ class Nic {
   /// Notifier invoked (in engine context) at each packet arrival.
   void set_rx_notifier(std::function<void()> fn) { rx_notifier_ = std::move(fn); }
 
-  /// Attach a Chrome-trace timeline: tx/rx instants recorded under
-  /// (pid=@p pid, tid=@p tid).
-  void set_timeline(sim::ChromeTrace* timeline, int pid, int tid);
+  /// Attach a timeline: tx spans and rx instants recorded into @p timeline
+  /// under (pid=@p pid, tid=@p tid). nullptr detaches.
+  void set_timeline(obs::TraceLog* timeline, int pid, int tid);
 
   // --- statistics -------------------------------------------------------------
 
@@ -258,7 +258,7 @@ class Nic {
   std::vector<std::uint32_t> rx_claimed_ = std::vector<std::uint32_t>(1, 0);
   std::function<int(const Packet&)> rx_steer_;
   std::function<void()> rx_notifier_;
-  sim::ChromeTrace* timeline_ = nullptr;
+  obs::TraceLog* timeline_ = nullptr;
   int timeline_pid_ = 0;
   int timeline_tid_ = 0;
   // Interned timeline names, cached per (size, port) so steady-state

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "simcore/chrome_trace.hpp"
+#include "obs/trace_log.hpp"
 #include "simexplore/ctl.hpp"
 #include "simsan/context.hpp"
 
@@ -180,7 +180,7 @@ void Scheduler::dispatch(int core) {
   }
 }
 
-void Scheduler::set_timeline(sim::ChromeTrace* timeline, int pid) {
+void Scheduler::set_timeline(obs::TraceLog* timeline, int pid) {
   timeline_ = timeline;
   timeline_pid_ = pid;
   if (timeline_ != nullptr) {

@@ -30,8 +30,8 @@
 #include "simthread/exec_context.hpp"
 #include "simthread/thread.hpp"
 
-namespace pm2::sim {
-class ChromeTrace;
+namespace pm2::obs {
+class TraceLog;
 }
 
 namespace pm2::mth {
@@ -131,9 +131,9 @@ class Scheduler {
   sim::Time core_busy_time(int core) const;
   sim::Time core_hook_time(int core) const;
 
-  /// Attach a Chrome-trace timeline: thread execution spans and hook
-  /// activity are recorded as (pid=@p pid, tid=core). nullptr detaches.
-  void set_timeline(sim::ChromeTrace* timeline, int pid);
+  /// Attach a timeline: thread execution spans and hook activity are
+  /// recorded into @p timeline as (pid=@p pid, tid=core). nullptr detaches.
+  void set_timeline(obs::TraceLog* timeline, int pid);
 
  private:
   friend class ThreadContext;
@@ -193,7 +193,7 @@ class Scheduler {
   int live_threads_ = 0;
   Thread* running_ = nullptr;
   std::uint64_t total_switches_ = 0;
-  sim::ChromeTrace* timeline_ = nullptr;
+  obs::TraceLog* timeline_ = nullptr;
   int timeline_pid_ = 0;
   // Interned-id caches for the per-slice span emission (hot path): filled
   // in set_timeline so steady-state spans never touch the string table.

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_file.hpp"
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/random.hpp"
@@ -372,14 +374,22 @@ struct StressResult {
   std::vector<char> trace;  ///< the binary flow/trace log, byte for byte
 };
 
-std::vector<char> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<char>(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
+/// Read back the flow trace the world wrote to @p path and delete the file.
+std::vector<char> take_file(const std::string& path) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::remove(path.c_str());
+  return bytes;
 }
 
-StressResult run_stress(std::uint64_t seed, const std::string& trace_path,
+/// @p trace_name names the world's binary flow trace under the test's
+/// per-process temp prefix.
+StressResult run_stress(std::uint64_t seed, const std::string& trace_name,
                         int rx_queues = 1, bool simsan = false) {
   const auto schedule = make_schedule(seed);
   ClusterConfig cfg;
@@ -490,6 +500,7 @@ StressResult run_stress(std::uint64_t seed, const std::string& trace_path,
   }
 
   world.run();
+  const std::string trace_path = test::temp_file(trace_name);
   world.write_trace_binary(trace_path);
 
   EXPECT_EQ(world.core(0).active_requests(), 0);
@@ -497,28 +508,23 @@ StressResult run_stress(std::uint64_t seed, const std::string& trace_path,
   StressResult res;
   res.events = world.engine().events_executed();
   res.final_time = world.engine().now();
-  res.trace = read_file(trace_path);
+  res.trace = take_file(trace_path);
   return res;
 }
 
 TEST(EndpointStress, SeededMultiProducerMatches) {
-  run_stress(0xC0FFEEull,
-             testing::TempDir() + "pm2sim_ep_stress_a.trace.bin");
+  run_stress(0xC0FFEEull, "pm2sim_ep_stress_a.trace.bin");
 }
 
 TEST(EndpointStress, SameSeedSameFlowTrace) {
-  const std::string dir = testing::TempDir();
-  const StressResult a =
-      run_stress(42, dir + "pm2sim_ep_stress_r1.trace.bin");
-  const StressResult b =
-      run_stress(42, dir + "pm2sim_ep_stress_r2.trace.bin");
+  const StressResult a = run_stress(42, "pm2sim_ep_stress_r1.trace.bin");
+  const StressResult b = run_stress(42, "pm2sim_ep_stress_r2.trace.bin");
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.final_time, b.final_time);
   ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);  // same seed => byte-identical flow trace
   // A different seed must actually change the workload.
-  const StressResult c =
-      run_stress(43, dir + "pm2sim_ep_stress_r3.trace.bin");
+  const StressResult c = run_stress(43, "pm2sim_ep_stress_r3.trace.bin");
   EXPECT_NE(a.trace, c.trace);
 }
 
@@ -528,12 +534,10 @@ TEST(EndpointStress, SameSeedSameFlowTrace) {
 // count that does not divide the endpoint count (ring sharing via
 // ep % rx_queues).
 TEST(EndpointStress, RxQueueSweepMatches) {
-  const std::string dir = testing::TempDir();
   for (int rxq : {2, 3, 4}) {
     SCOPED_TRACE("rx_queues=" + std::to_string(rxq));
     run_stress(0xC0FFEEull,
-               dir + "pm2sim_ep_stress_q" + std::to_string(rxq) +
-                   ".trace.bin",
+               "pm2sim_ep_stress_q" + std::to_string(rxq) + ".trace.bin",
                rxq);
   }
 }
@@ -541,17 +545,16 @@ TEST(EndpointStress, RxQueueSweepMatches) {
 // The lock-free multi-queue drain must stay schedule-deterministic: the
 // same seed gives a byte-identical flow trace at any fixed rx_queues.
 TEST(EndpointStress, SameSeedSameFlowTraceMultiQueue) {
-  const std::string dir = testing::TempDir();
   const StressResult a =
-      run_stress(42, dir + "pm2sim_ep_stress_mq1.trace.bin", /*rx_queues=*/4);
+      run_stress(42, "pm2sim_ep_stress_mq1.trace.bin", /*rx_queues=*/4);
   const StressResult b =
-      run_stress(42, dir + "pm2sim_ep_stress_mq2.trace.bin", /*rx_queues=*/4);
+      run_stress(42, "pm2sim_ep_stress_mq2.trace.bin", /*rx_queues=*/4);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.final_time, b.final_time);
   ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);
   const StressResult c =
-      run_stress(43, dir + "pm2sim_ep_stress_mq3.trace.bin", /*rx_queues=*/4);
+      run_stress(43, "pm2sim_ep_stress_mq3.trace.bin", /*rx_queues=*/4);
   EXPECT_NE(a.trace, c.trace);
 }
 
@@ -571,11 +574,10 @@ std::uint64_t fnv1a64(const std::vector<char>& bytes) {
 // tree). If a later change intentionally alters the seed-42 schedule,
 // recapture: run this stress at default config and update the hash+size.
 TEST(EndpointStress, RxQueuesOneByteIdenticalToLegacy) {
-  const std::string dir = testing::TempDir();
   const StressResult expl =
-      run_stress(42, dir + "pm2sim_ep_stress_l1.trace.bin", /*rx_queues=*/1);
+      run_stress(42, "pm2sim_ep_stress_l1.trace.bin", /*rx_queues=*/1);
   const StressResult dflt =
-      run_stress(42, dir + "pm2sim_ep_stress_l2.trace.bin");
+      run_stress(42, "pm2sim_ep_stress_l2.trace.bin");
   ASSERT_FALSE(expl.trace.empty());
   EXPECT_EQ(expl.trace, dflt.trace);
   EXPECT_EQ(expl.trace.size(), 13876u);
@@ -586,9 +588,8 @@ TEST(EndpointStress, RxQueuesOneByteIdenticalToLegacy) {
 // rings, one ring each. Pins the per-ring doorbell order, the ownership
 // flag and the dispatch-or-park path at M > 1.
 TEST(EndpointStress, RxQueuesFourTracePinned) {
-  const StressResult res = run_stress(
-      42, testing::TempDir() + "pm2sim_ep_stress_p4.trace.bin",
-      /*rx_queues=*/4);
+  const StressResult res =
+      run_stress(42, "pm2sim_ep_stress_p4.trace.bin", /*rx_queues=*/4);
   EXPECT_EQ(res.trace.size(), 13876u);
   EXPECT_EQ(fnv1a64(res.trace), 0x671b263e3c1b172cull);
 }
@@ -604,7 +605,7 @@ TEST(EndpointStress, RxQueuesFourTracePinned) {
 constexpr int kFaninPairs = 64;
 constexpr int kFaninMsgs = 16;
 
-StressResult run_fanin64(int rx_queues, const std::string& trace_path,
+StressResult run_fanin64(int rx_queues, const std::string& trace_name,
                          bool simsan = false) {
   ClusterConfig cfg;
   cfg.topology = mach::CacheTopology::dual_quad_core();
@@ -652,10 +653,11 @@ StressResult run_fanin64(int rx_queues, const std::string& trace_path,
   // Capped, so a lost wakeup fails the count instead of spinning forever.
   world.engine().run_until(sim::milliseconds(10));
   EXPECT_EQ(received, kFaninPairs * kFaninMsgs);
+  const std::string trace_path = test::temp_file(trace_name);
   world.write_trace_binary(trace_path);
   StressResult res;
   res.events = world.engine().events_executed();
-  res.trace = read_file(trace_path);
+  res.trace = take_file(trace_path);
   return res;
 }
 
@@ -663,13 +665,12 @@ StressResult run_fanin64(int rx_queues, const std::string& trace_path,
 // one ring per endpoint: they pin the progression pass's endpoint order and
 // the drain's ring order at N = 64, where the seed-42 stress stops at 4.
 TEST(EndpointStress, SixtyFourEndpointTracesPinned) {
-  const std::string dir = testing::TempDir();
   const StressResult one =
-      run_fanin64(/*rx_queues=*/1, dir + "pm2sim_ep64_q1.trace.bin");
+      run_fanin64(/*rx_queues=*/1, "pm2sim_ep64_q1.trace.bin");
   EXPECT_EQ(one.trace.size(), 294964u);
   EXPECT_EQ(fnv1a64(one.trace), 0x85c478c93ce040a3ull);
   const StressResult many =
-      run_fanin64(/*rx_queues=*/64, dir + "pm2sim_ep64_q64.trace.bin");
+      run_fanin64(/*rx_queues=*/64, "pm2sim_ep64_q64.trace.bin");
   EXPECT_EQ(many.trace.size(), 294964u);
   EXPECT_EQ(fnv1a64(many.trace), 0xc470ac6250c2a8a3ull);
 }
@@ -687,17 +688,16 @@ std::size_t findings_of(const std::string& rule) {
 // pass: an endpoint the pass skips has nothing queued. A missed mark shows
 // up here even when the schedule it moves is not pinned.
 TEST(EndpointStress, SkippedEndpointsIdleUnderSimsan) {
-  const std::string dir = testing::TempDir();
   const std::string rule = "progress-skipped-busy-endpoint";
   for (int rxq : {1, 4}) {
     SCOPED_TRACE("stress, rx_queues=" + std::to_string(rxq));
-    run_stress(42, dir + "pm2sim_ep_stress_san.trace.bin", rxq,
+    run_stress(42, "pm2sim_ep_stress_san.trace.bin", rxq,
                /*simsan=*/true);
     EXPECT_EQ(findings_of(rule), 0u);
   }
   for (int rxq : {1, 64}) {
     SCOPED_TRACE("fanin64, rx_queues=" + std::to_string(rxq));
-    run_fanin64(rxq, dir + "pm2sim_ep64_san.trace.bin", /*simsan=*/true);
+    run_fanin64(rxq, "pm2sim_ep64_san.trace.bin", /*simsan=*/true);
     EXPECT_EQ(findings_of(rule), 0u);
   }
 }

@@ -1,8 +1,10 @@
 // Full-stack timeline recording through Cluster::enable_timeline().
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
+#include "common/temp_file.hpp"
 #include "nmad/cluster.hpp"
 
 namespace pm2::nm {
@@ -11,7 +13,7 @@ namespace {
 TEST(Timeline, RecordsThreadSpansAndNicActivity) {
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
-  sim::ChromeTrace& trace = world.enable_timeline();
+  obs::TraceLog& trace = world.enable_timeline();
   world.spawn(0, [&world] {
     std::uint8_t b[32] = {};
     world.core(0).send(world.gate(0, 1), 1, b, 32);
@@ -24,7 +26,7 @@ TEST(Timeline, RecordsThreadSpansAndNicActivity) {
   }, "ponger");
   world.run();
 
-  EXPECT_GT(trace.event_count(), 4u);
+  EXPECT_GT(trace.record_count(), 4u);
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("pinger"), std::string::npos);
   EXPECT_NE(json.find("ponger"), std::string::npos);
@@ -40,7 +42,7 @@ TEST(Timeline, WriteThroughClusterHelper) {
   world.enable_timeline();
   world.spawn(0, [&world] { world.sched(0).work(sim::microseconds(5)); });
   world.run();
-  const std::string path = ::testing::TempDir() + "/pm2sim_cluster_trace.json";
+  const std::string path = test::temp_file("pm2sim_cluster_trace.json");
   world.write_timeline(path);
   std::ifstream f(path);
   EXPECT_TRUE(f.good());
@@ -50,7 +52,7 @@ TEST(Timeline, WriteThroughClusterHelper) {
 TEST(Timeline, DisabledByDefault) {
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
-  EXPECT_EQ(world.timeline(), nullptr);
+  EXPECT_EQ(world.trace_log(), nullptr);
   EXPECT_THROW(world.write_timeline("/tmp/x.json"), std::logic_error);
 }
 

@@ -1,5 +1,5 @@
 // Message-lifecycle flow tracing over a real two-node pingpong: the stage
-// breakdown must telescope to the end-to-end latency, the ChromeTrace flow
+// breakdown must telescope to the end-to-end latency, the Chrome trace flow
 // events must pair send/recv 1:1, and none of it may perturb virtual time.
 #include "obs/flow.hpp"
 
@@ -14,7 +14,7 @@
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "simcore/chrome_trace.hpp"
+#include "obs/trace_log.hpp"
 
 namespace pm2::obs {
 namespace {
@@ -33,7 +33,8 @@ TEST_F(FlowTraceTest, FlowIdPacksBothEndpoints) {
 }
 
 TEST_F(FlowTraceTest, StampLastWinsAndCompletes) {
-  FlowTracer tracer;
+  TraceLog log;
+  FlowTracer tracer(log);
   const std::uint64_t id = FlowTracer::flow_id(0, 1, 1);
   tracer.stamp(id, FlowStage::kPost, 100, 0, 0);
   tracer.stamp(id, FlowStage::kArrange, 150, 0, 0);
@@ -48,7 +49,11 @@ TEST_F(FlowTraceTest, StampLastWinsAndCompletes) {
   EXPECT_EQ(tracer.completed_count(), 0u);
   tracer.stamp(id, FlowStage::kDeliver, 500, 1, 0);
   tracer.stamp(id, FlowStage::kComplete, 550, 1, 0);
+  // Reads rebuild the flow map from the log, so look the flow up again.
+  f = tracer.find(id);
+  ASSERT_NE(f, nullptr);
   EXPECT_TRUE(f->complete());
+  EXPECT_EQ(f->ts[static_cast<int>(FlowStage::kWireDone)], 400);
   EXPECT_EQ(tracer.completed_count(), 1u);
   EXPECT_EQ(tracer.flow_count(), 1u);
 }
@@ -142,12 +147,12 @@ std::vector<std::uint64_t> flow_ids_of_phase(const std::string& json,
 TEST_F(FlowTraceTest, ChromeFlowEventsPairSendAndRecv) {
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
-  world.enable_timeline();
+  TraceLog& log = world.enable_timeline();
   FlowTracer& tracer = world.enable_flow_trace();
   const int kIters = 10;
   run_pingpong(world, kIters);
 
-  const std::string json = world.timeline()->to_json();
+  const std::string json = log.to_json();
   std::vector<std::uint64_t> begins = flow_ids_of_phase(json, 's');
   std::vector<std::uint64_t> steps = flow_ids_of_phase(json, 't');
   std::vector<std::uint64_t> ends = flow_ids_of_phase(json, 'f');

@@ -1,7 +1,7 @@
 // Tests for the binary telemetry path: the lock-free SPSC trace ring, the
-// TraceLog sink (spill / drop policies, drain thread, intern table), the
-// binary log round trip, and byte-stability of the converted ChromeTrace
-// JSON against the legacy direct-JSON path and across worker counts.
+// TraceLog recorder (spill / drop policies, intern table), the binary log
+// round trip, and byte-stability of the converted Chrome trace JSON across
+// worker counts.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/temp_file.hpp"
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -18,8 +19,8 @@
 namespace pm2 {
 namespace {
 
-sim::TraceRecord make_rec(std::uint64_t i) {
-  sim::TraceRecord r;
+obs::TraceRecord make_rec(std::uint64_t i) {
+  obs::TraceRecord r;
   r.ts = static_cast<sim::Time>(i);
   r.id = i;
   r.pid = static_cast<std::int32_t>(i % 7);
@@ -37,7 +38,7 @@ TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(TraceRing, FifoAcrossWraparound) {
   obs::TraceRing ring(8);
-  sim::TraceRecord out[8];
+  obs::TraceRecord out[8];
   std::uint64_t next = 0;
   std::uint64_t expect = 0;
   // Push/pop in a pattern that wraps the indices many times.
@@ -60,7 +61,7 @@ TEST(TraceRing, RejectsWhenFullAndRecoversAfterPop) {
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(make_rec(i)));
   EXPECT_FALSE(ring.try_push(make_rec(99)));
   EXPECT_EQ(ring.size(), 4u);
-  sim::TraceRecord out[2];
+  obs::TraceRecord out[2];
   ASSERT_EQ(ring.pop_n(out, 2), 2u);
   EXPECT_EQ(out[0].id, 0u);
   EXPECT_EQ(out[1].id, 1u);
@@ -81,7 +82,7 @@ TEST(TraceRing, SpscRealThreads) {
     }
   });
   std::uint64_t expect = 0;
-  sim::TraceRecord out[64];
+  obs::TraceRecord out[64];
   while (expect < kRecords) {
     const std::size_t n = ring.pop_n(out, 64);
     if (n == 0) {
@@ -165,29 +166,6 @@ TEST(TraceLog, DropPolicyIsDeterministicAtFixedCapacity) {
   reg.set_enabled(false);
 }
 
-TEST(TraceLog, DrainThreadCollectsConcurrentPushes) {
-  // Host drain thread + simulated producer: real concurrency (the TSan
-  // stage of check_sanitize.sh runs this). Capacity exceeds the record
-  // count, so nothing may be dropped even if the drain thread lags.
-  obs::TraceLog::Options opts;
-  opts.capacity = 1u << 15;
-  obs::TraceLog log(opts);
-  log.start_drain_thread(std::chrono::microseconds(50));
-  EXPECT_TRUE(log.drain_thread_running());
-  constexpr std::uint64_t kRecords = 20000;
-  std::thread producer([&log] {
-    for (std::uint64_t i = 0; i < kRecords; ++i) log.push(make_rec(i));
-  });
-  producer.join();
-  log.stop_drain_thread();
-  EXPECT_FALSE(log.drain_thread_running());
-  EXPECT_EQ(log.dropped(), 0u);
-  EXPECT_EQ(log.record_count(), kRecords);
-  const auto recs = log.canonical_records();
-  ASSERT_EQ(recs.size(), kRecords);
-  for (std::uint64_t i = 0; i < kRecords; ++i) EXPECT_EQ(recs[i].id, i);
-}
-
 // --- whole-world conversions ------------------------------------------------
 
 void run_pingpong(nm::Cluster& world, int src, int dst, int iters,
@@ -212,46 +190,26 @@ void run_pingpong(nm::Cluster& world, int src, int dst, int iters,
   });
 }
 
-std::string traced_pingpong_json(bool legacy_trace) {
-  nm::ClusterConfig cfg;
-  cfg.legacy_trace = legacy_trace;
-  nm::Cluster world(cfg);
-  world.enable_timeline();
-  world.enable_flow_trace();
-  run_pingpong(world, 0, 1, 20, 1000);
-  world.run();
-  return world.timeline()->to_json();
-}
-
-TEST(TraceLog, RingJsonByteIdenticalToLegacyOnSinglePartition) {
-  const std::string ring = traced_pingpong_json(false);
-  const std::string legacy = traced_pingpong_json(true);
-  ASSERT_FALSE(ring.empty());
-  EXPECT_EQ(ring, legacy);
-  // Sanity: both paths actually recorded the interesting material.
-  EXPECT_NE(ring.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(ring.find("\"cat\":\"flow\""), std::string::npos);
-  EXPECT_NE(ring.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(ring.find("\"ph\":\"f\""), std::string::npos);
-}
-
 TEST(TraceLog, BinaryRoundTripByteIdenticalToOnlineJson) {
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);
-  world.enable_timeline();
+  obs::TraceLog& log = world.enable_timeline();
   world.enable_flow_trace();
   run_pingpong(world, 0, 1, 20, 1000);
   world.run();
-  const std::string online = world.timeline()->to_json();
+  const std::string online = log.to_json();
+  // The recorded material: thread spans and synthesized flow arrows.
+  EXPECT_NE(online.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(online.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(online.find("\"ph\":\"f\""), std::string::npos);
 
-  const std::string path =
-      testing::TempDir() + "pm2sim_trace_roundtrip.trace.bin";
+  const std::string path = test::temp_file("pm2sim_trace_roundtrip.trace.bin");
   world.write_trace_binary(path);
   const obs::TraceLog::Data data = obs::TraceLog::read_binary(path);
   std::remove(path.c_str());
 
   EXPECT_EQ(data.rings.size(), 1u);
-  EXPECT_EQ(data.record_count(), world.trace_log()->record_count());
+  EXPECT_EQ(data.record_count(), log.record_count());
   // The offline converter (same code as tools/trace2json) reproduces the
   // online JSON byte for byte.
   EXPECT_EQ(obs::TraceLog::data_to_json(data), online);
@@ -268,12 +226,12 @@ TEST(TraceLog, TimelineJsonByteStableAcrossWorkerCounts) {
     cfg.partitions = 2;
     cfg.workers = workers;
     nm::Cluster world(cfg);
-    world.enable_timeline();
+    obs::TraceLog& log = world.enable_timeline();
     world.enable_flow_trace();
     run_pingpong(world, 0, 1, 20, 1000);
     run_pingpong(world, 2, 3, 20, 3000);
     world.run();
-    return world.timeline()->to_json();
+    return log.to_json();
   };
   const std::string w1 = traced_json(1);
   const std::string w2 = traced_json(2);

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/temp_file.hpp"
 #include "nmad/cluster.hpp"
 #include "simcore/engine.hpp"
 #include "simexplore/explore.hpp"
@@ -383,8 +385,8 @@ struct TracedPingpong {
 };
 
 TEST(Explore, ReplayedScheduleIsByteIdentical) {
-  const TracedPingpong scenario{testing::TempDir() +
-                               "pm2sim_xpl_replay.trace.bin"};
+  const TracedPingpong scenario{
+      test::temp_file("pm2sim_xpl_replay.trace.bin")};
   xpl::ExploreConfig cfg;
   cfg.max_preemptions = 1;
   cfg.budget = 4;
@@ -425,6 +427,7 @@ TEST(Explore, ReplayedScheduleIsByteIdentical) {
   EXPECT_EQ(d1.schedule_hash, d2.schedule_hash);
   EXPECT_EQ(d1_trace, d2_trace);
   EXPECT_NE(d1.schedule_hash, schedule_hashes[0]);
+  std::remove(scenario.path.c_str());
 }
 
 }  // namespace

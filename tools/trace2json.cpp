@@ -1,5 +1,5 @@
 // trace2json -- offline converter from the pm2sim binary trace log to
-// ChromeTrace/Perfetto JSON.
+// Chrome trace-event (Perfetto) JSON.
 //
 //   trace2json <in.trace.bin> [out.trace.json]
 //
@@ -23,7 +23,7 @@ int usage(const char* argv0) {
                "usage: %s <in.trace.bin> [out.trace.json]\n"
                "  Converts a pm2sim binary trace log (Cluster::"
                "write_trace_binary)\n"
-               "  to ChromeTrace JSON for chrome://tracing or "
+               "  to Chrome trace-event JSON for chrome://tracing or "
                "https://ui.perfetto.dev.\n",
                argv0);
   return 2;
