@@ -71,10 +71,10 @@ TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/bench/fig3_locking --iters=5 --warmup=1 --simsan=on \
   --partitions=2 --workers=2 --endpoints=4 --rx-queues=4 > /dev/null
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir"/bench/rxq_simsan > /dev/null
-# Lock-free trace-ring suite under TSan: real producer/consumer threads on
-# the SPSC ring, the intern table, and the multi-worker traced cluster all
-# cross host-thread boundaries here.
+# Trace recorder under TSan: the intern table's concurrent lookups and
+# inserts, and the multi-worker traced cluster whose workers append to
+# their partitions' record vectors, cross host-thread boundaries here.
 TSAN_OPTIONS="halt_on_error=1" \
-  "$tsan_dir"/tests/test_obs --gtest_filter='TraceRing.*:TraceLog.*'
+  "$tsan_dir"/tests/test_obs --gtest_filter='TraceLog.*'
 
 echo "sanitizer suite clean (asan+ubsan, tsan incl. parallel engine)"

@@ -105,8 +105,11 @@ struct BenchArgs {
   /// failing schedule).
   std::string replay;
   /// --spin-backoff=off: pin contended spin backoff off
-  /// (ClusterConfig::spin_backoff_onset) so exploration reaches the
-  /// pre-backoff interleavings. Default keeps the topology preset.
+  /// (CostBook::spin_backoff_onset) so exploration reaches the
+  /// pre-backoff interleavings: bounded exponential backoff perturbs
+  /// exactly the starvation limit cycles the explorer's liveness monitor
+  /// exists to certify (EXPERIMENTS.md "Progress collapse"). Default keeps
+  /// the topology preset.
   bool spin_backoff_off = false;
 };
 BenchArgs parse_args(int argc, char** argv);

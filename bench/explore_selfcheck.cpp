@@ -92,7 +92,7 @@ void coarse_livelock(const xpl::RunHandle& h) {
   constexpr int kMsgs = 16;
   nm::ClusterConfig cfg;
   cfg.nm.lock = nm::LockMode::kCoarse;
-  cfg.spin_backoff_onset = 1 << 30;
+  cfg.costs.spin_backoff_onset = 1 << 30;
   nm::Cluster world(cfg);
   h.watch(world.engine());
   for (int t = 0; t < kThreads; ++t) {

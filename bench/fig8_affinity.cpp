@@ -20,9 +20,9 @@ bench::Series run_affinity(const bench::BenchArgs& args, const char* label,
                            const std::vector<std::size_t>& sizes,
                            const bench::PingpongOptions& base) {
   nm::ClusterConfig cfg;
-  bench::apply_parallel(args, cfg);
   cfg.topology = topo;
   cfg.costs = costs;
+  bench::apply_parallel(args, cfg);
   cfg.nm.lock = nm::LockMode::kFine;
   cfg.nm.wait = nm::WaitMode::kBusy;
   bench::PingpongOptions opt = base;

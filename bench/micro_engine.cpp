@@ -228,7 +228,7 @@ BENCHMARK(BM_PingpongEndToEndSimsan)->Unit(benchmark::kMillisecond);
 void BM_PingpongEndToEndTraced(benchmark::State& state) {
   // Same workload with the full observability surface on -- Chrome-trace
   // timeline (scheduler spans, NIC tx/rx) plus flow-lifecycle stamps --
-  // through the lock-free binary trace rings; ctest `trace_overhead`
+  // through the per-partition trace record vectors; ctest `trace_overhead`
   // asserts it stays within 3% of BM_PingpongEndToEnd.
   const std::size_t kIters = 64;
   for (auto _ : state) {

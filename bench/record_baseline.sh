@@ -41,7 +41,7 @@ awk '
 ' "$repo_root/BENCH_engine.json"
 
 # Full-tracing cost: the pingpong run with timeline + flow tracing through
-# the lock-free trace rings. The hard <3% gate is the `trace_overhead`
+# the binary trace recorder. The hard <3% gate is the `trace_overhead`
 # ctest.
 awk '
   /"name": "BM_PingpongEndToEndTraced_median"/ { want = 1; name = $2 }

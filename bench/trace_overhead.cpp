@@ -1,9 +1,9 @@
-// Guard: full tracing through the binary trace rings stays cheap.
+// Guard: full tracing through the binary trace recorder stays cheap.
 //
 // Runs the BM_PingpongEndToEnd workload alternately untraced and with the
 // complete observability surface on -- Chrome-trace timeline (scheduler
-// spans, NIC tx/rx) plus flow-lifecycle stamps, all routed through the
-// lock-free per-partition trace rings -- compares the best-of-N host
+// spans, NIC tx/rx) plus flow-lifecycle stamps, all appended to the
+// per-partition trace record vectors -- compares the best-of-N host
 // times, and fails when the traced runs are more than 3% slower. The
 // structure mirrors metrics_overhead: alternate the order within each rep
 // and take minima so host noise hits both variants equally.

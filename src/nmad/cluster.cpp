@@ -19,18 +19,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.rx_queues < 1 || cfg_.rx_queues > 256) {
     throw std::invalid_argument("Cluster: rx_queues must be in [1, 256]");
   }
-  // Forward into the per-node core config (a direct nm.* setting wins only
-  // when the cluster-level knob is left at its default).
-  if (cfg_.endpoints > 1) cfg_.nm.endpoints = cfg_.endpoints;
-  if (cfg_.rx_queues > 1) cfg_.nm.rx_queues = cfg_.rx_queues;
-  // Spin-backoff overrides land in the cost book before any Machine copies
-  // it; -1 keeps the preset.
-  if (cfg_.spin_backoff_onset >= 0) {
-    cfg_.costs.spin_backoff_onset = cfg_.spin_backoff_onset;
-  }
-  if (cfg_.spin_backoff_cap >= 0) {
-    cfg_.costs.spin_backoff_cap = cfg_.spin_backoff_cap;
-  }
 
   // Partition the engine before anything schedules an event. The lookahead
   // is the minimum virtual time any packet spends between leaving one
@@ -56,8 +44,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   obs::MetricsRegistry::global().set_shards(parts);
   net::BufferPool::global();
 
-  const bool hooks = cfg_.pioman_hooks ||
-                     cfg_.nm.progress == ProgressMode::kPiomanHooks ||
+  const bool hooks = cfg_.nm.progress == ProgressMode::kPiomanHooks ||
                      cfg_.nm.progress == ProgressMode::kIdleCoreOffload;
 
   for (std::size_t r = 0; r < cfg_.rails.size(); ++r) {
@@ -76,8 +63,9 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     node->sched = std::make_unique<mth::Scheduler>(*node->machine);
     node->pioman = std::make_unique<piom::Server>(*node->sched);
     node->tasklets = std::make_unique<piom::TaskletEngine>(*node->sched);
-    node->core = std::make_unique<Core>(*node->sched, cfg_.nm,
-                                        "nm" + std::to_string(n));
+    node->core =
+        std::make_unique<Core>(*node->sched, cfg_.nm, "nm" + std::to_string(n),
+                               cfg_.endpoints, cfg_.rx_queues);
     // One NIC per rail. Attach order guarantees port == node index on
     // every fabric, which connect() below relies on.
     for (std::size_t r = 0; r < cfg_.rails.size(); ++r) {
@@ -132,17 +120,14 @@ void Cluster::enable_simsan() {
 obs::TraceLog& Cluster::ensure_trace_log() {
   if (!trace_log_) {
     obs::TraceLog::Options opts;
-    opts.rings = engine_.num_partitions();
+    opts.partitions = engine_.num_partitions();
     opts.engine = &engine_;
     trace_log_ = std::make_unique<obs::TraceLog>(opts);
   }
   return *trace_log_;
 }
 
-void Cluster::run() {
-  engine_.run();
-  if (trace_log_) trace_log_->drain_now();
-}
+void Cluster::run() { engine_.run(); }
 
 obs::TraceLog& Cluster::enable_timeline() {
   obs::TraceLog& log = ensure_trace_log();

@@ -2,8 +2,9 @@
 //
 // A Cluster owns the engine, the per-node machine/scheduler/PIOMan/tasklet
 // stacks, the fabrics (one per rail), the NICs, and the per-node
-// NewMadeleine cores, fully inter-connected (every node has a gate to every
-// other). This is what benchmarks, examples and integration tests build.
+// NewMadeleine cores. Any node can reach any other: a gate is connected on
+// first use (Core::gate_to), so only the pairs that talk hold state. This
+// is what benchmarks, examples and integration tests build.
 #pragma once
 
 #include <functional>
@@ -30,26 +31,20 @@ struct ClusterConfig {
   /// One entry per rail; every node gets one NIC per rail.
   std::vector<net::NicParams> rails = {net::NicParams::myri10g()};
   Config nm;
-  /// Scalable endpoints per node (Config::endpoints): every node's core is
-  /// built with this many independent collect/matching/transfer instances.
-  /// 1 (default) is the paper's shared single instance.
+  /// Scalable endpoints per node, in [1, 255] (the endpoint id travels in
+  /// 8 bits of the chunk header). 1 (default) is the paper's single shared
+  /// library instance. With N > 1, every node's core instantiates its
+  /// collect lists, tag-matching tables and per-rail transfer lists N
+  /// times; sends and exact-tag receives route to endpoint `tag % N`, so
+  /// threads using distinct tags share no locked state.
   int endpoints = 1;
-  /// RX completion queues per NIC (Config::rx_queues): with M > 1 every
-  /// NIC steers arriving packets into M independent rings by wire-format
-  /// endpoint id, and endpoint progress drains per-ring with no shared
-  /// lock. 1 (default) is the classic serialized single-queue drain.
+  /// RX completion queues per NIC, in [1, 256]. 1 (default) is the classic
+  /// single completion queue, with all endpoints draining through one
+  /// serialized poll path. With M > 1, arriving packets are steered
+  /// RSS-style by their wire-format endpoint id into ring `ep % M`, and
+  /// each endpoint's progress drains its own ring with no shared lock. A
+  /// core configures min(M, endpoints) rings: the rest would stay empty.
   int rx_queues = 1;
-  /// Overrides for CostBook::spin_backoff_onset / spin_backoff_cap (-1 =
-  /// keep the topology preset). Schedule exploration pins backoff off
-  /// (onset beyond any retry count) to reach the pre-backoff
-  /// interleavings: bounded exponential backoff deliberately perturbs
-  /// exactly the starvation limit cycles the explorer's liveness monitor
-  /// exists to certify (EXPERIMENTS.md "Progress collapse").
-  int spin_backoff_onset = -1;
-  sim::Time spin_backoff_cap = -1;
-  /// Enable PIOMan scheduler hooks (implied by kPiomanHooks /
-  /// kIdleCoreOffload progression).
-  bool pioman_hooks = false;
   /// Restrict hook-driven polling to this core (-1 = any). See Fig. 6/8.
   int pioman_poll_core = -1;
   /// Engine partitioning: the nodes are spread over this many event-heap
@@ -99,8 +94,7 @@ class Cluster {
   mth::Thread* spawn(int node, std::function<void()> fn,
                      const std::string& name = "app", int bind_core = -1);
 
-  /// Run the world to completion (all threads finished, events drained),
-  /// then spill any buffered trace records.
+  /// Run the world to completion (all threads finished, events drained).
   void run();
 
   /// Start recording a Chrome-trace timeline (thread spans per core, NIC

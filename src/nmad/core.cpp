@@ -34,15 +34,14 @@ int current_core() {
 bool leaf_try(sync::SpinLock& l) { return l.try_lock(); }
 }  // namespace
 
-Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
-    : sched_(sched), cfg_(cfg), name_(std::move(name)) {
-  if (cfg_.endpoints < 1 || cfg_.endpoints > 255) {
-    throw std::invalid_argument("nm::Core: endpoints must be in [1, 255]");
-  }
-  if (cfg_.rx_queues < 1 || cfg_.rx_queues > 256) {
-    throw std::invalid_argument("nm::Core: rx_queues must be in [1, 256]");
-  }
-  num_eps_ = cfg_.endpoints;
+Core::Core(mth::Scheduler& sched, Config cfg, std::string name, int endpoints,
+           int rx_queues)
+    : sched_(sched),
+      cfg_(cfg),
+      name_(std::move(name)),
+      num_eps_(endpoints),
+      rx_rings_(std::min(rx_queues, endpoints)) {
+  assert(endpoints >= 1 && endpoints <= 255 && rx_queues >= 1);
   active_eps_.resize(num_eps_);
   home_partition_ = engine().current_partition();
   // Endpoints first: endpoint 0's LockSet registers its lock instruments
@@ -51,8 +50,9 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
   eps_.reserve(static_cast<std::size_t>(num_eps_));
   for (int e = 0; e < num_eps_; ++e) {
     eps_.push_back(std::make_unique<Endpoint>(
-        sched_, cfg_, e, e == 0 ? name_ : name_ + ".ep" + std::to_string(e),
-        kMaxRails, home_partition_));
+        sched_, cfg_, e, num_eps_,
+        e == 0 ? name_ : name_ + ".ep" + std::to_string(e), kMaxRails,
+        home_partition_));
   }
   if (num_eps_ > 1) {
     wildcard_lock_ =
@@ -97,19 +97,19 @@ Driver& Core::add_rail(net::Nic& nic) {
   }
   const int index = num_rails();
   nics_.push_back(&nic);
-  if (num_eps_ > 1 && cfg_.rx_queues == 1) {
+  if (num_eps_ > 1 && rx_rings_ == 1) {
     nic_rx_locks_.push_back(std::make_unique<sync::SpinLock>(
         sched_, name_ + "-rxpoll" + std::to_string(index)));
   }
-  if (cfg_.rx_queues > 1) {
-    // Multi-queue rail: the NIC steers arriving packets into
-    // `ep % rx_queues` rings by the wire-format endpoint id, and each
-    // endpoint's progress drains its own ring lock-free.
-    nic.configure_rx_queues(cfg_.rx_queues);
+  if (rx_rings_ > 1) {
+    // Multi-queue rail: the NIC steers arriving packets into `ep % M`
+    // rings by the wire-format endpoint id, and each endpoint's progress
+    // drains its own ring lock-free.
+    nic.configure_rx_queues(rx_rings_);
     nic.set_rx_steer([](const net::Packet& p) {
       return static_cast<int>(peek_packet_ep(p.payload));
     });
-    mq_ring_busy_.emplace_back(static_cast<std::size_t>(cfg_.rx_queues), 0);
+    mq_ring_busy_.emplace_back(static_cast<std::size_t>(rx_rings_), 0);
   }
   for (auto& ep : eps_) {
     ep->drivers_.push_back(std::make_unique<Driver>(nic, index));
@@ -133,13 +133,7 @@ Gate* Core::connect(int peer_node, std::vector<int> peer_ports) {
   if (existing != eps_[0]->by_peer_.end()) return existing->second;
   Gate* g0 = nullptr;
   for (auto& ep : eps_) {
-    if (!gate_pool_.empty()) {
-      gate_pool_.back()->recycle(peer_node, peer_ports);
-      ep->gates_.push_back(std::move(gate_pool_.back()));
-      gate_pool_.pop_back();
-    } else {
-      ep->gates_.push_back(std::make_unique<Gate>(peer_node, peer_ports));
-    }
+    ep->gates_.push_back(std::make_unique<Gate>(peer_node, peer_ports));
     Gate* g = ep->gates_.back().get();
     g->endpoint_ = ep->id_;
     const std::string gate_name = ep->name_ + ".gate" + std::to_string(peer_node);
@@ -166,42 +160,6 @@ Gate* Core::gate_to(int peer_node) {
   return connect(peer_node, std::vector<int>(
                                 static_cast<std::size_t>(num_rails()),
                                 peer_node));
-}
-
-bool Core::release_gate(int peer_node) {
-  // Validate first: every endpoint's gate for this peer must exist and be
-  // fully idle, with no deferred protocol chunk or in-flight rendezvous
-  // still referencing it.
-  for (auto& ep : eps_) {
-    auto it = ep->by_peer_.find(peer_node);
-    if (it == ep->by_peer_.end()) return false;
-    Gate* g = it->second;
-    if (g->has_outgoing() || !g->posted_recvs_.empty() ||
-        !g->bound_recvs_.empty() || !g->unexpected_.empty()) {
-      return false;
-    }
-    for (const auto& [gate, pw] : ep->deferred_pws_) {
-      if (gate == g) return false;
-    }
-    for (const auto& [cookie, req] : ep->send_by_cookie_) {
-      if (req->gate() == g) return false;
-    }
-  }
-  for (auto& ep : eps_) {
-    Gate* g = ep->by_peer_[peer_node];
-    ep->by_peer_.erase(peer_node);
-    for (int r = 0; r < num_rails(); ++r) {
-      ep->src_to_gate_[static_cast<std::size_t>(r)].erase(g->peer_port(r));
-    }
-    for (auto gi = ep->gates_.begin(); gi != ep->gates_.end(); ++gi) {
-      if (gi->get() == g) {
-        gate_pool_.push_back(std::move(*gi));
-        ep->gates_.erase(gi);
-        break;
-      }
-    }
-  }
-  return true;
 }
 
 Gate* Core::gate_on(int e, Gate* gate) const {
@@ -510,63 +468,89 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
   }
   if (best == gate.unexpected_.end()) return false;
 
-  const std::size_t capacity = req->capacity_;
   UnexpectedMsg um = std::move(*best);
   gate.unexpected_.erase(best);
-  req->matched_tag_ = um.tag;
-  req->msg_seq_ = um.msg_seq;
-  req->seq_bound_ = true;
-  req->total_len_ = um.total_len;
-  req->total_known_ = true;
-  if (um.total_len > capacity) {
-    throw std::length_error("nm::Core::irecv: message exceeds buffer (" +
-                            std::to_string(um.total_len) + " > " +
-                            std::to_string(capacity) + ")");
-  }
+  bind_locked(gate, req, um.tag, um.msg_seq, um.total_len);
   if (um.is_rdv) {
-    // Late receiver: grant the rendezvous now.
-    gate.bound_recvs_[req->msg_seq_] = req;
-    PackWrapper cts;
-    cts.kind = PackWrapper::Kind::kCts;
-    cts.tag = tag;
-    cts.msg_seq = um.msg_seq;
-    cts.cookie = um.rts_cookie;
-    cts.rdv_window = req;  // the window the grant advertises
-    SIMSAN_ACCESS(ep.san_deferred_);
-    ep.deferred_pws_.emplace_back(&gate, cts);
-    mark_active(ep);
+    // Late receiver: grant the rendezvous now. The caller flushes the CTS.
+    grant_rdv_locked(ep, gate, req, um.rts_cookie);
     *adopted_rdv = true;
-    m_rdv_handshakes_.add_always();
-  } else {
-    // Scatter the retained unexpected pieces into the user buffer: the
-    // single host copy of the unexpected eager path.
-    if (um.filled > 0) {
-      for (const auto& piece : um.pieces) {
-        req->scatter_into(piece.offset, piece.data, piece.len);
-      }
-      ++req->host_copies_;
-      m_adopt_bytes_copied_.inc(um.filled);
-      m_bytes_copied_.inc(um.filled);
-      m_copies_.inc();
-      ctx.charge(
-          copy_cost(nics_[0]->params().rx_copy_per_byte, um.filled));
+    return true;
+  }
+  // Scatter the retained unexpected pieces into the user buffer: the single
+  // host copy of the unexpected eager path. The rest of the message, if
+  // any, is still in flight and finds the receive bound.
+  if (um.filled > 0) {
+    for (const auto& piece : um.pieces) {
+      req->scatter_into(piece.offset, piece.data, piece.len);
     }
-    if (flow_ != nullptr) {
-      // The bytes reach the user buffer here, not at chunk arrival: the
-      // unexpected dwell is part of the unpack segment by design.
-      req->flow_id_ = obs::FlowTracer::flow_id(
-          gate.peer_node(), node_id_, flow_seq(ep.id_, req->msg_seq_));
-      flow_->stamp(req->flow_id_, obs::FlowStage::kDeliver, engine().now(),
-                   node_id_, ctx.core());
-    }
-    req->filled_ = um.filled;
-    if (req->filled_ == req->total_len_) {
-      complete_request(req);
-    } else {
-      gate.bound_recvs_[req->msg_seq_] = req;  // rest still in flight
-    }
+    ++req->host_copies_;
+    m_adopt_bytes_copied_.inc(um.filled);
+    m_bytes_copied_.inc(um.filled);
+    m_copies_.inc();
+    ctx.charge(copy_cost(nics_[0]->params().rx_copy_per_byte, um.filled));
+  }
+  if (flow_ != nullptr) {
+    // The bytes reach the user buffer here, not at chunk arrival: the
+    // unexpected dwell is part of the unpack segment by design.
+    req->flow_id_ = obs::FlowTracer::flow_id(
+        gate.peer_node(), node_id_, flow_seq(ep.id_, req->msg_seq_));
+    flow_->stamp(req->flow_id_, obs::FlowStage::kDeliver, engine().now(),
+                 node_id_, ctx.core());
+  }
+  req->filled_ += um.filled;
+  if (req->filled_ == req->total_len_) {
+    gate.bound_recvs_.erase(req->msg_seq_);
+    complete_request(req);
   }
   return true;
+}
+
+Request* Core::match_posted_locked(Endpoint& ep, Gate& gate, Tag tag) {
+  for (auto it = gate.posted_recvs_.begin(); it != gate.posted_recvs_.end();
+       ++it) {
+    if ((*it)->tag_ == tag || (*it)->tag_ == kAnyTag) {
+      Request* req = *it;
+      gate.posted_recvs_.erase(it);
+      return req;
+    }
+  }
+  if (num_eps_ == 1) return nullptr;
+  Request* req = claim_wildcard_locked(gate);
+  if (req != nullptr) {
+    req->ep_ = ep.id_;
+    req->gate_ = &gate;
+  }
+  return req;
+}
+
+void Core::bind_locked(Gate& gate, Request* req, Tag tag,
+                       std::uint32_t msg_seq, std::size_t total_len) {
+  req->matched_tag_ = tag;
+  req->msg_seq_ = msg_seq;
+  req->seq_bound_ = true;
+  req->total_len_ = total_len;
+  req->total_known_ = true;
+  if (total_len > req->capacity_) {
+    throw std::length_error("nm: message exceeds receive buffer (" +
+                            std::to_string(total_len) + " > " +
+                            std::to_string(req->capacity_) + ")");
+  }
+  gate.bound_recvs_[msg_seq] = req;
+}
+
+void Core::grant_rdv_locked(Endpoint& ep, Gate& gate, Request* req,
+                            std::uint64_t cookie) {
+  PackWrapper cts;
+  cts.kind = PackWrapper::Kind::kCts;
+  cts.tag = req->matched_tag_;
+  cts.msg_seq = req->msg_seq_;
+  cts.cookie = cookie;
+  cts.rdv_window = req;  // the window the grant advertises
+  SIMSAN_ACCESS(ep.san_deferred_);
+  ep.deferred_pws_.emplace_back(&gate, cts);
+  mark_active(ep);
+  m_rdv_handshakes_.add_always();
 }
 
 Request* Core::launch_recv(mth::ExecContext& ctx, Endpoint& ep, Request* req,
@@ -1191,7 +1175,7 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
   // matches and stalled peers live when only one context polls). Polling
   // needs no endpoint lock: the rx doorbell is atomic MMIO (see
   // endpoint.hpp), and Nic::poll claims a packet before charging it.
-  const int nq = cfg_.rx_queues;
+  const int nq = rx_rings_;
   const int own_q = own_ep >= 0 ? own_ep % nq : -1;
   for (int r = 0; r < num_rails(); ++r) {
     net::Nic& nic = *nics_[static_cast<std::size_t>(r)];
@@ -1368,9 +1352,9 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // Receiver side: a rendezvous announcement matches like a message.
       // The packer schedules RTS chunks ahead of queued eager data, so an
       // RTS can physically overtake earlier messages of its own channel;
-      // on multi-queue cores matching stays in channel order by stashing
-      // such an early RTS until the messages before it have matched.
-      if (match_order_enforced() && h.msg_seq > gate.next_match_seq_) {
+      // matching stays in channel order by stashing such an early RTS
+      // until the messages before it have matched.
+      if (h.msg_seq > gate.next_match_seq_) {
         Gate::EarlyRts early;
         early.tag = h.tag;
         early.total_len = h.total_len;
@@ -1384,89 +1368,26 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
     }
     case ChunkKind::kEager:
     case ChunkKind::kRdvData: {
+      // The first chunk of a message to arrive matches and binds it; its
+      // other chunks find the receive bound.
       Request* req = nullptr;
       auto bound = gate.bound_recvs_.find(h.msg_seq);
       if (bound != gate.bound_recvs_.end()) {
         req = bound->second;
       } else {
-        for (auto it = gate.posted_recvs_.begin();
-             it != gate.posted_recvs_.end(); ++it) {
-          if ((*it)->tag_ == h.tag || (*it)->tag_ == kAnyTag) {
-            req = *it;
-            gate.posted_recvs_.erase(it);
-            break;
-          }
-        }
-        if (req == nullptr && num_eps_ > 1) {
-          req = claim_wildcard_locked(gate);
-          if (req != nullptr) {
-            req->ep_ = ep.id_;
-            req->gate_ = &gate;
-          }
-        }
+        req = match_posted_locked(ep, gate, h.tag);
         if (req != nullptr) {
-          req->matched_tag_ = h.tag;
-          req->msg_seq_ = h.msg_seq;
-          req->seq_bound_ = true;
-          req->total_len_ = h.total_len;
-          req->total_known_ = true;
-          if (h.total_len > req->capacity_) {
-            throw std::length_error("nm: message exceeds receive buffer");
-          }
-          gate.bound_recvs_[h.msg_seq] = req;
+          bind_locked(gate, req, h.tag, h.msg_seq, h.total_len);
         }
       }
       if (req != nullptr) {
         deliver_chunk_locked(ctx, rail, gate, req, h, data);
-        if (h.kind == ChunkKind::kEager && h.offset == 0 &&
-            match_order_enforced()) {
-          bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
-        }
-        return;
+      } else {
+        store_unexpected_locked(ctx, rail, gate, h, data, backing);
       }
-      // Unexpected: retain the chunk bytes without copying when the packet
-      // payload lives in a pooled slab (segmented delivery) -- the piece
-      // shares the slab via refcount. Flat payloads (raw injection) die
-      // with the packet, so those bytes go into a fresh pooled slab.
-      UnexpectedMsg* um = nullptr;
-      for (auto& u : gate.unexpected_) {
-        if (u.msg_seq == h.msg_seq) {
-          um = &u;
-          break;
-        }
-      }
-      if (um == nullptr) {
-        gate.unexpected_.emplace_back();
-        um = &gate.unexpected_.back();
-        um->tag = h.tag;
-        um->msg_seq = h.msg_seq;
-        um->total_len = h.total_len;
-      }
-      if (h.chunk_len > 0) {
-        assert(data != nullptr && "placed chunk arrived unexpected");
-        assert(h.offset + h.chunk_len <= um->total_len);
-        UnexpectedPiece piece;
-        piece.offset = h.offset;
-        piece.len = h.chunk_len;
-        if (backing != nullptr) {
-          piece.backing = *backing;  // handoff, no host copy
-          piece.data = data;
-        } else {
-          piece.backing = net::BufferPool::global().acquire(h.chunk_len);
-          std::memcpy(piece.backing.data(), data, h.chunk_len);
-          piece.data = piece.backing.data();
-          m_bytes_copied_.inc(h.chunk_len);
-          m_copies_.inc();
-        }
-        um->pieces.push_back(std::move(piece));
-        ctx.charge(copy_cost(
-            nics_[static_cast<std::size_t>(rail)]->params().rx_copy_per_byte,
-            h.chunk_len));
-      }
-      um->filled += h.chunk_len;
-      m_unexpected_chunks_.add_always();
-      if (h.kind == ChunkKind::kEager && h.offset == 0 &&
-          match_order_enforced()) {
+      // An eager message counts as matched in channel order at its first
+      // byte (rendezvous ones at their RTS).
+      if (h.kind == ChunkKind::kEager && h.offset == 0) {
         bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
       }
       return;
@@ -1474,46 +1395,63 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
   }
 }
 
-void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
-                              Tag tag, std::uint32_t msg_seq,
-                              std::size_t total_len, std::uint64_t cookie) {
-  Request* req = nullptr;
-  for (auto it = gate.posted_recvs_.begin(); it != gate.posted_recvs_.end();
-       ++it) {
-    if ((*it)->tag_ == tag || (*it)->tag_ == kAnyTag) {
-      req = *it;
-      gate.posted_recvs_.erase(it);
+void Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
+                                   Gate& gate, const ChunkHeader& h,
+                                   const std::uint8_t* data,
+                                   const net::SlabRef* backing) {
+  // Retain the chunk bytes without copying when the packet payload lives
+  // in a pooled slab (segmented delivery) -- the piece shares the slab via
+  // refcount. Flat payloads (raw injection) die with the packet, so those
+  // bytes go into a fresh pooled slab.
+  UnexpectedMsg* um = nullptr;
+  for (auto& u : gate.unexpected_) {
+    if (u.msg_seq == h.msg_seq) {
+      um = &u;
       break;
     }
   }
-  if (req == nullptr && num_eps_ > 1) {
-    req = claim_wildcard_locked(gate);
-    if (req != nullptr) {
-      req->ep_ = ep.id_;
-      req->gate_ = &gate;
-    }
+  if (um == nullptr) {
+    gate.unexpected_.emplace_back();
+    um = &gate.unexpected_.back();
+    um->tag = h.tag;
+    um->msg_seq = h.msg_seq;
+    um->total_len = h.total_len;
   }
-  if (req != nullptr) {
-    req->matched_tag_ = tag;
-    req->msg_seq_ = msg_seq;
-    req->seq_bound_ = true;
-    req->total_len_ = total_len;
-    req->total_known_ = true;
-    if (total_len > req->capacity_) {
-      throw std::length_error("nm: rendezvous message exceeds buffer");
+  if (h.chunk_len > 0) {
+    assert(data != nullptr && "placed chunk arrived unexpected");
+    assert(h.offset + h.chunk_len <= um->total_len);
+    UnexpectedPiece piece;
+    piece.offset = h.offset;
+    piece.len = h.chunk_len;
+    if (backing != nullptr) {
+      piece.backing = *backing;  // handoff, no host copy
+      piece.data = data;
+    } else {
+      piece.backing = net::BufferPool::global().acquire(h.chunk_len);
+      std::memcpy(piece.backing.data(), data, h.chunk_len);
+      piece.data = piece.backing.data();
+      m_bytes_copied_.inc(h.chunk_len);
+      m_copies_.inc();
     }
-    gate.bound_recvs_[msg_seq] = req;
-    PackWrapper cts;
-    cts.kind = PackWrapper::Kind::kCts;
-    cts.tag = tag;
-    cts.msg_seq = msg_seq;
-    cts.cookie = cookie;
-    cts.rdv_window = req;  // the window the grant advertises
-    SIMSAN_ACCESS(ep.san_deferred_);
-    ep.deferred_pws_.emplace_back(&gate, cts);
+    um->pieces.push_back(std::move(piece));
+    ctx.charge(copy_cost(
+        nics_[static_cast<std::size_t>(rail)]->params().rx_copy_per_byte,
+        h.chunk_len));
+  }
+  um->filled += h.chunk_len;
+  m_unexpected_chunks_.add_always();
+}
+
+void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
+                              Tag tag, std::uint32_t msg_seq,
+                              std::size_t total_len, std::uint64_t cookie) {
+  Request* req = match_posted_locked(ep, gate, tag);
+  if (req != nullptr) {
+    bind_locked(gate, req, tag, msg_seq, total_len);
+    grant_rdv_locked(ep, gate, req, cookie);
+    // This visit has flushed its deferred queue already: ask it to flush
+    // and submit once more, so the CTS leaves in this pass.
     ep.resubmit_hint_ = true;
-    mark_active(ep);
-    m_rdv_handshakes_.add_always();
   } else {
     UnexpectedMsg um;
     um.tag = tag;
@@ -1524,7 +1462,7 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     gate.unexpected_.push_back(std::move(um));
     m_unexpected_chunks_.add_always();
   }
-  if (match_order_enforced()) bump_match_seq_locked(ctx, ep, gate, msg_seq);
+  bump_match_seq_locked(ctx, ep, gate, msg_seq);
 }
 
 void Core::bump_match_seq_locked(mth::ExecContext& ctx, Endpoint& ep,

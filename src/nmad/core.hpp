@@ -77,7 +77,12 @@ namespace pm2::nm {
 
 class Core final : public piom::PollSource {
  public:
-  Core(mth::Scheduler& sched, Config cfg, std::string name = "nm");
+  /// @p endpoints in [1, 255] (ClusterConfig::endpoints); @p rx_queues >= 1
+  /// RX rings per NIC (ClusterConfig::rx_queues), of which the core
+  /// configures min(rx_queues, endpoints): ring `ep % M` never sees an
+  /// endpoint id of N or more.
+  Core(mth::Scheduler& sched, Config cfg, std::string name = "nm",
+       int endpoints = 1, int rx_queues = 1);
   ~Core() override;
 
   Core(const Core&) = delete;
@@ -94,8 +99,6 @@ class Core final : public piom::PollSource {
   /// Every endpoint gets its own gate; the endpoint-0 gate is returned as
   /// the public handle (isend/irecv reroute by tag internally). Idempotent:
   /// reconnecting an already-connected peer returns the existing gate.
-  /// Gate slots are recycled from the idle pool (release_gate) when one is
-  /// available.
   Gate* connect(int peer_node, std::vector<int> peer_ports);
 
   /// Gate to @p peer_node, connecting lazily on first use: NIC attach order
@@ -104,20 +107,8 @@ class Core final : public piom::PollSource {
   /// 128-node world only ever holds gates for the pairs that talk.
   Gate* gate_to(int peer_node);
 
-  /// Release the per-peer gate state for @p peer_node on every endpoint,
-  /// returning the Gate objects to an idle pool for later reuse. Refuses
-  /// (returns false) unless every such gate is fully idle: empty collect
-  /// lists, no posted/bound/unexpected receives, no deferred protocol
-  /// chunks and no rendezvous in flight. Call from a quiesced moment; the
-  /// peer should release symmetrically before traffic resumes (message
-  /// sequence numbers restart on reconnect).
-  bool release_gate(int peer_node);
-
   /// Connected peers per endpoint (lazily-created gates currently live).
   int gate_count() const { return static_cast<int>(eps_[0]->gates_.size()); }
-
-  /// Gate objects parked in the idle pool by release_gate.
-  int pooled_gates() const { return static_cast<int>(gate_pool_.size()); }
 
   /// Attach a PIOMan server; the core registers itself as a poll source.
   void attach_pioman(piom::Server* server);
@@ -251,10 +242,10 @@ class Core final : public piom::PollSource {
   void deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
                             Request* req, const ChunkHeader& h,
                             const std::uint8_t* data);
-  /// True when matching must follow per-channel msg_seq order (multi-queue
-  /// rails). The single-queue path keeps its historical relaxed order --
-  /// the fixed-seed schedules depend on it byte for byte.
-  bool match_order_enforced() const { return cfg_.rx_queues > 1; }
+  /// Keep an eager chunk no posted receive matched, for a later irecv.
+  void store_unexpected_locked(mth::ExecContext& ctx, int rail, Gate& gate,
+                               const ChunkHeader& h, const std::uint8_t* data,
+                               const net::SlabRef* backing);
   /// RTS body of handle_chunk_locked (match-or-unexpected plus the CTS
   /// grant), shared with the early-RTS stash drain.
   void process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
@@ -270,6 +261,19 @@ class Core final : public piom::PollSource {
   bool adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
                                Gate& gate, Request* req, Tag tag,
                                bool* adopted_rdv);
+  /// The receive an arriving message with @p tag matches: the first posted
+  /// receive of @p gate for that tag, else (N > 1) a parked wildcard.
+  /// Removed from its list; null if none (caller holds the matching lock).
+  Request* match_posted_locked(Endpoint& ep, Gate& gate, Tag tag);
+  /// Bind @p req to wire message @p msg_seq of @p gate: record what it
+  /// matched and enter it in the gate's bound receives. Throws if the
+  /// message does not fit the receive buffer.
+  void bind_locked(Gate& gate, Request* req, Tag tag, std::uint32_t msg_seq,
+                   std::size_t total_len);
+  /// Queue the CTS granting rendezvous @p cookie into the window of the
+  /// bound receive @p req.
+  void grant_rdv_locked(Endpoint& ep, Gate& gate, Request* req,
+                        std::uint64_t cookie);
   /// Claim a parked wildcard receive for @p gate's peer (caller holds the
   /// endpoint's matching lock; multi-endpoint mode only).
   Request* claim_wildcard_locked(const Gate& gate);
@@ -298,13 +302,11 @@ class Core final : public piom::PollSource {
   Config cfg_;
   std::string name_;
   int num_eps_ = 1;
+  int rx_rings_ = 1;  ///< RX rings per NIC: min(rx_queues, endpoints)
   int home_partition_ = 0;
 
   std::vector<std::unique_ptr<Endpoint>> eps_;
   std::vector<net::Nic*> nics_;  ///< rails, shared by all endpoints
-  /// Idle Gate objects parked by release_gate, recycled by connect so a
-  /// churning peer set reuses allocations instead of growing the heap.
-  std::vector<std::unique_ptr<Gate>> gate_pool_;
 
   piom::Server* pioman_ = nullptr;
   piom::TaskletEngine* tasklets_ = nullptr;
@@ -325,7 +327,7 @@ class Core final : public piom::PollSource {
   std::unique_ptr<sync::SpinLock> park_lock_;
   san::Shared san_parked_{"nm.rxpark"};
   /// drain_rails' ring guard at M = 1: one poller at a time per shared
-  /// single-queue NIC completion queue (N > 1 endpoints with rx_queues == 1
+  /// single-queue NIC completion queue (N > 1 endpoints with one ring
   /// only). Nic::poll claims the packet before charging (fiber-atomic), so
   /// the lock is not a correctness requirement -- it stays, priced, because
   /// the serialized drain *is* the single-queue contention model (and keeps

@@ -5,7 +5,8 @@
 namespace pm2::nm {
 
 Endpoint::Endpoint(mth::Scheduler& sched, const Config& cfg, int id,
-                   std::string name, int max_rails, int home_partition)
+                   int count, std::string name, int max_rails,
+                   int home_partition)
     : id_(id),
       name_(std::move(name)),
       home_partition_(home_partition),
@@ -16,7 +17,7 @@ Endpoint::Endpoint(mth::Scheduler& sched, const Config& cfg, int id,
       strategy_(Strategy::make(cfg.strategy)) {
   src_to_gate_.resize(static_cast<std::size_t>(max_rails));
   san_deferred_.set_name(name_ + ".deferred");
-  if (cfg.endpoints > 1) {
+  if (count > 1) {
     auto& reg = obs::MetricsRegistry::global();
     const std::string& node = sched.machine().name();
     m_sends_ = reg.counter({"nmad.ep", node, id, "sends"});

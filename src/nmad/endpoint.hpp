@@ -5,9 +5,9 @@
 // per-rail transfer lists (per-endpoint Drivers over the shared NICs), the
 // deferred protocol queue, the rendezvous cookie table, an optimization
 // strategy, and a LockSet guarding it all. A Core instantiates
-// Config::endpoints of them; endpoint 0 of a 1-endpoint core is exactly
-// the classic single-instance layout (same lock names, same simsan state
-// names, same operation sequence -- byte-identical schedules).
+// ClusterConfig::endpoints of them; endpoint 0 of a 1-endpoint core is
+// exactly the classic single-instance layout (same lock names, same simsan
+// state names, same operation sequence -- byte-identical schedules).
 //
 // Routing: sends and exact-tag receives live on endpoint `tag % N`; both
 // peers hash identically, so a message's whole lifecycle stays inside one
@@ -49,11 +49,12 @@ class Core;
 
 class Endpoint {
  public:
-  /// @p name is the owning core's name for endpoint 0 ("nm0") and the
-  /// suffixed form ("nm0.ep1") otherwise; lock and simsan names derive
-  /// from it so endpoint 0 keeps the historical names byte-for-byte.
-  Endpoint(mth::Scheduler& sched, const Config& cfg, int id, std::string name,
-           int max_rails, int home_partition);
+  /// Endpoint @p id of @p count. @p name is the owning core's name for
+  /// endpoint 0 ("nm0") and the suffixed form ("nm0.ep1") otherwise; lock
+  /// and simsan names derive from it so endpoint 0 keeps the historical
+  /// names byte-for-byte.
+  Endpoint(mth::Scheduler& sched, const Config& cfg, int id, int count,
+           std::string name, int max_rails, int home_partition);
 
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;

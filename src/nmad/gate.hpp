@@ -104,17 +104,6 @@ class Gate {
   friend class Core;
   friend class Strategy;  // arrange_fifo manipulates the collect lists
 
-  /// Re-arm a pooled gate for a new peer (Core::release_gate keeps idle
-  /// gates for reuse). Pre: the gate is idle -- all lists empty.
-  void recycle(int peer_node, std::vector<int> peer_ports) {
-    peer_node_ = peer_node;
-    peer_ports_ = std::move(peer_ports);
-    endpoint_ = 0;
-    next_send_seq_ = 0;
-    next_match_seq_ = 0;
-    early_rts_.clear();
-  }
-
   int peer_node_;
   std::vector<int> peer_ports_;
   int endpoint_ = 0;  ///< owning endpoint index (set by Core::connect)
@@ -134,12 +123,10 @@ class Gate {
   std::deque<UnexpectedMsg> unexpected_;                 ///< arrival order
   san::Shared san_matching_{"gate.matching"};  ///< covers the tables above
 
-  /// Channel match-order gate, enforced only on multi-queue cores (the
-  /// legacy single-queue path keeps its historical relaxed order, which
-  /// the fixed seeds depend on byte-for-byte). The packer drains a gate's
-  /// ctrl list ahead of its out list, so an RTS can leave the sender
-  /// before earlier eagers of the same channel; matching in channel order
-  /// means stashing such an early RTS until the eagers before it arrive.
+  /// Channel match order. The packer drains a gate's ctrl list ahead of
+  /// its out list, so an RTS can leave the sender before earlier eagers of
+  /// the same channel; matching in channel order means stashing such an
+  /// early RTS until the eagers before it arrive.
   struct EarlyRts {
     Tag tag = 0;
     std::size_t total_len = 0;

@@ -33,7 +33,7 @@ class Request {
   Tag tag() const { return tag_; }
   std::uint64_t id() const { return id_; }
 
-  /// Endpoint this request routes through (tag % Config::endpoints; for
+  /// Endpoint this request routes through (tag % ClusterConfig::endpoints; for
   /// wildcard receives, bound at match time).
   int endpoint() const { return ep_; }
 

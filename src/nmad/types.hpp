@@ -68,25 +68,6 @@ const char* to_string(StrategyKind k);
 struct Config {
   LockMode lock = LockMode::kFine;
 
-  /// Number of independent communication endpoints (channels) this library
-  /// instance exposes -- the scalable-endpoints/VCI design from the
-  /// follow-on literature. 1 (default) is the paper's single shared
-  /// library instance, byte-identical to the historical behavior. With
-  /// N > 1, the collect lists, tag-matching tables and per-rail transfer
-  /// lists are instantiated N times; sends and exact-tag receives route to
-  /// endpoint `tag % endpoints`, so threads using distinct tags share no
-  /// locked state. Must be in [1, 255] (the endpoint id travels in 8 bits
-  /// of the chunk header).
-  int endpoints = 1;
-
-  /// Number of independent RX completion queues per NIC (multi-queue
-  /// rails). 1 (default) is the classic single completion queue,
-  /// byte-identical to the historical behavior, with all endpoints
-  /// draining through one serialized poll path. With M > 1, arriving
-  /// packets are steered RSS-style by their wire-format endpoint id into
-  /// ring `ep % M`, and each endpoint's progress drains its own ring with
-  /// no shared lock. Must be in [1, 256].
-  int rx_queues = 1;
   WaitMode wait = WaitMode::kBusy;
   ProgressMode progress = ProgressMode::kAppDriven;
   StrategyKind strategy = StrategyKind::kAggreg;

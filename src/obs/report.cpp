@@ -19,7 +19,7 @@ std::string chomp(std::string s) {
 }  // namespace
 
 std::string report_json(const MetricsRegistry& registry,
-                        const FlowTracer* flow, TraceLog* trace) {
+                        const FlowTracer* flow, const TraceLog* trace) {
   std::string out = "{\"schema\":\"pm2sim-report-v1\",\"metrics\":";
   out += chomp(registry.to_json());
   if (flow != nullptr) {
@@ -27,10 +27,10 @@ std::string report_json(const MetricsRegistry& registry,
     out += chomp(flow->to_json());
   }
   if (trace != nullptr) {
+    // "dropped" stays in the schema: the recorder never drops a record.
     char buf[96];
-    std::snprintf(buf, sizeof(buf), ",\"trace\":{\"records\":%zu,\"dropped\":%llu}",
-                  trace->record_count(),
-                  static_cast<unsigned long long>(trace->dropped()));
+    std::snprintf(buf, sizeof(buf), ",\"trace\":{\"records\":%zu,\"dropped\":0}",
+                  trace->record_count());
     out += buf;
   }
   out += "}\n";
@@ -38,7 +38,7 @@ std::string report_json(const MetricsRegistry& registry,
 }
 
 void write_report(const std::string& path, const MetricsRegistry& registry,
-                  const FlowTracer* flow, TraceLog* trace) {
+                  const FlowTracer* flow, const TraceLog* trace) {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("obs: cannot open " + path);
   f << report_json(registry, flow, trace);

@@ -14,13 +14,13 @@ class FlowTracer;
 class TraceLog;
 
 /// {"schema":"pm2sim-report-v1","metrics":{...},"flow":{...},
-///  "trace":{"records":N,"dropped":N}}; the "flow" / "trace" members are
+///  "trace":{"records":N,"dropped":0}}; the "flow" / "trace" members are
 /// omitted when the corresponding pointer is null.
 std::string report_json(const MetricsRegistry& registry,
-                        const FlowTracer* flow, TraceLog* trace = nullptr);
+                        const FlowTracer* flow, const TraceLog* trace = nullptr);
 
 /// Write report_json() to @p path; throws on I/O failure.
 void write_report(const std::string& path, const MetricsRegistry& registry,
-                  const FlowTracer* flow, TraceLog* trace = nullptr);
+                  const FlowTracer* flow, const TraceLog* trace = nullptr);
 
 }  // namespace pm2::obs

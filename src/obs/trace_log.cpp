@@ -118,16 +118,9 @@ void append_event_json(std::string& out, char phase, std::string_view name,
 }  // namespace
 
 void TraceLog::configure(const Options& opts) {
-  rings_.clear();
-  const int n = opts.rings < 1 ? 1 : opts.rings;
-  rings_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    rings_.push_back(std::make_unique<Ring>(opts.capacity));
-  }
-  overflow_ = opts.overflow;
+  parts_.assign(static_cast<std::size_t>(std::max(1, opts.partitions)),
+                Partition{});
   engine_ = opts.engine;
-  dropped_metric_ =
-      MetricsRegistry::global().counter({"obs", "", -1, "trace.dropped"});
   for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
   entries_.clear();
   strings_.assign(1, std::string());
@@ -182,51 +175,10 @@ void TraceLog::set_thread_name(int pid, int tid, std::string_view name) {
   push(make_record('M', intern(name), kind, pid, tid, 0, 0));
 }
 
-void TraceLog::push_overflow(Ring& ring, const TraceRecord& r) {
-  // Full. With inline spill the producer is the only writer of this
-  // partition's ring, so it may take the consumer side itself -- lossless.
-  // With kDrop, drop + count.
-  if (overflow_ == Overflow::kSpill) {
-    spill_ring(ring);
-    if (ring.ring.try_push(r)) return;
-  }
-  ring.dropped.fetch_add(1, std::memory_order_relaxed);
-  dropped_metric_.inc();
-}
-
-void TraceLog::spill_ring(Ring& r) {
-  std::lock_guard<std::mutex> lock(r.consume_mu);
-  TraceRecord buf[256];
-  for (;;) {
-    const std::size_t n = r.ring.pop_n(buf, 256);
-    if (n == 0) break;
-    r.spill.insert(r.spill.end(), buf, buf + n);
-  }
-}
-
-void TraceLog::drain_now() {
-  for (auto& r : rings_) spill_ring(*r);
-}
-
-std::size_t TraceLog::record_count() {
-  drain_now();
+std::size_t TraceLog::record_count() const {
   std::size_t n = 0;
-  for (auto& r : rings_) {
-    std::lock_guard<std::mutex> lock(r->consume_mu);
-    n += r->spill.size();
-  }
+  for (const Partition& p : parts_) n += p.records.size();
   return n;
-}
-
-std::uint64_t TraceLog::dropped() const {
-  std::uint64_t n = 0;
-  for (const auto& r : rings_) n += r->dropped.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t TraceLog::ring_dropped(int ring) const {
-  return rings_[static_cast<std::size_t>(ring)]->dropped.load(
-      std::memory_order_relaxed);
 }
 
 std::vector<TraceRecord> TraceLog::canonicalize(
@@ -256,17 +208,11 @@ std::vector<TraceRecord> TraceLog::canonicalize(
   return out;
 }
 
-std::vector<TraceRecord> TraceLog::canonical_records() {
-  drain_now();
-  std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<const std::vector<TraceRecord>*> spills;
-  locks.reserve(rings_.size());
-  spills.reserve(rings_.size());
-  for (auto& r : rings_) {
-    locks.emplace_back(r->consume_mu);
-    spills.push_back(&r->spill);
-  }
-  return canonicalize(spills);
+std::vector<TraceRecord> TraceLog::canonical_records() const {
+  std::vector<const std::vector<TraceRecord>*> parts;
+  parts.reserve(parts_.size());
+  for (const Partition& p : parts_) parts.push_back(&p.records);
+  return canonicalize(parts);
 }
 
 std::string TraceLog::records_to_json(
@@ -326,32 +272,26 @@ void TraceLog::write_json(const std::string& path) {
 }
 
 void TraceLog::write_binary(const std::string& path) {
-  drain_now();
   std::ofstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("TraceLog: cannot open " + path);
-
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(rings_.size());
-  for (auto& r : rings_) locks.emplace_back(r->consume_mu);
   std::lock_guard<std::mutex> slock(intern_mu_);
 
   BinHeader h{};
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.version = 1;
   h.record_size = sizeof(TraceRecord);
-  h.ring_count = static_cast<std::uint32_t>(rings_.size());
+  h.ring_count = static_cast<std::uint32_t>(parts_.size());
   h.string_count = static_cast<std::uint32_t>(strings_.size());
   f.write(reinterpret_cast<const char*>(&h), sizeof(h));
 
-  for (const auto& r : rings_) {
-    BinRingHeader rh{r->spill.size(), 0,
-                     r->dropped.load(std::memory_order_relaxed)};
+  for (const Partition& p : parts_) {
+    BinRingHeader rh{p.records.size(), 0, 0};
     f.write(reinterpret_cast<const char*>(&rh), sizeof(rh));
   }
-  for (const auto& r : rings_) {
-    if (r->spill.empty()) continue;
-    f.write(reinterpret_cast<const char*>(r->spill.data()),
-            static_cast<std::streamsize>(r->spill.size() *
+  for (const Partition& p : parts_) {
+    if (p.records.empty()) continue;
+    f.write(reinterpret_cast<const char*>(p.records.data()),
+            static_cast<std::streamsize>(p.records.size() *
                                          sizeof(TraceRecord)));
   }
   for (const std::string& s : strings_) {

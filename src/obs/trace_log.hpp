@@ -1,36 +1,26 @@
-// pm2sim -- the trace recorder: per-partition trace rings, a binary log
+// pm2sim -- the trace recorder: per-partition record vectors, a binary log
 // format, and the canonical merge to Chrome trace-event JSON.
 //
 // TraceLog is the one recording path for timeline events (scheduler spans,
-// hook time, NIC tx/rx) and flow-lifecycle stamps, over one TraceRing per
-// engine partition. The producer path (push) is the partition's host
+// hook time, NIC tx/rx) and flow-lifecycle stamps, over one record vector
+// per engine partition. The producer path (push) is the partition's host
 // worker: it stamps the record with the partition clock (`emit`), routes by
-// sim::tls_partition and does one lock-free SPSC ring write -- no mutex, no
-// formatting, no allocation. Strings cross the boundary as u16 ids from a
+// sim::tls_partition and appends to that partition's vector -- no lock, no
+// formatting, an amortized append. A partition runs on one host worker at a
+// time (the engine pins partition p to worker p % workers, and the window
+// barrier orders one window's appends before the next window's), so each
+// vector has one writer. Strings cross the boundary as u16 ids from a
 // lock-free-read intern table (insert-locked, first sight of a string only).
-//
-// Drain side -- two ways to empty the rings, both serialized per ring by a
-// consumer mutex:
-//   * inline spill (default): when a producer finds its own ring full it
-//     drains it into that ring's spill vector itself. Lossless and
-//     deterministic -- the spill happens at the same virtual-time point in
-//     every run -- and safe because within a partition there is exactly one
-//     producer thread at a time.
-//   * drain_now(): end-of-run (Cluster::run) and read-side calls.
-//
-// Overflow::kDrop makes the full-ring case drop-with-counter instead
-// (`obs.trace.dropped` on the MetricsRegistry plus a per-ring count): at a
-// fixed capacity the drop set is a pure virtual-time property, so it is
-// byte-for-byte reproducible across runs and worker counts.
+// Read-side calls (record_count, the exports) run after the world's run.
 //
 // The canonical order that makes every export byte-stable at any worker
-// count: records sort by (emit, ring, seq) -- `emit` is partition-clock
-// virtual time, ring is the partition id, seq the push order within the
-// ring, all host-schedule-independent. For a single-partition world this
-// order *is* push order.
+// count: records sort by (emit, partition, seq) -- `emit` is
+// partition-clock virtual time, seq the push order within the partition,
+// all host-schedule-independent. For a single-partition world this order
+// *is* push order.
 //
-// write_binary() spills everything to a compact log (48 B/record + string
-// table + per-ring sequence headers); tools/trace2json converts offline via
+// write_binary() writes a compact log (48 B/record + string table +
+// per-partition sequence headers); tools/trace2json converts offline via
 // read_binary()/data_to_json(), which render through the same JSON emitter
 // as to_json(), so online and offline output agree byte-for-byte.
 #pragma once
@@ -39,29 +29,54 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace_ring.hpp"
 #include "simcore/engine.hpp"
 
 namespace pm2::obs {
 
+/// Phase byte for flow-lifecycle stamps (obs::FlowTracer). Not a Chrome
+/// trace phase: the JSON rendering aggregates these records into the
+/// per-stage latency breakdown and synthesizes the "s"/"t"/"f" flow-arrow
+/// events from them.
+inline constexpr std::uint8_t kFlowStampPhase = 0x80;
+
+/// One fixed-size binary trace record (48 bytes, trivially copyable).
+///
+/// Field use by phase:
+///   'X' complete   ts=start dur=duration     name/cat interned
+///   'i' instant    ts=t                      name/cat interned
+///   'M' metadata   name=display name         cat=interned meta kind
+///   kFlowStampPhase ts=stamp time  dur=stage  id=flow id  pid/tid=node/core
+///
+/// `emit` is the virtual time at which the record was *created* (the
+/// producing partition's clock), the primary canonical-merge key: within a
+/// partition it is non-decreasing in push order, and it is a virtual-time
+/// property, so the merged order -- and the converted JSON -- is identical
+/// for any host worker count.
+struct TraceRecord {
+  sim::Time ts = 0;
+  sim::Time emit = 0;
+  std::int64_t dur = 0;
+  std::uint64_t id = 0;
+  std::int32_t pid = 0;
+  std::int32_t tid = 0;
+  std::uint16_t name = 0;
+  std::uint16_t cat = 0;
+  std::uint8_t phase = 0;
+  std::uint8_t pad[3] = {0, 0, 0};
+};
+static_assert(sizeof(TraceRecord) == 48, "binary log format is 48 B/record");
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+
 class TraceLog {
  public:
-  enum class Overflow {
-    kSpill,  ///< producer self-drains its full ring (lossless)
-    kDrop,   ///< full ring drops-with-counter (deterministic drops)
-  };
-
   struct Options {
-    int rings = 1;                 ///< one per engine partition
-    std::size_t capacity = 4096;   ///< records per ring (rounded up to 2^k)
-    Overflow overflow = Overflow::kSpill;
+    int partitions = 1;  ///< record vectors: one per engine partition
     const sim::Engine* engine = nullptr;  ///< stamps `emit`; may be null
   };
 
@@ -70,8 +85,8 @@ class TraceLog {
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
 
-  /// (Re)build the rings. Not callable while producers are active;
-  /// discards previously captured records.
+  /// (Re)build the record vectors. Not callable while producers are
+  /// active; discards previously captured records.
   void configure(const Options& opts);
 
   // --- recording ------------------------------------------------------------
@@ -95,9 +110,8 @@ class TraceLog {
   void set_process_name(int pid, std::string_view name);
   void set_thread_name(int pid, int tid, std::string_view name);
 
-  /// The producer hot path, inline: route by partition, stamp the partition
-  /// clock, one SPSC ring write. The full-ring case is the out-of-line
-  /// push_overflow (self-spill or drop-with-counter).
+  /// The producer hot path, inline: stamp the partition clock, route by
+  /// partition, append.
   void push(TraceRecord r) {
     r.emit = engine_ != nullptr ? engine_->now() : 0;
     push_prestamped(r);
@@ -109,32 +123,21 @@ class TraceLog {
   /// the partition clock at the stamp site).
   void push_prestamped(const TraceRecord& r) {
     auto p = static_cast<std::size_t>(sim::tls_partition);
-    if (p >= rings_.size()) p = 0;
-    Ring& ring = *rings_[p];
-    if (ring.ring.try_push(r)) [[likely]] return;
-    push_overflow(ring, r);
+    if (p >= parts_.size()) p = 0;
+    parts_[p].records.push_back(r);
   }
 
-  // --- drain and results ----------------------------------------------------
-  //
-  // Calls that read records drain the rings first, so make them after the
-  // run.
+  // --- results (after the run) ----------------------------------------------
 
-  /// Drain every ring into its spill store (any thread; serialized per ring).
-  void drain_now();
+  /// No-op: records are stored as they are pushed, so nothing is buffered.
+  void drain_now() {}
 
   /// Total records captured so far.
-  std::size_t record_count();
+  std::size_t record_count() const;
 
-  std::size_t ring_count() const { return rings_.size(); }
-
-  /// Records dropped on full rings so far (sum over rings).
-  std::uint64_t dropped() const;
-  std::uint64_t ring_dropped(int ring) const;
-
-  /// Every record merged in canonical (emit, ring, seq) order -- the
+  /// Every record merged in canonical (emit, partition, seq) order -- the
   /// byte-stable export order.
-  std::vector<TraceRecord> canonical_records();
+  std::vector<TraceRecord> canonical_records() const;
 
   /// Render everything captured so far as Chrome trace-event JSON (load in
   /// chrome://tracing or https://ui.perfetto.dev) in canonical order.
@@ -143,11 +146,12 @@ class TraceLog {
   /// Write to_json() to @p path; throws on I/O failure.
   void write_json(const std::string& path);
 
-  /// Everything needed to interpret a log outside this process.
+  /// Everything needed to interpret a log outside this process: one record
+  /// vector per partition ("ring" in the log format).
   struct Data {
     std::vector<std::vector<TraceRecord>> rings;
     std::vector<std::string> strings;
-    std::vector<std::uint64_t> dropped;
+    std::vector<std::uint64_t> dropped;  ///< per ring; this writer writes 0
     std::size_t record_count() const {
       std::size_t n = 0;
       for (const auto& r : rings) n += r.size();
@@ -155,9 +159,9 @@ class TraceLog {
     }
   };
 
-  /// Spill everything and write the compact binary log; throws on I/O
-  /// failure. Layout: header, per-ring sequence headers (count, first seq,
-  /// dropped), raw records per ring, string table.
+  /// Write the compact binary log; throws on I/O failure. Layout: header,
+  /// per-ring sequence headers (count, first seq, dropped), raw records per
+  /// ring, string table.
   void write_binary(const std::string& path);
 
   /// Parse a binary log; throws std::runtime_error on malformed input,
@@ -170,12 +174,10 @@ class TraceLog {
   static std::string data_to_json(const Data& data);
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t cap) : ring(cap) {}
-    TraceRing ring;
-    std::mutex consume_mu;              ///< serializes pop_n callers
-    std::vector<TraceRecord> spill;     ///< drained records, push order
-    std::atomic<std::uint64_t> dropped{0};
+  /// One partition's records in push order, on its own cache line so two
+  /// workers' appends never share one.
+  struct alignas(64) Partition {
+    std::vector<TraceRecord> records;
   };
 
   struct InternEntry {
@@ -187,17 +189,13 @@ class TraceLog {
   static constexpr std::size_t kInternSlots = 8192;  // power of two
   static constexpr std::size_t kMaxInterned = kInternSlots / 2;
 
-  void push_overflow(Ring& ring, const TraceRecord& r);
-  void spill_ring(Ring& r);
   static std::vector<TraceRecord> canonicalize(
       const std::vector<const std::vector<TraceRecord>*>& rings);
   static std::string records_to_json(const std::vector<TraceRecord>& canonical,
                                      const std::vector<std::string>& strings);
 
-  Overflow overflow_ = Overflow::kSpill;
   const sim::Engine* engine_ = nullptr;
-  std::vector<std::unique_ptr<Ring>> rings_;
-  Counter dropped_metric_;  ///< obs.trace.dropped
+  std::vector<Partition> parts_;
 
   // Intern table: lock-free probing reads, mutexed inserts.
   std::array<std::atomic<const InternEntry*>, kInternSlots> slots_{};

@@ -108,11 +108,7 @@ void Engine::run() {
     }
     return;
   }
-  if (workers_ > 1) {
-    run_windows_parallel(kTimeInfinity);
-  } else {
-    run_windows(kTimeInfinity);
-  }
+  run_windows(kTimeInfinity);
   if (!stopped()) {
     // Clean drain: join the clocks so now() reports the cluster-wide finish
     // time from every partition's point of view.
@@ -132,11 +128,7 @@ void Engine::run_until(Time deadline) {
     if (!stopped() && p.now < deadline) p.now = deadline;
     return;
   }
-  if (workers_ > 1) {
-    run_windows_parallel(deadline);
-  } else {
-    run_windows(deadline);
-  }
+  run_windows(deadline);
   if (!stopped()) {
     for (auto& p : parts_) {
       if (p->now < deadline) p->now = deadline;
@@ -215,24 +207,6 @@ void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
 
 void Engine::run_windows(Time deadline) {
   const int n = num_partitions();
-  for (;;) {
-    // Deliver everything the previous window posted before looking at the
-    // heaps: T_min must see cross events too.
-    for (int d = 0; d < n; ++d) drain_mailboxes_for(d);
-    if (stopped()) break;
-    Time tmin = kTimeInfinity;
-    for (int p = 0; p < n; ++p) {
-      tmin = std::min(tmin, part(p).queue.next_time());
-    }
-    if (tmin == kTimeInfinity || tmin > deadline) break;
-    const Time horizon = window_horizon(tmin);
-    ++windows_;
-    for (int p = 0; p < n; ++p) run_window(p, tmin, horizon, deadline);
-  }
-}
-
-void Engine::run_windows_parallel(Time deadline) {
-  const int n = num_partitions();
   const int w = std::min(workers_, n);
   struct alignas(64) MinSlot {
     Time t = kTimeInfinity;
@@ -244,8 +218,11 @@ void Engine::run_windows_parallel(Time deadline) {
   // migrate between host threads within a run. Every worker recomputes the
   // same T_min from the shared slots after the barrier, so all of them take
   // the same break decision -- nobody can be left waiting on the barrier.
+  // Worker 0 is the calling thread; at w = 1 it is the only one.
   auto worker = [&](int id) {
     for (;;) {
+      // Deliver everything the previous window posted before looking at
+      // the heaps: T_min must see cross events too.
       Time lm = kTimeInfinity;
       for (int p = id; p < n; p += w) {
         drain_mailboxes_for(p);

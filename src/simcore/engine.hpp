@@ -220,8 +220,8 @@ class Engine {
   void drain_mailboxes_for(int dst);
   /// Execute partition @p idx's share of the window [tmin, horizon).
   void run_window(int idx, Time tmin, Time horizon, Time deadline);
+  /// The window loop, on min(workers, partitions) host threads.
   void run_windows(Time deadline);
-  void run_windows_parallel(Time deadline);
 
   std::vector<std::unique_ptr<Partition>> parts_;
   /// Per-(src,dst) mailboxes, indexed src * n + dst. Written only by src's

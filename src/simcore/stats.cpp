@@ -1,38 +1,8 @@
 #include "simcore/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <stdexcept>
 
 namespace pm2::sim {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::clear() { *this = RunningStats{}; }
-
-double RunningStats::min() const { return n_ ? min_ : 0.0; }
-double RunningStats::max() const { return n_ ? max_ : 0.0; }
-double RunningStats::mean() const { return mean_; }
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleSet::percentile(double p) const {
   if (samples_.empty()) return 0.0;
@@ -52,43 +22,6 @@ double SampleSet::mean() const {
   double sum = 0;
   for (double s : samples_) sum += s;
   return sum / static_cast<double>(samples_.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets < 1 || hi <= lo) {
-    throw std::invalid_argument("Histogram: bad range/bucket count");
-  }
-  width_ = (hi - lo) / static_cast<double>(buckets);
-}
-
-void Histogram::add(double x) {
-  double idx = (x - lo_) / width_;
-  auto i = static_cast<std::int64_t>(std::floor(idx));
-  i = std::clamp<std::int64_t>(i, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    std::snprintf(line, sizeof(line), "[%10.2f, %10.2f) %8llu |", bucket_lo(i),
-                  bucket_hi(i), static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace pm2::sim

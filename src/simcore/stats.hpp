@@ -1,33 +1,11 @@
-// pm2sim -- statistics accumulators used by tests and the benchmark harness.
+// pm2sim -- sample statistics used by the flow tracer and the benchmark
+// harness.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pm2::sim {
-
-/// Streaming accumulator: count / min / max / mean / variance (Welford).
-/// Suitable for latency samples expressed in any unit.
-class RunningStats {
- public:
-  void add(double x);
-  void clear();
-
-  std::size_t count() const { return n_; }
-  double min() const;
-  double max() const;
-  double mean() const;
-  /// Unbiased sample variance; 0 when fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double min_ = 0, max_ = 0;
-  double mean_ = 0, m2_ = 0;
-};
 
 /// Reservoir of raw samples supporting exact percentiles; used where the
 /// paper-style "median of many iterations" reporting is wanted.
@@ -37,7 +15,8 @@ class SampleSet {
   void clear() { samples_.clear(); }
   std::size_t count() const { return samples_.size(); }
 
-  /// Exact percentile by nearest-rank on the sorted samples (p in [0,100]).
+  /// Percentile of the sorted samples (p in [0,100]), interpolated linearly
+  /// between the two ranks around p / 100 * (count - 1).
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
   double min() const { return percentile(0.0); }
@@ -48,29 +27,6 @@ class SampleSet {
 
  private:
   std::vector<double> samples_;
-};
-
-/// Fixed-bucket histogram for diagnostics (e.g. poll-interval distribution).
-class Histogram {
- public:
-  /// Buckets of equal width over [lo, hi); values outside are clamped into
-  /// the first/last bucket. Pre: buckets >= 1, hi > lo.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  /// Multi-line ASCII rendering for debugging.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pm2::sim

@@ -7,7 +7,6 @@ const char* to_string(SiteKind k) {
     case SiteKind::kDispatch: return "dispatch";
     case SiteKind::kSpinHandoff: return "spin-handoff";
     case SiteKind::kMutexHandoff: return "mutex-handoff";
-    case SiteKind::kNicDrain: return "nic-drain";
   }
   return "?";
 }

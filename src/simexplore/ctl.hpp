@@ -10,7 +10,6 @@
 //                 (simthread::Scheduler::dispatch, runqueue pick)
 //   kSpinHandoff  which spinner a SpinLock release wakes/hands off to
 //   kMutexHandoff which waiter a Mutex release hands ownership to
-//   kNicDrain     which non-empty RX ring a full-NIC poll drains first
 //
 // Disabled (the default), every instrumented site costs one branch on a
 // global flag and picks option 0 -- byte-identical to the uninstrumented
@@ -46,7 +45,6 @@ enum class SiteKind : std::uint8_t {
   kDispatch = 1,
   kSpinHandoff = 2,
   kMutexHandoff = 3,
-  kNicDrain = 4,
 };
 
 const char* to_string(SiteKind k);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/trace_log.hpp"
-#include "simexplore/ctl.hpp"
 #include "simthread/exec_context.hpp"
 
 namespace pm2::net {
@@ -262,39 +261,6 @@ std::int64_t Nic::total_rx_depth() const {
   for (const auto& ring : rx_rings_) d += static_cast<std::int64_t>(ring.size());
   for (std::uint32_t c : rx_claimed_) d += c;
   return d;
-}
-
-std::optional<Packet> Nic::poll() {
-  // Schedule-exploration choice point: which non-empty RX ring a full-NIC
-  // poll drains first. Default 0 keeps the index-order scan.
-  if (xpl::on()) {
-    int candidates[256];
-    int n = 0;
-    for (std::size_t q = 0; q < rx_rings_.size(); ++q) {
-      if (!rx_rings_[q].empty()) candidates[n++] = static_cast<int>(q);
-    }
-    if (n > 0) {
-      int i = 0;
-      if (n > 1) {
-        xpl::Fingerprint fp;
-        fp.mix_str(machine_.name());
-        fp.mix(static_cast<std::uint64_t>(port_));
-        for (const auto& ring : rx_rings_) {
-          fp.mix(static_cast<std::uint64_t>(ring.size()));
-        }
-        i = xpl::pick(xpl::SiteKind::kNicDrain, n, fp.value());
-      }
-      return poll(candidates[i]);
-    }
-  } else {
-    for (std::size_t q = 0; q < rx_rings_.size(); ++q) {
-      if (!rx_rings_[q].empty()) return poll(static_cast<int>(q));
-    }
-  }
-  ++polls_empty_;
-  m_polls_empty_.inc();
-  charge_ctx(params_.poll_empty_cost);
-  return std::nullopt;
 }
 
 std::optional<Packet> Nic::poll(int q) {

@@ -197,20 +197,15 @@ class Nic {
   /// read of the doorbell mask, so a drain visits only non-empty rings.
   int next_raised(int from) const { return rx_doorbells_.next(from); }
 
-  /// Poll the completion queue: pops the oldest delivered packet, if any.
+  /// Poll RX queue @p q: pops its oldest delivered packet, if any.
   /// Charges poll_hit/poll_empty to the current context. Payload copy-out
   /// costs are charged by the consuming layer (it knows the user buffer).
-  /// With several queues configured, scans rings in index order and pops
-  /// from the first non-empty one (legacy callers keep draining).
   ///
   /// The packet is claimed from the ring *before* the poll cost is charged:
   /// a charge may yield the calling fiber, and claim-then-charge keeps the
   /// observe/dequeue pair atomic with respect to that yield -- concurrent
   /// pollers can never both commit to the same doorbell observation.
-  std::optional<Packet> poll();
-
-  /// Poll exactly one RX queue (the per-endpoint rail fast path).
-  std::optional<Packet> poll(int q);
+  std::optional<Packet> poll(int q = 0);
 
   /// Notifier invoked (in engine context) at each packet arrival.
   void set_rx_notifier(std::function<void()> fn) { rx_notifier_ = std::move(fn); }

@@ -2,6 +2,11 @@
 // core, swept across locking modes, strategies and seeds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/random.hpp"
@@ -200,6 +205,195 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{LockMode::kCoarse, StrategyKind::kAggreg, 9},
         SweepParam{LockMode::kFine, StrategyKind::kSplit, 10}),
     sweep_name);
+
+// --- channel order when a rendezvous RTS overtakes eagers -----------------
+//
+// The packer sends a gate's control chunks (RTS) ahead of its queued eager
+// data, so a rendezvous can reach the receiver before earlier eagers of its
+// own (gate, tag) channel. Matching must still pair the n-th receive of the
+// channel with the n-th message sent on it, in every configuration.
+
+struct ChannelOrderParam {
+  StrategyKind strategy;
+  int rails;
+  int endpoints;
+  int rx_queues;
+  bool late_post;  ///< receives posted after 800 us instead of up front
+};
+
+class ChannelOrderMatrix
+    : public ::testing::TestWithParam<ChannelOrderParam> {};
+
+// Node 0 isends six 64 B messages, one 256 KiB rendezvous message and one
+// more 64 B message on one (gate, tag); node 1 posts eight receives.
+TEST_P(ChannelOrderMatrix, EveryReceiveGetsItsOwnMessage) {
+  const ChannelOrderParam p = GetParam();
+  constexpr int kMsgs = 8;
+  constexpr std::size_t kBig = std::size_t{256} * 1024;
+  constexpr Tag kTag = 5;
+  auto length = [](int i) { return i == 6 ? kBig : std::size_t{64}; };
+
+  ClusterConfig cfg;
+  cfg.nm.strategy = p.strategy;
+  cfg.rails.assign(static_cast<std::size_t>(p.rails),
+                   net::NicParams::myri10g());
+  cfg.endpoints = p.endpoints;
+  cfg.rx_queues = p.rx_queues;
+  Cluster world(cfg);
+
+  world.spawn(0, [&world, &length] {
+    Core& c = world.core(0);
+    std::vector<std::vector<std::uint8_t>> msgs;
+    std::vector<Request*> reqs;
+    for (int i = 0; i < kMsgs; ++i) {
+      msgs.emplace_back(length(i), static_cast<std::uint8_t>(i + 1));
+    }
+    for (auto& m : msgs) {
+      reqs.push_back(c.isend(world.gate(0, 1), kTag, m.data(), m.size()));
+    }
+    for (Request* r : reqs) {
+      c.wait(r);
+      c.release(r);
+    }
+  });
+  int wrong = 0;
+  int received = 0;
+  world.spawn(1, [&world, &length, &wrong, &received, late = p.late_post] {
+    Core& c = world.core(1);
+    if (late) world.sched(1).sleep_for(sim::microseconds(800));
+    // Every buffer holds the largest message, so a misdelivery is counted,
+    // not thrown.
+    std::vector<std::vector<std::uint8_t>> bufs(
+        kMsgs, std::vector<std::uint8_t>(kBig));
+    std::vector<Request*> reqs;
+    for (auto& b : bufs) {
+      reqs.push_back(c.irecv(world.gate(1, 0), kTag, b.data(), b.size()));
+    }
+    for (int i = 0; i < kMsgs; ++i) {
+      Request* r = reqs[static_cast<std::size_t>(i)];
+      c.wait(r);
+      const auto& b = bufs[static_cast<std::size_t>(i)];
+      const bool own = r->received_length() == length(i) &&
+                       b.front() == i + 1 && b[length(i) - 1] == i + 1;
+      if (!own) ++wrong;
+      ++received;
+      c.release(r);
+    }
+  });
+  world.engine().run_until(sim::milliseconds(20));
+  EXPECT_EQ(received, kMsgs);
+  EXPECT_EQ(wrong, 0);
+}
+
+std::vector<ChannelOrderParam> channel_order_params() {
+  std::vector<ChannelOrderParam> out;
+  for (StrategyKind s :
+       {StrategyKind::kDefault, StrategyKind::kAggreg, StrategyKind::kSplit}) {
+    for (int rails : {1, 2}) {
+      for (int eps : {1, 4}) {
+        for (int rxq : {1, 4}) {
+          for (bool late : {false, true}) {
+            out.push_back({s, rails, eps, rxq, late});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string channel_order_name(
+    const ::testing::TestParamInfo<ChannelOrderParam>& info) {
+  const ChannelOrderParam& p = info.param;
+  return std::string(to_string(p.strategy)) + "_r" + std::to_string(p.rails) +
+         "_ep" + std::to_string(p.endpoints) + "_q" +
+         std::to_string(p.rx_queues) + (p.late_post ? "_late" : "_preposted");
+}
+
+INSTANTIATE_TEST_SUITE_P(ChannelOrder, ChannelOrderMatrix,
+                         ::testing::ValuesIn(channel_order_params()),
+                         channel_order_name);
+
+// Two eagers then a rendezvous on one tag around an 8-node ring, under the
+// hook-driven, partitioned configuration of a BSP halo exchange: boundary
+// fiber 0 of each node receives from the left and sends right, fiber 1 the
+// mirror, three messages (4 KiB, 4 KiB, 64 KiB) per fiber per iteration.
+TEST(Ordering, EagerThenRendezvousRingKeepsChannelOrder) {
+  constexpr int kNodes = 8;
+  constexpr int kIters = 30;
+  constexpr int kPerIter = 3;
+  constexpr std::size_t kLen[kPerIter] = {4096, 4096, 65536};
+  constexpr std::size_t kMax = 65536;
+
+  ClusterConfig cfg;
+  cfg.nodes = kNodes;
+  cfg.nm.lock = LockMode::kFine;
+  cfg.nm.wait = WaitMode::kFixedSpin;
+  cfg.nm.progress = ProgressMode::kPiomanHooks;
+  cfg.partitions = kNodes;
+  Cluster world(cfg);
+
+  // Message k of iteration it carries the stamp it * kPerIter + k in its
+  // first four bytes; sends and receives of one fiber use one tag.
+  int wrong = 0;
+  int received = 0;
+  std::vector<int> wrong_per_node(kNodes, 0);
+  std::vector<int> received_per_node(kNodes, 0);
+  for (int n = 0; n < kNodes; ++n) {
+    for (int t = 0; t < 2; ++t) {
+      world.spawn(n, [&world, &wrong_per_node, &received_per_node, n, t,
+                      &kLen] {
+        Core& c = world.core(n);
+        const int to = t == 0 ? (n + 1) % kNodes : (n + kNodes - 1) % kNodes;
+        const int from = t == 0 ? (n + kNodes - 1) % kNodes : (n + 1) % kNodes;
+        const Tag tag = 10 + static_cast<Tag>(t);
+        std::vector<std::vector<std::uint8_t>> out(
+            kPerIter, std::vector<std::uint8_t>(kMax));
+        std::vector<std::vector<std::uint8_t>> in(
+            kPerIter, std::vector<std::uint8_t>(kMax));
+        for (int it = 0; it < kIters; ++it) {
+          std::vector<Request*> recvs;
+          std::vector<Request*> sends;
+          for (auto& b : in) {
+            recvs.push_back(c.irecv(world.gate(n, from), tag, b.data(),
+                                    b.size()));
+          }
+          for (int k = 0; k < kPerIter; ++k) {
+            const auto stamp = static_cast<std::uint32_t>(it * kPerIter + k);
+            auto& b = out[static_cast<std::size_t>(k)];
+            std::memcpy(b.data(), &stamp, sizeof(stamp));
+            sends.push_back(c.isend(world.gate(n, to), tag, b.data(),
+                                    kLen[k]));
+          }
+          for (int k = 0; k < kPerIter; ++k) {
+            Request* r = recvs[static_cast<std::size_t>(k)];
+            c.wait(r);
+            std::uint32_t stamp = 0;
+            std::memcpy(&stamp, in[static_cast<std::size_t>(k)].data(),
+                        sizeof(stamp));
+            if (r->received_length() != kLen[k] ||
+                stamp != static_cast<std::uint32_t>(it * kPerIter + k)) {
+              ++wrong_per_node[static_cast<std::size_t>(n)];
+            }
+            ++received_per_node[static_cast<std::size_t>(n)];
+            c.release(r);
+          }
+          for (Request* r : sends) {
+            c.wait(r);
+            c.release(r);
+          }
+        }
+      });
+    }
+  }
+  world.engine().run_until(sim::milliseconds(50));
+  for (int n = 0; n < kNodes; ++n) {
+    wrong += wrong_per_node[static_cast<std::size_t>(n)];
+    received += received_per_node[static_cast<std::size_t>(n)];
+  }
+  EXPECT_EQ(received, kNodes * 2 * kPerIter * kIters);
+  EXPECT_EQ(wrong, 0);
+}
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTimelines) {
   auto run_once = [] {

@@ -1,7 +1,6 @@
 // pm2sim -- sparse fabric and lazy gates: wide worlds must construct in
 // O(active links), not O(nodes^2). A 128-node cluster allocates no per-pair
-// state up front; fabric links and gates materialize on first use, and
-// released gates return to the core's pool for recycling.
+// state up front; fabric links and gates materialize on first use.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,74 +60,6 @@ TEST(SparseFabric, WideWorldConstructsInActiveLinkSpace) {
   for (int n = kPairs; n < 64; ++n) {
     ASSERT_EQ(world.core(n).gate_count(), 0) << "node " << n;
   }
-}
-
-TEST(SparseFabric, ReleasedGatesPoolAndRecycle) {
-  ClusterConfig cfg;
-  cfg.nodes = 3;
-  Cluster world(cfg);
-
-  world.spawn(0, [&world] {
-    Core& c = world.core(0);
-    std::uint32_t v = 7, r = 0;
-    c.send(world.gate(0, 1), 1, &v, sizeof(v));
-    c.recv(world.gate(0, 1), 2, &r, sizeof(r));
-    EXPECT_EQ(r, 8u);
-
-    // Teardown: the idle gate leaves the active set and enters the pool.
-    EXPECT_EQ(c.gate_count(), 1);
-    EXPECT_TRUE(c.release_gate(1));
-    EXPECT_FALSE(c.release_gate(1));  // already gone
-    EXPECT_EQ(c.gate_count(), 0);
-    EXPECT_EQ(c.pooled_gates(), 1);
-
-    // Reconnecting -- to any peer -- recycles the pooled gate instead of
-    // allocating a fresh one.
-    Gate* g = world.gate(0, 2);
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(c.pooled_gates(), 0);
-    EXPECT_EQ(c.gate_count(), 1);
-    std::uint32_t w = 40;
-    c.send(g, 3, &w, sizeof(w));
-  });
-  world.spawn(1, [&world] {
-    Core& c = world.core(1);
-    std::uint32_t v = 0;
-    c.recv(world.gate(1, 0), 1, &v, sizeof(v));
-    ++v;
-    c.send(world.gate(1, 0), 2, &v, sizeof(v));
-  });
-  world.spawn(2, [&world] {
-    Core& c = world.core(2);
-    std::uint32_t v = 0;
-    c.recv(world.gate(2, 0), 3, &v, sizeof(v));
-    EXPECT_EQ(v, 40u);
-  });
-  world.run();
-}
-
-TEST(SparseFabric, BusyGateRefusesRelease) {
-  ClusterConfig cfg;
-  Cluster world(cfg);
-  world.spawn(0, [&world] {
-    Core& c = world.core(0);
-    std::uint32_t v = 1, r = 0;
-    Request* rx = c.irecv(world.gate(0, 1), 2, &r, sizeof(r));
-    // A posted receive pins the gate.
-    EXPECT_FALSE(c.release_gate(1));
-    c.send(world.gate(0, 1), 1, &v, sizeof(v));
-    c.wait(rx);
-    c.release(rx);
-    EXPECT_TRUE(c.release_gate(1));
-  });
-  world.spawn(1, [&world] {
-    Core& c = world.core(1);
-    std::uint32_t v = 0;
-    c.recv(world.gate(1, 0), 1, &v, sizeof(v));
-    ++v;
-    c.send(world.gate(1, 0), 2, &v, sizeof(v));
-  });
-  world.run();
 }
 
 }  // namespace

@@ -2,46 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace pm2::sim {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(42.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.min(), 42.0);
-  EXPECT_DOUBLE_EQ(s.max(), 42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, ClearResets) {
-  RunningStats s;
-  s.add(1);
-  s.add(2);
-  s.clear();
-  EXPECT_EQ(s.count(), 0u);
-  s.add(10);
-  EXPECT_DOUBLE_EQ(s.mean(), 10.0);
-}
 
 TEST(SampleSet, MedianOfOddCount) {
   SampleSet s;
@@ -70,41 +32,6 @@ TEST(SampleSet, MeanMatches) {
   s.add(2);
   s.add(6);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(Histogram, CountsFallInBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(9.9);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(1e9);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(Histogram, BadArgsThrow) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('\n'), std::string::npos);
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ TEST(ExploreCtl, ForcedChoicesDriveTheTrace) {
   // Single-option sites take the only branch without consuming a step.
   EXPECT_EQ(c.pick(SiteKind::kSpinHandoff, 1, 0xB), 0);
   EXPECT_EQ(c.pick(SiteKind::kMutexHandoff, 2, 0xC), 0);
-  EXPECT_EQ(c.pick(SiteKind::kNicDrain, 4, 0xD), 2);
+  EXPECT_EQ(c.pick(SiteKind::kSpinHandoff, 4, 0xD), 2);
   // Past the forced prefix: default.
   EXPECT_EQ(c.pick(SiteKind::kDispatch, 2, 0xE), 0);
   const std::vector<xpl::Step> steps = c.end();
@@ -50,7 +50,7 @@ TEST(ExploreCtl, ForcedChoicesDriveTheTrace) {
   EXPECT_EQ(steps[0].chosen, 1);
   EXPECT_EQ(steps[1].site, SiteKind::kMutexHandoff);
   EXPECT_EQ(steps[1].chosen, 0);
-  EXPECT_EQ(steps[2].site, SiteKind::kNicDrain);
+  EXPECT_EQ(steps[2].site, SiteKind::kSpinHandoff);
   EXPECT_EQ(steps[2].chosen, 2);
   EXPECT_EQ(steps[2].options, 4);
   EXPECT_EQ(steps[3].chosen, 0);

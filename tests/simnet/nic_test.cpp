@@ -245,10 +245,9 @@ TEST_F(NicTest, MultiQueueSteersByKey) {
   EXPECT_FALSE(nic_b_.poll(1).has_value());
   EXPECT_TRUE(nic_b_.rx_pending(0));
   EXPECT_TRUE(nic_b_.rx_pending(2));
-  // The queue-less poll() scans rings in index order.
-  EXPECT_EQ(nic_b_.poll()->payload[0], 0);
-  EXPECT_EQ(nic_b_.poll()->payload[0], 2);
-  EXPECT_EQ(nic_b_.poll()->payload[0], 6);
+  EXPECT_EQ(nic_b_.poll(0)->payload[0], 0);
+  EXPECT_EQ(nic_b_.poll(2)->payload[0], 2);
+  EXPECT_EQ(nic_b_.poll(2)->payload[0], 6);
   EXPECT_FALSE(nic_b_.rx_pending());
 }
 
