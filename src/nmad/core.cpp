@@ -245,8 +245,6 @@ void Core::release(Request* req) {
   assert(req->completed() && "release of an incomplete request");
   eps_[static_cast<std::size_t>(req->ep_)]->send_by_cookie_.erase(req->id_);
   req->released_ = true;
-  req->owned_send_buf_.clear();
-  req->owned_send_buf_.shrink_to_fit();
   free_reqs_.push_back(req);
 }
 
@@ -380,21 +378,6 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   } else {
     kick_submission(ctx, ep);
   }
-  return req;
-}
-
-Request* Core::isend_owned(Gate* gate, Tag tag,
-                           std::vector<std::uint8_t> data) {
-  // Stash the bytes first; isend() records the pointer into the request we
-  // are about to receive, so stage via a temporary slot on the free-list
-  // head... simplest correct order: allocate through isend with a stable
-  // heap location owned by the request afterwards.
-  const std::size_t len = data.size();
-  Request* req = isend(gate, tag, data.data(), len);
-  req->owned_send_buf_ = std::move(data);
-  // isend() captured the pointer before the move; vector moves preserve
-  // the heap block, so send_data_ still points at the live bytes.
-  assert(len == 0 || req->send_data_ == req->owned_send_buf_.data());
   return req;
 }
 

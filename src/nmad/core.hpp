@@ -146,10 +146,6 @@ class Core final : public piom::PollSource {
   Request* isend_sg(Gate* gate, Tag tag, const ConstIoSlice* slices,
                     std::size_t count);
 
-  /// Non-blocking send from a buffer the request takes ownership of (used
-  /// by the pack interface); freed at release().
-  Request* isend_owned(Gate* gate, Tag tag, std::vector<std::uint8_t> data);
-
   /// Non-blocking receive into @p buf (up to @p capacity bytes).
   Request* irecv(Gate* gate, Tag tag, void* buf, std::size_t capacity);
 

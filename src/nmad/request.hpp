@@ -100,9 +100,6 @@ class Request {
   /// Scatter/gather source segments (isend_sg); send_data_ is null when
   /// set. The *bytes* must stay valid until completion, like send_data_.
   std::vector<ConstIoSlice> send_slices_;
-  /// Staging storage for gathered (packed) sends: the request owns the
-  /// bytes until release, so callers need not keep their segments alive.
-  std::vector<std::uint8_t> owned_send_buf_;
   unsigned inflight_chunks_ = 0;  ///< posted to a NIC, wire not done yet
   bool fully_submitted_ = false;  ///< all bytes handed to the transfer layer
   bool rdv_granted_ = false;      ///< CTS received

@@ -96,16 +96,14 @@ bool Engine::step_partition(Partition& p) {
   return true;
 }
 
-bool Engine::step() {
-  assert(num_partitions() == 1 && "step() is single-partition only");
-  return step_partition(part(0));
-}
-
 void Engine::run() {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
-    while (!stopped() && step_partition(part(0))) {
+    Partition& p = part(0);
+    p.advance_limit = kTimeInfinity;
+    while (!stopped() && step_partition(p)) {
     }
+    p.advance_limit = -1;
     return;
   }
   run_windows(kTimeInfinity);
@@ -122,9 +120,11 @@ void Engine::run_until(Time deadline) {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
+    p.advance_limit = deadline;
     while (!stopped() && p.queue.next_time() <= deadline &&
            step_partition(p)) {
     }
+    p.advance_limit = -1;
     if (!stopped() && p.now < deadline) p.now = deadline;
     return;
   }
@@ -195,14 +195,15 @@ void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   Partition& p = part(idx);
   p.window_floor = tmin;
   p.window_abort = false;
+  // The window's last executable time, shared with try_advance.
+  p.advance_limit = std::min(horizon - 1, deadline);
   const int prev = tls_partition;
   tls_partition = idx;
-  while (!p.window_abort) {
-    const Time next = p.queue.next_time();
-    if (next >= horizon || next > deadline) break;
+  while (!p.window_abort && p.queue.next_time() <= p.advance_limit) {
     step_partition(p);
   }
   tls_partition = prev;
+  p.advance_limit = -1;
 }
 
 void Engine::run_windows(Time deadline) {

@@ -137,10 +137,6 @@ class Engine {
   /// before).
   void run_until(Time deadline);
 
-  /// Run exactly one event if any is pending. Returns false if queue empty.
-  /// Single-partition engines only.
-  bool step();
-
   /// Request run()/run_until() to return. Single-partition: after the
   /// current event. Partitioned: at the next window boundary (every
   /// partition finishes the current window first, which keeps the stop
@@ -149,6 +145,27 @@ class Engine {
 
   /// True if stop() was called during the current/last run.
   bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
+
+  /// Move the calling partition's clock to now() + @p dt in place, if the
+  /// loop now running would execute an event at that time next, so an
+  /// event scheduled there would change nothing but the event count. That
+  /// holds when no queued entry, live or cancelled, is due at or before
+  /// now() + dt (an earlier-scheduled event at the same time runs first);
+  /// when the loop's limit allows that time (the run_until deadline; a
+  /// window's horizon and deadline, with no backpressure abort); and, in
+  /// single-partition runs only, when no stop() is pending (a window
+  /// ignores stop() until its barrier). Returns false, changing nothing,
+  /// otherwise and outside a run. Not counted in events_executed().
+  bool try_advance(Time dt) {
+    Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
+    const Time t = p.now + dt;
+    if (p.queue.due_by(t) || t > p.advance_limit || p.window_abort) {
+      return false;
+    }
+    if (parts_.size() == 1 && stopped()) return false;
+    p.now = t;
+    return true;
+  }
 
   // --- introspection --------------------------------------------------------
 
@@ -178,7 +195,6 @@ class Engine {
   /// early (deterministic backpressure -- the events are delivered at the
   /// barrier as usual and the window resumes from the same horizon rule).
   void set_mailbox_capacity(std::size_t cap);
-  std::size_t mailbox_capacity() const { return mailbox_cap_; }
 
  private:
   struct CrossEvent {
@@ -199,6 +215,8 @@ class Engine {
     std::uint64_t overflows = 0;
     Time window_floor = 0;         ///< T_min of the window being executed
     bool window_abort = false;     ///< backpressure: end this window early
+    /// Latest event time the running loop executes; -1 outside a run.
+    Time advance_limit = -1;
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
   };
 

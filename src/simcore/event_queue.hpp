@@ -140,6 +140,14 @@ class EventQueue {
     return t;
   }
 
+  /// True if any entry, live or cancelled, is due at or before @p t. Reads
+  /// the lane front and heap top only; a cancelled entry can make the
+  /// answer true early, never false.
+  bool due_by(Time t) const {
+    return (!lane_empty() && lane_[lane_head_].when <= t) ||
+           (!heap_.empty() && heap_[0].when <= t);
+  }
+
   /// Pop the earliest live event. Pre: !empty().
   /// Returns its (time, callback); the callback is not invoked here so the
   /// engine can advance the clock first.

@@ -12,7 +12,8 @@
 //     SysV callee-saved registers plus the FP control words -- no syscall.
 //     The ucontext path's swapcontext() performs a rt_sigprocmask syscall
 //     per switch, which dominates the host cost of charge()-heavy
-//     workloads (every virtual-time charge is a suspend/resume pair).
+//     workloads (a virtual-time charge that another event may interleave
+//     with is a suspend/resume pair).
 //   * POSIX ucontext fallback: used on other architectures and under
 //     Address/ThreadSanitizer (both track stack switches through dedicated
 //     fiber APIs; a raw assembly switch would confuse their shadow stacks).

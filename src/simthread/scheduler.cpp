@@ -266,16 +266,6 @@ void Scheduler::post_resume(int core, Thread* t) {
       c.current = nullptr;
       kick(core);
       return;
-    case SuspendReason::kMigrate: {
-      timeline_end(c, t);
-      c.last_run = t;
-      c.current = nullptr;
-      const int target =
-          t->attrs_.bind_core >= 0 ? t->attrs_.bind_core : choose_core(t);
-      enqueue(target, t);
-      kick(core);
-      return;
-    }
     case SuspendReason::kNone:
       assert(false && "fiber suspended without a reason");
       return;
@@ -333,8 +323,10 @@ void Scheduler::wake(Thread* t) {
   switch (t->state_) {
     case ThreadState::kFinished:
       return;
-    case ThreadState::kBlocked:
     case ThreadState::kSleeping:
+      engine().cancel(t->sleep_timer_);
+      [[fallthrough]];
+    case ThreadState::kBlocked:
       enqueue(choose_core(t), t);
       return;
     case ThreadState::kRunning:
@@ -418,8 +410,9 @@ void Scheduler::sleep_for(sim::Time dt) {
   Thread* t = running_;
   assert(t != nullptr && "sleep_for outside a thread");
   assert(dt >= 0);
-  engine().schedule_after(dt, [this, t] {
-    if (t->state_ != ThreadState::kSleeping) return;  // woken early
+  // wake() cancels the timer if it ends the sleep first.
+  t->sleep_timer_ = engine().schedule_after(dt, [this, t] {
+    assert(t->state_ == ThreadState::kSleeping);
     enqueue(choose_core(t), t);
   });
   t->suspend_reason_ = SuspendReason::kSleep;
@@ -435,16 +428,6 @@ void Scheduler::join(Thread* target) {
   block_current();
 }
 
-void Scheduler::migrate_current(int core) {
-  Thread* t = running_;
-  assert(t != nullptr && "migrate outside a thread");
-  assert(core >= 0 && core < num_cores());
-  t->attrs_.bind_core = core;
-  if (core == t->core_) return;
-  t->suspend_reason_ = SuspendReason::kMigrate;
-  t->fiber_.suspend();
-}
-
 // --- work / charging ----------------------------------------------------------
 
 void Scheduler::charge_current(sim::Time dt) {
@@ -455,6 +438,8 @@ void Scheduler::charge_current(sim::Time dt) {
   Core& c = cores_[static_cast<std::size_t>(t->core_)];
   c.busy_time += dt;
   t->cpu_time_ += dt;
+  // When no event can run before the resume, the clock advances in place.
+  if (engine().try_advance(dt)) return;
   const int core = t->core_;
   engine().schedule_after(dt, [this, core, t] { resume_fiber(core, t); });
   t->suspend_reason_ = SuspendReason::kCharge;

@@ -122,9 +122,6 @@ class Scheduler {
   /// True if @p t is currently spin-parked (i.e. spinning).
   bool spin_parked(const Thread* t) const { return t->spin_parked_; }
 
-  /// Re-bind the current thread to @p core and migrate there.
-  void migrate_current(int core);
-
   // --- statistics ----------------------------------------------------------
 
   std::uint64_t context_switches() const { return total_switches_; }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "simcore/event_queue.hpp"
 #include "simcore/time.hpp"
 #include "simthread/exec_context.hpp"
 #include "simthread/fiber.hpp"
@@ -46,13 +47,13 @@ struct ThreadAttrs {
 /// Why a fiber gave control back to the scheduler.
 enum class SuspendReason {
   kNone,
-  kCharge,   ///< consuming virtual CPU time; resume event is scheduled
+  kCharge,   ///< consuming virtual CPU time while another event is due
+             ///< first; the resume event is scheduled
   kSpin,     ///< busy-spinning on a flag; resume is triggered by the setter
   kYield,    ///< voluntary yield
   kPreempt,  ///< timeslice expired with other work pending
   kBlock,    ///< blocked on a sync object; wake() will requeue it
   kSleep,    ///< timed sleep; wake event is scheduled
-  kMigrate,  ///< moving to another core
 };
 
 /// ExecContext implementation for code running inside a simulated thread.
@@ -108,6 +109,7 @@ class Thread {
   int last_core_ = -1;
   sim::Time slice_end_ = 0;
   sim::Time spin_start_ = 0;
+  sim::EventHandle sleep_timer_;  ///< pending sleep_for() wake-up
   /// Timeline name interned once per (thread, recorder): the scheduler's
   /// per-slice span emission must not re-hash the name string. Mutable --
   /// a cache filled from the const accessor path in timeline_end().

@@ -86,16 +86,78 @@ TEST(Engine, RunUntilAdvancesClockEvenWithoutEvents) {
   EXPECT_EQ(e.now(), 1000);
 }
 
-TEST(Engine, StepExecutesOneEvent) {
+TEST(Engine, TryAdvanceMovesClockWithoutAnEvent) {
   Engine e;
-  int fired = 0;
-  e.schedule_at(5, [&] { ++fired; });
-  e.schedule_at(6, [&] { ++fired; });
-  EXPECT_TRUE(e.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(e.step());
-  EXPECT_FALSE(e.step());
-  EXPECT_EQ(fired, 2);
+  Time after = -1, seen = -1;
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.try_advance(10));
+    after = e.now();
+  });
+  e.schedule_at(11, [&] { seen = e.now(); });
+  e.run();
+  EXPECT_EQ(after, 10);
+  EXPECT_EQ(seen, 11);
+  EXPECT_EQ(e.events_executed(), 2u);
+}
+
+TEST(Engine, TryAdvanceRefusesOnATie) {
+  Engine e;
+  e.schedule_at(0, [&] {
+    EXPECT_FALSE(e.try_advance(10));  // the event at 10 runs first
+    EXPECT_EQ(e.now(), 0);
+  });
+  e.schedule_at(10, [] {});
+  e.run();
+}
+
+TEST(Engine, TryAdvanceRefusesPastAnEarlierEvent) {
+  Engine e;
+  e.schedule_at(0, [&] {
+    EXPECT_FALSE(e.try_advance(10));
+    EXPECT_EQ(e.now(), 0);
+  });
+  e.schedule_at(5, [] {});
+  e.run();
+}
+
+TEST(Engine, TryAdvanceRefusesPastACancelledEntry) {
+  Engine e;
+  EventHandle h = e.schedule_at(5, [] {});
+  e.schedule_at(0, [&] {
+    e.cancel(h);
+    EXPECT_FALSE(e.try_advance(10));  // refusing is always safe
+  });
+  e.run();
+}
+
+TEST(Engine, TryAdvanceStaysWithinRunUntilDeadline) {
+  Engine e;
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.try_advance(20));  // an event at the deadline runs
+    EXPECT_FALSE(e.try_advance(1));
+    EXPECT_EQ(e.now(), 20);
+  });
+  e.run_until(20);
+  EXPECT_EQ(e.now(), 20);
+}
+
+TEST(Engine, TryAdvanceRefusesWithStopPending) {
+  Engine e;
+  e.schedule_at(0, [&] {
+    e.stop();
+    EXPECT_FALSE(e.try_advance(10));
+  });
+  e.run();
+  EXPECT_EQ(e.now(), 0);
+}
+
+TEST(Engine, TryAdvanceRefusesOutsideARun) {
+  Engine e;
+  EXPECT_FALSE(e.try_advance(10));
+  e.schedule_at(0, [] {});
+  e.run();
+  EXPECT_FALSE(e.try_advance(10));
+  EXPECT_EQ(e.now(), 0);
 }
 
 TEST(Engine, CancelledEventDoesNotRun) {

@@ -4,6 +4,7 @@
 // workers = 1 and workers > 1, so traces must match exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -198,10 +199,71 @@ TEST(ParallelEngine, StopIsWindowGranular) {
   EXPECT_EQ(e.pending_events(), 1u);
 }
 
+TEST(ParallelEngine, TryAdvanceStaysBelowTheHorizon) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.try_advance(kLookahead - 1));  // the horizon is exclusive
+    EXPECT_FALSE(e.try_advance(1));
+    EXPECT_EQ(e.now(), kLookahead - 1);
+  });
+  e.run();
+  EXPECT_EQ(e.windows_executed(), 1u);
+}
+
+TEST(ParallelEngine, TryAdvanceStaysWithinRunUntilDeadline) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.try_advance(50));
+    EXPECT_FALSE(e.try_advance(1));
+  });
+  e.run_until(50);
+  EXPECT_EQ(e.partition_now(0), 50);
+  EXPECT_EQ(e.partition_now(1), 50);
+}
+
+TEST(ParallelEngine, TryAdvanceRefusesAfterBackpressureAbort) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  e.set_mailbox_capacity(1);
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.try_advance(10));
+    e.schedule_cross(1, e.now() + kLookahead, [] {});  // fills the mailbox
+    EXPECT_FALSE(e.try_advance(10));  // the window ends after this event
+    EXPECT_EQ(e.now(), 10);
+  });
+  e.run();
+  EXPECT_EQ(e.mailbox_overflows(), 1u);
+}
+
+TEST(ParallelEngine, TryAdvanceIgnoresStopInsideAWindow) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  e.schedule_at(0, [&] {
+    e.stop();
+    // A window runs on to its barrier whatever the flag reads, so the
+    // answer must not depend on when another worker calls stop().
+    EXPECT_TRUE(e.try_advance(10));
+  });
+  e.run();
+  EXPECT_TRUE(e.stopped());
+  EXPECT_EQ(e.partition_now(0), 10);
+}
+
+struct RingRun {
+  Trace trace;
+  std::vector<std::uint64_t> executed;  ///< events per partition
+};
+
+/// Tag bit marking a trace record written after a successful try_advance.
+constexpr std::uint64_t kAdvanced = 0x8000;
+
 // Build one fixed communication pattern: each partition runs a chain of
 // events that alternates local work with cross sends to the next partition.
-// Returns the full execution trace.
-Trace run_ring(int workers) {
+// With @p advance, every event first tries to move its clock in place.
+// Returns the full execution trace and per-partition event counts.
+RingRun run_ring(int workers, bool advance = false) {
   constexpr int kParts = 4;
   constexpr int kHops = 64;
   Engine e;
@@ -216,6 +278,9 @@ Trace run_ring(int workers) {
   std::function<void(int, std::uint64_t)> hop = [&](int remaining,
                                                     std::uint64_t tag) {
     const int here = e.current_partition();
+    if (advance && e.try_advance(1 + static_cast<Time>(tag % 13))) {
+      trace.record(here, e.now(), tag | kAdvanced);
+    }
     trace.record(here, e.now(), tag);
     if (remaining == 0) return;
     e.schedule_after(7 + (tag % 5),
@@ -230,17 +295,41 @@ Trace run_ring(int workers) {
     e.schedule_at(p, [&, p] { hop(kHops, static_cast<std::uint64_t>(p)); });
   }
   e.run();
-  return trace;
+  RingRun out{std::move(trace), {}};
+  for (int p = 0; p < kParts; ++p) {
+    out.executed.push_back(e.partition_events_executed(p));
+  }
+  return out;
 }
 
 TEST(ParallelEngine, TraceIsIdenticalAcrossWorkerCounts) {
-  const Trace w1 = run_ring(1);
-  const Trace w2 = run_ring(2);
-  const Trace w4 = run_ring(4);
+  const Trace w1 = run_ring(1).trace;
+  const Trace w2 = run_ring(2).trace;
+  const Trace w4 = run_ring(4).trace;
   for (std::size_t p = 0; p < w1.per_part.size(); ++p) {
     EXPECT_EQ(w1.per_part[p], w2.per_part[p]) << "partition " << p;
     EXPECT_EQ(w1.per_part[p], w4.per_part[p]) << "partition " << p;
     EXPECT_FALSE(w1.per_part[p].empty()) << "partition " << p;
+  }
+}
+
+TEST(ParallelEngine, TryAdvanceIsIdenticalAcrossWorkerCounts) {
+  const RingRun w1 = run_ring(1, /*advance=*/true);
+  const RingRun w2 = run_ring(2, /*advance=*/true);
+  const RingRun w4 = run_ring(4, /*advance=*/true);
+  EXPECT_EQ(w1.executed, w2.executed);
+  EXPECT_EQ(w1.executed, w4.executed);
+  for (std::size_t p = 0; p < w1.trace.per_part.size(); ++p) {
+    EXPECT_EQ(w1.trace.per_part[p], w2.trace.per_part[p]) << "partition " << p;
+    EXPECT_EQ(w1.trace.per_part[p], w4.trace.per_part[p]) << "partition " << p;
+    // Some events advanced in place and some were refused.
+    const auto& recs = w1.trace.per_part[p];
+    const auto advanced = std::count_if(
+        recs.begin(), recs.end(),
+        [](std::uint64_t r) { return (r & kAdvanced) != 0; });
+    EXPECT_GT(advanced, 0) << "partition " << p;
+    EXPECT_LT(2 * advanced, static_cast<std::ptrdiff_t>(recs.size()))
+        << "partition " << p;
   }
 }
 

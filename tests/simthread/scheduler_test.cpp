@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simmachine/machine.hpp"
@@ -101,6 +102,25 @@ TEST_F(SchedulerTest, SleepWakesAtRightTime) {
   EXPECT_LE(woke, sim::microseconds(51));
 }
 
+TEST_F(SchedulerTest, EarlyWakeDoesNotShortenNextSleep) {
+  Thread* sleeper = nullptr;
+  sim::Time second_sleep = -1;
+  sleeper = sched_.spawn([&] {
+    sched_.sleep_for(sim::microseconds(100));  // cut short at ~10 us
+    const sim::Time start = engine_.now();
+    sched_.sleep_for(sim::microseconds(1000));
+    second_sleep = engine_.now() - start;
+  });
+  sched_.spawn([&] {
+    sched_.work(sim::microseconds(10));
+    sched_.wake(sleeper);
+  });
+  engine_.run();
+  // The first sleep's timer, due at 100 us, must not end the second sleep.
+  EXPECT_GE(second_sleep, sim::microseconds(1000));
+  EXPECT_LE(second_sleep, sim::microseconds(1001));
+}
+
 TEST_F(SchedulerTest, YieldRotatesRunqueue) {
   ThreadAttrs a;
   a.bind_core = 1;
@@ -180,19 +200,6 @@ TEST_F(SchedulerTest, WakePermitPreventsLostWakeup) {
   EXPECT_TRUE(done);
 }
 
-TEST_F(SchedulerTest, MigrateMovesThread) {
-  std::vector<int> cores;
-  ThreadAttrs a;
-  a.bind_core = 0;
-  sched_.spawn([&] {
-    cores.push_back(sched_.current_thread()->core());
-    sched_.migrate_current(2);
-    cores.push_back(sched_.current_thread()->core());
-  }, a);
-  engine_.run();
-  EXPECT_EQ(cores, (std::vector<int>{0, 2}));
-}
-
 TEST_F(SchedulerTest, SpinParkUnparkAccountsBusyTime) {
   Thread* spinner = nullptr;
   sim::Time resumed_at = -1;
@@ -224,6 +231,63 @@ TEST_F(SchedulerTest, SpinUnparkIsIdempotent) {
   });
   engine_.run();
   EXPECT_EQ(resumes, 1);
+}
+
+// A charge that no event can interleave with advances the clock in place:
+// a lone fiber's 10 000 charges execute no event of their own.
+TEST_F(SchedulerTest, LoneFiberChargesExecuteNoEvents) {
+  sched_.spawn([&] {
+    for (int i = 0; i < 10000; ++i) sched_.charge_current(10);
+  });
+  engine_.run();
+  EXPECT_EQ(engine_.now(), machine_.costs().context_switch + 100000);
+  // The dispatch, the switched-in start and the dispatch after exit. A
+  // resume event per charge would make it 10 003.
+  EXPECT_EQ(engine_.events_executed(), 3u);
+}
+
+// A charge ending on another core's resume instant yields to it, because
+// the earlier-scheduled event runs first. Fibers 0 and 2 charge 35 ns and
+// fiber 1 70 ns, so most charges end on a tie; fiber 1's last two end
+// alone.
+TEST_F(SchedulerTest, ChargeTiesKeepEventOrder) {
+  std::vector<std::pair<sim::Time, int>> log;
+  for (int id = 0; id < 3; ++id) {
+    ThreadAttrs a;
+    a.bind_core = id;
+    sched_.spawn([&log, this, id] {
+      for (int k = 0; k < 6; ++k) {
+        sched_.charge_current(id == 1 ? 70 : 35);
+        log.emplace_back(engine_.now(), id);
+      }
+    }, a);
+  }
+  engine_.run();
+  const std::vector<std::pair<sim::Time, int>> expected{
+      {410, 0}, {410, 2}, {445, 1}, {445, 0}, {445, 2}, {480, 0},
+      {480, 2}, {515, 1}, {515, 0}, {515, 2}, {550, 0}, {550, 2},
+      {585, 1}, {585, 0}, {585, 2}, {655, 1}, {725, 1}, {795, 1}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST_F(SchedulerTest, ChargesStopAtRunUntilDeadline) {
+  std::vector<sim::Time> ends;
+  sched_.spawn([&] {
+    for (int i = 0; i < 100; ++i) {
+      sched_.charge_current(10);
+      ends.push_back(engine_.now());
+    }
+  });
+  // Charges run from 375 (one context switch) in 10 ns steps: the one
+  // ending at 505 is past the deadline and waits for the next run.
+  engine_.run_until(500);
+  ASSERT_FALSE(ends.empty());
+  EXPECT_EQ(ends.back(), 495);
+  EXPECT_EQ(engine_.now(), 500);
+  engine_.run();
+  EXPECT_EQ(ends.size(), 100u);
+  EXPECT_EQ(ends.back(), 1375);
+  EXPECT_EQ(engine_.now(), 1375);
 }
 
 TEST_F(SchedulerTest, SpawnFromThreadChargesCost) {
