@@ -63,19 +63,6 @@ awk '
   }
 ' "$repo_root/BENCH_engine.json"
 
-# Partitioned-engine scaling: parallelism is the unlimited-core speedup
-# bound (total events / busiest partition), est_speedup the bound at the
-# run's worker count. On a single-core host only these bounds -- not
-# wall-clock time -- show what the partitioning buys.
-awk '
-  /"name": "BM_ParallelEngine\/[0-9]+_median"/ { want = 1; name = $2 }
-  want && /"est_speedup":/ {
-    gsub(/[",]/, "", name); gsub(/,/, "", $2)
-    printf "  %-34s est_speedup %.2f\n", name, $2
-    want = 0
-  }
-' "$repo_root/BENCH_engine.json"
-
 # Concurrent-senders scaling (virtual time): the makespan columns are the
 # Fig. 5-style ordering of the locking regimes; the mode-3 rows (one RX
 # completion queue per endpoint) must be >= 1.5x below the matching mode-2

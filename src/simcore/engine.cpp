@@ -1,12 +1,78 @@
 #include "simcore/engine.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace pm2::sim {
+
+namespace {
+
+/// The window loop's barrier. A window lasts microseconds of host time, so a
+/// waiter that parks at once pays a futex wake-up on every window; one that
+/// only spins starves the workers it waits for when the host has fewer CPUs
+/// than workers. So a waiter spins, then yields, then parks, each phase with
+/// a constant budget. The last worker to arrive runs the completion before
+/// it releases the others: what it writes is visible to every worker.
+class WindowBarrier {
+ public:
+  explicit WindowBarrier(int parties) : parties_(parties) {}
+
+  /// Arrive and wait for every party. The last to arrive runs @p complete.
+  /// Adds the host nanoseconds this call spent waiting to @p wait_ns; the
+  /// clock is read only when the call has to wait.
+  template <class Complete>
+  void arrive_and_wait(Complete&& complete, std::uint64_t& wait_ns) {
+    const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      complete();
+      phase_.store(phase + 1, std::memory_order_release);
+      phase_.notify_all();
+      return;
+    }
+    auto released = [&] {
+      return phase_.load(std::memory_order_acquire) != phase;
+    };
+    if (released()) return;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; !released(); ++i) {
+      if (i < kSpins) {
+        cpu_relax();
+      } else if (i < kSpins + kYields) {
+        std::this_thread::yield();
+      } else {
+        phase_.wait(phase, std::memory_order_acquire);
+      }
+    }
+    wait_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+
+ private:
+  static constexpr int kSpins = 64;
+  static constexpr int kYields = 2000;
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#endif
+  }
+
+  const int parties_;
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> phase_{0};
+};
+
+}  // namespace
 
 Engine::Engine() {
   parts_.push_back(std::make_unique<Partition>());
@@ -191,7 +257,7 @@ void Engine::drain_mailboxes_for(int dst) {
   scratch.clear();
 }
 
-void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
+bool Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   Partition& p = part(idx);
   p.window_floor = tmin;
   p.window_abort = false;
@@ -199,47 +265,69 @@ void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   p.advance_limit = std::min(horizon - 1, deadline);
   const int prev = tls_partition;
   tls_partition = idx;
-  while (!p.window_abort && p.queue.next_time() <= p.advance_limit) {
-    step_partition(p);
+  try {
+    while (!p.window_abort && p.queue.next_time() <= p.advance_limit) {
+      step_partition(p);
+    }
+  } catch (...) {
+    p.failure = std::current_exception();
   }
   tls_partition = prev;
   p.advance_limit = -1;
+  return p.failure == nullptr;
 }
 
 void Engine::run_windows(Time deadline) {
   const int n = num_partitions();
   const int w = std::min(workers_, n);
-  struct alignas(64) MinSlot {
-    Time t = kTimeInfinity;
+  // What each worker publishes at the barrier, on its own cache line.
+  struct alignas(64) WorkerSlot {
+    Time next = kTimeInfinity;  ///< earliest pending event of its partitions
+    bool failed = false;        ///< an event of its partitions threw
+    std::uint64_t wait_ns = 0;
   };
-  std::vector<MinSlot> local_min(static_cast<std::size_t>(w));
-  std::barrier<> bar(w);
+  std::vector<WorkerSlot> slots(static_cast<std::size_t>(w));
+  WindowBarrier bar(w);
+  // The next window, decided once per window by the last worker to reach
+  // the first barrier, from the slots, the stop flag and the failure flags
+  // as they stand when every worker has arrived. No worker reads a live
+  // flag, so all of them take the same decision whenever stop() was called.
+  Time tmin = kTimeInfinity;
+  bool go = false;
+  auto decide = [&] {
+    tmin = kTimeInfinity;
+    bool failed = false;
+    for (const WorkerSlot& s : slots) {
+      tmin = std::min(tmin, s.next);
+      failed = failed || s.failed;
+    }
+    go = !failed && !stopped() && tmin != kTimeInfinity && tmin <= deadline;
+    if (go) ++windows_;
+  };
 
   // Partition p always runs on worker p % w, so a partition's fibers never
-  // migrate between host threads within a run. Every worker recomputes the
-  // same T_min from the shared slots after the barrier, so all of them take
-  // the same break decision -- nobody can be left waiting on the barrier.
-  // Worker 0 is the calling thread; at w = 1 it is the only one.
+  // migrate between host threads within a run. A partition whose event
+  // throws ends its window there; the others finish theirs, and the next
+  // decision ends the loop. Worker 0 is the calling thread; at w = 1 it is
+  // the only one.
   auto worker = [&](int id) {
+    WorkerSlot& mine = slots[static_cast<std::size_t>(id)];
     for (;;) {
       // Deliver everything the previous window posted before looking at
       // the heaps: T_min must see cross events too.
-      Time lm = kTimeInfinity;
+      Time next = kTimeInfinity;
       for (int p = id; p < n; p += w) {
         drain_mailboxes_for(p);
-        lm = std::min(lm, part(p).queue.next_time());
+        next = std::min(next, part(p).queue.next_time());
       }
-      local_min[static_cast<std::size_t>(id)].t = lm;
-      bar.arrive_and_wait();
-      Time tmin = kTimeInfinity;
-      for (int i = 0; i < w; ++i) {
-        tmin = std::min(tmin, local_min[static_cast<std::size_t>(i)].t);
-      }
-      if (stopped() || tmin == kTimeInfinity || tmin > deadline) break;
+      mine.next = next;
+      bar.arrive_and_wait(decide, mine.wait_ns);
+      if (!go) break;
       const Time horizon = window_horizon(tmin);
-      if (id == 0) ++windows_;
-      for (int p = id; p < n; p += w) run_window(p, tmin, horizon, deadline);
-      bar.arrive_and_wait();
+      for (int p = id; p < n; p += w) {
+        if (!run_window(p, tmin, horizon, deadline)) mine.failed = true;
+      }
+      bar.arrive_and_wait([] {}, mine.wait_ns);
     }
   };
 
@@ -248,6 +336,16 @@ void Engine::run_windows(Time deadline) {
   for (int id = 1; id < w; ++id) threads.emplace_back(worker, id);
   worker(0);
   for (auto& t : threads) t.join();
+  for (const WorkerSlot& s : slots) barrier_wait_ns_ += s.wait_ns;
+
+  // Rethrow the failure of the lowest-index partition, as a run on one
+  // worker would see it first.
+  std::exception_ptr failure;
+  for (auto& p : parts_) {
+    if (failure == nullptr) failure = p->failure;
+    p->failure = nullptr;
+  }
+  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 }  // namespace pm2::sim

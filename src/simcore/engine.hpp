@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -129,18 +130,24 @@ class Engine {
 
   // --- running --------------------------------------------------------------
 
-  /// Run until the queues drain or stop() is called.
+  /// Run until the queues drain or stop() is called. An exception thrown by
+  /// an event reaches the caller. Single-partition: at once. Partitioned:
+  /// the throwing partition ends its window there, every other partition
+  /// finishes the window, and the exception of the lowest-index partition
+  /// that threw is rethrown, so the caller sees the same exception and the
+  /// same state at every worker count.
   void run();
 
   /// Run events up to and including time @p deadline; clocks are left at
   /// @p deadline (single-partition: min(deadline, last fired event time) as
-  /// before).
+  /// before). Exceptions as in run().
   void run_until(Time deadline);
 
   /// Request run()/run_until() to return. Single-partition: after the
-  /// current event. Partitioned: at the next window boundary (every
-  /// partition finishes the current window first, which keeps the stop
-  /// point identical for every worker count).
+  /// current event. Partitioned: at the next window boundary. Every
+  /// partition finishes the current window first, and the flag is read once
+  /// per window, after every worker has finished, so the stop point is
+  /// identical for every worker count.
   void stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   /// True if stop() was called during the current/last run.
@@ -184,6 +191,11 @@ class Engine {
   /// Synchronization windows executed by partitioned runs.
   std::uint64_t windows_executed() const { return windows_; }
 
+  /// Host nanoseconds the workers of partitioned runs spent waiting at
+  /// window barriers, summed over workers and runs. Host time, so it varies
+  /// run to run; 0 at one worker, which never waits.
+  std::uint64_t barrier_wait_ns() const { return barrier_wait_ns_; }
+
   /// Cross-partition events sent through mailboxes.
   std::uint64_t cross_events() const;
 
@@ -217,6 +229,7 @@ class Engine {
     bool window_abort = false;     ///< backpressure: end this window early
     /// Latest event time the running loop executes; -1 outside a run.
     Time advance_limit = -1;
+    std::exception_ptr failure;    ///< what an event of this window threw
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
   };
 
@@ -236,8 +249,10 @@ class Engine {
   Time window_horizon(Time tmin) const;
   bool step_partition(Partition& p);
   void drain_mailboxes_for(int dst);
-  /// Execute partition @p idx's share of the window [tmin, horizon).
-  void run_window(int idx, Time tmin, Time horizon, Time deadline);
+  /// Execute partition @p idx's share of the window [tmin, horizon). Returns
+  /// false, with the exception kept in the partition's `failure`, if an
+  /// event threw.
+  bool run_window(int idx, Time tmin, Time horizon, Time deadline);
   /// The window loop, on min(workers, partitions) host threads.
   void run_windows(Time deadline);
 
@@ -250,6 +265,7 @@ class Engine {
   int workers_ = 1;
   std::size_t mailbox_cap_ = 4096;
   std::uint64_t windows_ = 0;
+  std::uint64_t barrier_wait_ns_ = 0;
   std::atomic<bool> stopped_{false};
 };
 

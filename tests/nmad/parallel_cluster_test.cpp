@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nmad/cluster.hpp"
@@ -20,12 +22,12 @@ struct RunResult {
   std::vector<sim::Time> iteration_times;
 };
 
-// Two independent pingpong pairs (0 <-> 1, 2 <-> 3). With partitions = 2
-// every message crosses partitions (node n lives in partition n % 2); with
-// partitions = 4 each node owns a partition.
-RunResult run_pairs(int partitions, int workers) {
+// Independent pingpong pairs (0 <-> 1, 2 <-> 3, ...), two by default. With
+// partitions = 2 every message crosses partitions (node n lives in
+// partition n % 2); with partitions = nodes each node owns a partition.
+RunResult run_pairs(int partitions, int workers, int nodes = 4) {
   ClusterConfig cfg;
-  cfg.nodes = 4;
+  cfg.nodes = nodes;
   cfg.partitions = partitions;
   cfg.workers = workers;
   Cluster world(cfg);
@@ -34,9 +36,10 @@ RunResult run_pairs(int partitions, int workers) {
 
   // Iteration stamps are appended by two different virtual nodes; collect
   // them per pair so host-thread interleaving cannot reorder the vector.
-  std::vector<std::vector<sim::Time>> stamps(2);
+  std::vector<std::vector<sim::Time>> stamps(
+      static_cast<std::size_t>(nodes / 2));
 
-  for (int pair = 0; pair < 2; ++pair) {
+  for (int pair = 0; pair < nodes / 2; ++pair) {
     const int a = 2 * pair, b = 2 * pair + 1;
     world.spawn(a, [&world, &stamps, pair, a, b] {
       auto& c = world.core(a);
@@ -97,6 +100,53 @@ TEST(ParallelCluster, PartitionedRunIsRepeatableInProcess) {
   const RunResult first = run_pairs(2, 2);
   const RunResult second = run_pairs(2, 2);
   expect_same(first, second, "warm pools, same partitioning");
+}
+
+TEST(ParallelCluster, MoreWorkersThanHostCpus) {
+  // Eight workers on a host with fewer CPUs: a waiting worker runs past its
+  // spin budget into the yield and park phases of the window barrier.
+  const RunResult w1 = run_pairs(8, 1, 8);
+  const RunResult w8 = run_pairs(8, 8, 8);
+  expect_same(w1, w8, "workers 1 vs 8");
+  EXPECT_GT(w1.cross_events, 0u);
+}
+
+// A 64 B message into an 8 B receive. The receiver waits passively, so a
+// PIOMan hook matches the message and the length check throws from an
+// engine event rather than from inside the receiving fiber. Returns what
+// run() threw. The receiving fiber never resumes after the throw and is
+// torn down unfinished, so its buffers live on its stack: a heap buffer
+// would stay allocated.
+std::string truncated_receive_error(int partitions, int workers) {
+  ClusterConfig cfg;
+  cfg.partitions = partitions;
+  cfg.workers = workers;
+  cfg.nm.progress = ProgressMode::kPiomanHooks;
+  cfg.nm.wait = WaitMode::kPassive;
+  Cluster world(cfg);
+  world.spawn(0, [&world] {
+    const std::uint8_t m[64] = {};
+    world.core(0).send(world.gate(0, 1), 1, m, sizeof m);
+  });
+  world.spawn(1, [&world] {
+    std::uint8_t buf[8];
+    world.core(1).recv(world.gate(1, 0), 1, buf, sizeof buf);
+  });
+  try {
+    world.run();
+  } catch (const std::length_error& e) {
+    return e.what();
+  }
+  return "run() returned";
+}
+
+TEST(ParallelCluster, TruncatedReceiveThrowsAtEveryWorkerCount) {
+  const std::string expected = "nm: message exceeds receive buffer (64 > 8)";
+  EXPECT_EQ(truncated_receive_error(1, 1), expected);
+  for (const int workers : {1, 2}) {
+    EXPECT_EQ(truncated_receive_error(2, workers), expected)
+        << "workers " << workers;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -199,6 +201,110 @@ TEST(ParallelEngine, StopIsWindowGranular) {
   EXPECT_EQ(e.pending_events(), 1u);
 }
 
+// What a run stopped from its first window leaves behind.
+struct StopOutcome {
+  bool stopped;
+  std::size_t pending;
+  std::vector<std::uint64_t> executed;  ///< events per partition
+  int far_ran;
+};
+
+StopOutcome run_stopped(int workers) {
+  constexpr int kParts = 4;
+  Engine e;
+  e.configure_partitions(kParts, kLookahead);
+  e.set_workers(workers);
+  std::atomic<int> far_ran{0};
+  for (int p = 0; p < kParts; ++p) {
+    Engine::PartitionScope scope(e, p);
+    if (p == 0) e.schedule_at(0, [&] { e.stop(); });
+    e.schedule_at(10 + p, [] {});  // inside the first window
+    e.schedule_at(1000 + p, [&] { far_ran.fetch_add(1); });
+  }
+  e.run();
+  StopOutcome out{e.stopped(), e.pending_events(), {}, far_ran.load()};
+  for (int p = 0; p < kParts; ++p) {
+    out.executed.push_back(e.partition_events_executed(p));
+  }
+  return out;
+}
+
+TEST(ParallelEngine, StopFromAWindowEndsEveryWorker) {
+  // A worker that read the live stop flag after a barrier could leave the
+  // loop while another still ran the window that called stop(); that one
+  // then waited at the next barrier forever. Whether a worker is preempted
+  // at that point is up to the host, so repeat the run.
+  const StopOutcome ref = run_stopped(1);
+  EXPECT_TRUE(ref.stopped);
+  EXPECT_EQ(ref.far_ran, 0);
+  EXPECT_EQ(ref.pending, 4u);
+  EXPECT_EQ(ref.executed, (std::vector<std::uint64_t>{2, 1, 1, 1}));
+  for (const int workers : {2, 4}) {
+    for (int i = 0; i < 500; ++i) {
+      const StopOutcome got = run_stopped(workers);
+      ASSERT_TRUE(got.stopped) << "workers " << workers << " run " << i;
+      ASSERT_EQ(got.pending, ref.pending) << "workers " << workers;
+      ASSERT_EQ(got.executed, ref.executed) << "workers " << workers;
+      ASSERT_EQ(got.far_ran, 0) << "workers " << workers;
+    }
+  }
+}
+
+// What a run whose events threw leaves behind.
+struct ThrowOutcome {
+  std::string what;
+  std::size_t pending;
+  std::vector<std::uint64_t> executed;  ///< events per partition
+};
+
+ThrowOutcome run_throwing(int workers) {
+  constexpr int kParts = 4;
+  Engine e;
+  e.configure_partitions(kParts, kLookahead);
+  e.set_workers(workers);
+  for (int p = 0; p < kParts; ++p) {
+    Engine::PartitionScope scope(e, p);
+    e.schedule_at(20 + p, [] {});  // inside the first window
+    e.schedule_at(1000, [] {});    // beyond it
+  }
+  {
+    // Partition 1 throws earlier in virtual time, but partition 0 has the
+    // lower index, so its exception is the one the caller sees.
+    Engine::PartitionScope scope(e, 0);
+    e.schedule_at(50, [] { throw std::runtime_error("partition 0"); });
+    e.schedule_at(60, [] {});  // after the throw: the window ended there
+  }
+  {
+    Engine::PartitionScope scope(e, 1);
+    e.schedule_at(5, [] { throw std::runtime_error("partition 1"); });
+  }
+  ThrowOutcome out;
+  try {
+    e.run();
+  } catch (const std::runtime_error& ex) {
+    out.what = ex.what();
+  }
+  out.pending = e.pending_events();
+  for (int p = 0; p < kParts; ++p) {
+    out.executed.push_back(e.partition_events_executed(p));
+  }
+  return out;
+}
+
+TEST(ParallelEngine, EventExceptionReachesTheCallerAtEveryWorkerCount) {
+  const ThrowOutcome w1 = run_throwing(1);
+  EXPECT_EQ(w1.what, "partition 0");
+  // Partitions 2 and 3 finished the window; 0 and 1 ended it at the throw.
+  EXPECT_EQ(w1.executed, (std::vector<std::uint64_t>{2, 1, 1, 1}));
+  EXPECT_EQ(w1.pending, 6u);
+  for (const int workers : {2, 4}) {
+    const ThrowOutcome got = run_throwing(workers);
+    EXPECT_EQ(got.what, w1.what) << "workers " << workers;
+    EXPECT_EQ(got.executed, w1.executed) << "workers " << workers;
+    EXPECT_EQ(got.pending, w1.pending) << "workers " << workers;
+  }
+}
+
 TEST(ParallelEngine, TryAdvanceStaysBelowTheHorizon) {
   Engine e;
   e.configure_partitions(2, kLookahead);
@@ -254,6 +360,9 @@ TEST(ParallelEngine, TryAdvanceIgnoresStopInsideAWindow) {
 struct RingRun {
   Trace trace;
   std::vector<std::uint64_t> executed;  ///< events per partition
+  std::vector<std::uint64_t> slice_events;  ///< events run after each slice
+  std::size_t pending;
+  std::uint64_t barrier_wait_ns;
 };
 
 /// Tag bit marking a trace record written after a successful try_advance.
@@ -262,8 +371,12 @@ constexpr std::uint64_t kAdvanced = 0x8000;
 // Build one fixed communication pattern: each partition runs a chain of
 // events that alternates local work with cross sends to the next partition.
 // With @p advance, every event first tries to move its clock in place.
-// Returns the full execution trace and per-partition event counts.
-RingRun run_ring(int workers, bool advance = false) {
+// With @p slices > 0, run_until() drives it in that many steps of
+// kRingSlice instead of one run(). Returns the full execution trace and
+// per-partition event counts.
+constexpr Time kRingSlice = 50;  // the ring's traffic ends before 1000 ns
+
+RingRun run_ring(int workers, bool advance = false, int slices = 0) {
   constexpr int kParts = 4;
   constexpr int kHops = 64;
   Engine e;
@@ -294,8 +407,17 @@ RingRun run_ring(int workers, bool advance = false) {
     Engine::PartitionScope scope(e, p);
     e.schedule_at(p, [&, p] { hop(kHops, static_cast<std::uint64_t>(p)); });
   }
-  e.run();
-  RingRun out{std::move(trace), {}};
+  std::vector<std::uint64_t> slice_events;
+  if (slices == 0) {
+    e.run();
+  } else {
+    for (int k = 1; k <= slices; ++k) {
+      e.run_until(k * kRingSlice);
+      slice_events.push_back(e.events_executed());
+    }
+  }
+  RingRun out{std::move(trace), {}, std::move(slice_events),
+              e.pending_events(), e.barrier_wait_ns()};
   for (int p = 0; p < kParts; ++p) {
     out.executed.push_back(e.partition_events_executed(p));
   }
@@ -331,6 +453,28 @@ TEST(ParallelEngine, TryAdvanceIsIdenticalAcrossWorkerCounts) {
     EXPECT_LT(2 * advanced, static_cast<std::ptrdiff_t>(recs.size()))
         << "partition " << p;
   }
+}
+
+TEST(ParallelEngine, RepeatedRunUntilIsIdenticalAcrossWorkerCounts) {
+  // Every run_until() starts and joins its workers and leaves the clocks at
+  // its deadline; the slices must not make the schedule depend on them.
+  constexpr int kSlices = 20;
+  const RingRun w1 = run_ring(1, /*advance=*/true, kSlices);
+  const RingRun w2 = run_ring(2, /*advance=*/true, kSlices);
+  const RingRun w4 = run_ring(4, /*advance=*/true, kSlices);
+  EXPECT_EQ(w1.barrier_wait_ns, 0u);  // a lone worker never waits
+  EXPECT_EQ(w1.executed, w2.executed);
+  EXPECT_EQ(w1.executed, w4.executed);
+  for (std::size_t p = 0; p < w1.trace.per_part.size(); ++p) {
+    EXPECT_EQ(w1.trace.per_part[p], w2.trace.per_part[p]) << "partition " << p;
+    EXPECT_EQ(w1.trace.per_part[p], w4.trace.per_part[p]) << "partition " << p;
+  }
+  EXPECT_EQ(w1.slice_events, w2.slice_events);
+  EXPECT_EQ(w1.slice_events, w4.slice_events);
+  // The slices cut through the ring's traffic, and it has drained by the
+  // last one.
+  EXPECT_LT(w1.slice_events.front(), w1.slice_events.back());
+  EXPECT_EQ(w1.pending, 0u);
 }
 
 }  // namespace
