@@ -14,7 +14,7 @@
 // (settle subtracted), not the cold-start cost of posting requests.
 // Makespans are virtual time on the deterministic clock, so a strict
 // comparison is stable across hosts; the full threads x strategy sweep
-// lives in BM_ConcurrentSenders (BENCH_engine.json).
+// lives in BM_ConcurrentSenders (bench/micro_engine).
 #include <algorithm>
 #include <cstdio>
 #include <deque>

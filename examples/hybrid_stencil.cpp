@@ -44,6 +44,7 @@ int main() {
 
   nm::Cluster world(cfg);
   std::vector<NodeState> state(kNodes);
+  double global_heat = 0;
 
   for (int node = 0; node < kNodes; ++node) {
     NodeState& ns = state[static_cast<std::size_t>(node)];
@@ -55,7 +56,7 @@ int main() {
     if (node == 1) ns.cells[kCellsPerNode / 2 + 1] = 1000.0;
 
     for (int t = 0; t < kThreadsPerNode; ++t) {
-      world.spawn(node, [&world, &ns, node, t] {
+      world.spawn(node, [&world, &ns, &global_heat, node, t] {
         madmpi::Comm comm(world, node);
         auto& sched = world.sched(node);
         const int chunk = kCellsPerNode / kThreadsPerNode;
@@ -103,6 +104,7 @@ int main() {
           double total = sum;
           comm.allreduce_sum(&total, 1);
           if (node == 0) {
+            global_heat = total;
             std::printf("after %d iterations: global heat = %.6f "
                         "(conservation check, expect ~1000)\n",
                         kIterations, total);
@@ -122,5 +124,6 @@ int main() {
   std::printf("\nhybrid model: %d nodes x %d threads, fine-grain locking "
               "(MPI_THREAD_MULTIPLE equivalent)\n",
               kNodes, kThreadsPerNode);
-  return 0;
+  // Diffusion conserves heat: the initial 1000 must all still be there.
+  return std::abs(global_heat - 1000.0) < 1e-6 ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 // Demonstrates the MPI-flavoured interface (paper Sec. 2: "NEWMADELEINE
 // implements ... a MPI interface called Mad-MPI"): ring-neighbour
 // exchanges via sendrecv, then the built-in collectives.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -16,8 +17,9 @@ int main() {
   cfg.nodes = kNodes;
 
   nm::Cluster world(cfg);
+  bool ok = true;
 
-  madmpi::launch(world, [&world](madmpi::Comm comm) {
+  madmpi::launch(world, [&world, &ok](madmpi::Comm comm) {
     const int r = comm.rank();
     const int n = comm.size();
     const int right = (r + 1) % n;
@@ -32,7 +34,10 @@ int main() {
       token = incoming;
     }
     // After n hops everyone has their own rank back.
-    if (token != r) std::printf("rank %d: ring shift FAILED\n", r);
+    if (token != r) {
+      std::printf("rank %d: ring shift FAILED\n", r);
+      ok = false;
+    }
 
     comm.barrier();
 
@@ -55,12 +60,13 @@ int main() {
       for (int i = 0; i < n; ++i) {
         std::printf("  rank %d: %.2f\n", i, all[static_cast<std::size_t>(i)]);
       }
-      std::printf("allreduce total: %.2f (expected %.2f)\n", total,
-                  1.0 * (n * (n + 1) / 2));
+      const double expected = 1.0 * (n * (n + 1) / 2);
+      std::printf("allreduce total: %.2f (expected %.2f)\n", total, expected);
+      if (std::abs(total - expected) > 1e-9) ok = false;
       std::printf("virtual time: %.3f ms\n", comm.wtime() * 1e3);
     }
   });
 
   world.run();
-  return 0;
+  return ok ? 0 : 1;
 }

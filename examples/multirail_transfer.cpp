@@ -15,7 +15,9 @@ namespace {
 
 constexpr std::size_t kMessage = 4 * 1024 * 1024;
 
-double run_transfer(bool multirail) {
+/// Transfers kMessage bytes and returns the achieved GB/s; clears @p intact
+/// if the receiver's integrity check fails.
+double run_transfer(bool multirail, bool& intact) {
   nm::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.rails = {net::NicParams::myri10g()};
@@ -41,7 +43,7 @@ double run_transfer(bool multirail) {
     gbps = static_cast<double>(kMessage) / sim::to_sec(dt) / 1e9;
   });
 
-  world.spawn(1, [&world] {
+  world.spawn(1, [&world, &intact] {
     nm::Core& core = world.core(1);
     nm::Gate* g = world.gate(1, 0);
     std::vector<std::uint8_t> buf(kMessage);
@@ -53,7 +55,10 @@ double run_transfer(bool multirail) {
     }
     std::uint8_t ack = ok ? 1 : 0;
     core.send(g, 2, &ack, 1);
-    if (!ok) std::printf("INTEGRITY FAILURE\n");
+    if (!ok) {
+      std::printf("INTEGRITY FAILURE\n");
+      intact = false;
+    }
   });
 
   world.run();
@@ -65,11 +70,12 @@ double run_transfer(bool multirail) {
 int main() {
   std::printf("transferring %zu MiB (rendezvous, ack-confirmed)\n\n",
               kMessage / (1024 * 1024));
-  const double single = run_transfer(false);
-  const double dual = run_transfer(true);
+  bool intact = true;
+  const double single = run_transfer(false, intact);
+  const double dual = run_transfer(true, intact);
   std::printf("%-44s %8.3f GB/s\n", "single rail (Myri-10G):", single);
   std::printf("%-44s %8.3f GB/s\n", "dual rail (Myri-10G + ConnectX IB, split):",
               dual);
   std::printf("\nrail aggregation speedup: %.2fx\n", dual / single);
-  return 0;
+  return intact ? 0 : 1;
 }

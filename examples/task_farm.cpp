@@ -41,13 +41,13 @@ int main() {
   cfg.nm.wait = nm::WaitMode::kPassive;  // block, don't spin
   cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
   nm::Cluster world(cfg);
+  std::uint64_t checksum = 0;
 
   // --- master: deal items round-robin-on-demand, collect results ----------
-  world.spawn(0, [&world] {
+  world.spawn(0, [&world, &checksum] {
     nm::Core& c = world.core(0);
     std::uint32_t next_item = 0;
     int outstanding = 0;
-    std::uint64_t checksum = 0;
 
     // Prime every worker thread with one item.
     for (int w = 1; w <= kWorkers; ++w) {
@@ -138,5 +138,5 @@ int main() {
               "threads blocked passively\nbetween items (PIOMan hooks "
               "progressed the transfers)\n",
               kWorkers * kThreadsPerWorker, kWorkers, kItems);
-  return 0;
+  return checksum == expect ? 0 : 1;
 }

@@ -55,13 +55,6 @@ void Comm::wait_all(std::vector<nm::Request*>& reqs) {
   reqs.clear();
 }
 
-std::size_t Comm::wait_any(std::vector<nm::Request*>& reqs) {
-  const std::size_t i = core().wait_any(reqs);
-  core().release(reqs[i]);
-  reqs[i] = nullptr;
-  return i;
-}
-
 std::size_t Comm::sendrecv(int dst, Tag send_tag, const void* send_buf,
                            std::size_t send_len, int src, Tag recv_tag,
                            void* recv_buf, std::size_t recv_capacity) {
@@ -217,52 +210,6 @@ void Comm::gather(int root, const void* in, std::size_t len, void* out) {
     }
   } else {
     core().send(gate(root), coll_tag(4, rank_), in, len);
-  }
-}
-
-void Comm::scatter(int root, const void* in, std::size_t len, void* out) {
-  if (rank_ == root) {
-    const auto* src = static_cast<const std::uint8_t*>(in);
-    std::memcpy(out, src + static_cast<std::size_t>(rank_) * len, len);
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      core().send(gate(r), coll_tag(5, r),
-                  src + static_cast<std::size_t>(r) * len, len);
-    }
-  } else {
-    const std::size_t got =
-        core().recv(gate(root), coll_tag(5, rank_), out, len);
-    if (got != len) throw std::runtime_error("scatter: length mismatch");
-  }
-}
-
-void Comm::allgather(const void* in, std::size_t len, void* out) {
-  auto* dst = static_cast<std::uint8_t*>(out);
-  if (rank_ == 0) {
-    gather(0, in, len, out);
-  } else {
-    gather(0, in, len, nullptr);
-    (void)dst;
-  }
-  bcast(0, out, static_cast<std::size_t>(size()) * len);
-}
-
-void Comm::alltoall(const void* in, std::size_t len, void* out) {
-  const int n = size();
-  const auto* src = static_cast<const std::uint8_t*>(in);
-  auto* dst = static_cast<std::uint8_t*>(out);
-  // Own block: local copy.
-  std::memcpy(dst + static_cast<std::size_t>(rank_) * len,
-              src + static_cast<std::size_t>(rank_) * len, len);
-  // Ring schedule: in step k exchange with (rank +/- k); every pair
-  // exchanges exactly once per step, so no rank oversubscribes.
-  for (int k = 1; k < n; ++k) {
-    const int to = (rank_ + k) % n;
-    const int from = (rank_ - k % n + n) % n;
-    const std::size_t got = sendrecv(
-        to, coll_tag(6, k), src + static_cast<std::size_t>(to) * len, len,
-        from, coll_tag(6, k), dst + static_cast<std::size_t>(from) * len, len);
-    if (got != len) throw std::runtime_error("alltoall: length mismatch");
   }
 }
 

@@ -47,10 +47,6 @@ class Comm {
   bool test(nm::Request* req);
   void wait_all(std::vector<nm::Request*>& reqs);
 
-  /// MPI_Waitany equivalent: waits for one completion, releases it, nulls
-  /// its slot, and returns its index.
-  std::size_t wait_any(std::vector<nm::Request*>& reqs);
-
   /// Combined exchange (MPI_Sendrecv): posts the receive first, so large
   /// exchanges cannot deadlock.
   std::size_t sendrecv(int dst, Tag send_tag, const void* send_buf,
@@ -83,18 +79,6 @@ class Comm {
   /// Gather @p len bytes from every rank into @p out (root only; size() *
   /// len bytes, rank order).
   void gather(int root, const void* in, std::size_t len, void* out);
-
-  /// Scatter @p len bytes per rank from @p in (root only) into @p out.
-  void scatter(int root, const void* in, std::size_t len, void* out);
-
-  /// Gather @p len bytes from every rank into every rank's @p out
-  /// (size() * len bytes, rank order). gather-to-0 + bcast.
-  void allgather(const void* in, std::size_t len, void* out);
-
-  /// Personalized all-to-all: @p in holds size() blocks of @p len bytes
-  /// (block i for rank i); @p out receives one block from every rank, in
-  /// rank order. Ring-scheduled pairwise sendrecv.
-  void alltoall(const void* in, std::size_t len, void* out);
 
  private:
   nm::Core& core() const { return world_->core(rank_); }

@@ -15,6 +15,9 @@ namespace pm2::nm {
 namespace {
 constexpr int kMaxRails = 4;
 
+/// Fixed per-call bookkeeping cost of the public API.
+constexpr sim::Time kApiCost = 50;
+
 sim::Time copy_cost(double ns_per_byte, std::size_t bytes) {
   return static_cast<sim::Time>(
       std::llround(ns_per_byte * static_cast<double>(bytes)));
@@ -200,12 +203,10 @@ Request* Core::alloc_request() {
   req->msg_seq_ = 0;
   req->seq_bound_ = false;
   req->send_data_ = nullptr;
-  req->send_slices_.clear();
   req->inflight_chunks_ = 0;
   req->fully_submitted_ = false;
   req->rdv_granted_ = false;
   req->recv_buf_ = nullptr;
-  req->recv_slices_.clear();
   req->capacity_ = 0;
   req->host_copies_ = 0;
   req->total_len_ = 0;
@@ -287,27 +288,10 @@ Request* Core::isend(Gate* gate, Tag tag, const void* data, std::size_t len) {
   assert(gate != nullptr);
   assert(tag != kAnyTag && "kAnyTag is receive-only");
   auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
+  ctx.charge(kApiCost);
 
   Request* req = alloc_request();
   req->send_data_ = static_cast<const std::uint8_t*>(data);
-  const int e = endpoint_of(tag);
-  req->ep_ = e;
-  return launch_send(ctx, *eps_[static_cast<std::size_t>(e)], req,
-                     gate_on(e, gate), tag, len);
-}
-
-Request* Core::isend_sg(Gate* gate, Tag tag, const ConstIoSlice* slices,
-                        std::size_t count) {
-  assert(gate != nullptr);
-  assert(tag != kAnyTag && "kAnyTag is receive-only");
-  auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
-
-  Request* req = alloc_request();
-  req->send_slices_.assign(slices, slices + count);
-  std::size_t len = 0;
-  for (std::size_t i = 0; i < count; ++i) len += slices[i].len;
   const int e = endpoint_of(tag);
   req->ep_ = e;
   return launch_send(ctx, *eps_[static_cast<std::size_t>(e)], req,
@@ -353,10 +337,6 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   pw.tag = tag;
   pw.msg_seq = req->msg_seq_;
   pw.data = req->send_data_;
-  if (!req->send_slices_.empty()) {
-    pw.slices = req->send_slices_.data();
-    pw.n_slices = req->send_slices_.size();
-  }
   pw.len = len;
   pw.cookie = req->id_;
   if (rdv) {
@@ -368,7 +348,7 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   }
   mark_active(ep);
   if (inline_submit) {
-    ep.strategy_->arrange(cfg_, *gate, ep.rail_ptrs_, ctx, staged);
+    ep.strategy_.arrange(*gate, ep.rail_ptrs_, ctx, staged);
   }
   ep.locks_.unlock(Domain::kCollect);
 
@@ -402,31 +382,10 @@ void Core::kick_submission(mth::ExecContext& ctx, Endpoint& ep) {
 Request* Core::irecv(Gate* gate, Tag tag, void* buf, std::size_t capacity) {
   assert(gate != nullptr);
   auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
+  ctx.charge(kApiCost);
 
   Request* req = alloc_request();
   req->recv_buf_ = static_cast<std::uint8_t*>(buf);
-  req->capacity_ = capacity;
-  if (tag == kAnyTag && num_eps_ > 1) {
-    return launch_recv_wildcard(ctx, req, gate);
-  }
-  const int e = endpoint_of(tag);
-  req->ep_ = e;
-  return launch_recv(ctx, *eps_[static_cast<std::size_t>(e)], req,
-                     gate_on(e, gate), tag);
-}
-
-Request* Core::irecv_sg(Gate* gate, Tag tag, const IoSlice* slices,
-                        std::size_t count) {
-  assert(gate != nullptr);
-  auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
-
-  Request* req = alloc_request();
-  req->recv_slices_.assign(slices, slices + count);
-  req->recv_buf_ = nullptr;
-  std::size_t capacity = 0;
-  for (std::size_t i = 0; i < count; ++i) capacity += slices[i].len;
   req->capacity_ = capacity;
   if (tag == kAnyTag && num_eps_ > 1) {
     return launch_recv_wildcard(ctx, req, gate);
@@ -460,12 +419,12 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
     *adopted_rdv = true;
     return true;
   }
-  // Scatter the retained unexpected pieces into the user buffer: the single
+  // Copy the retained unexpected pieces into the user buffer: the single
   // host copy of the unexpected eager path. The rest of the message, if
   // any, is still in flight and finds the receive bound.
   if (um.filled > 0) {
     for (const auto& piece : um.pieces) {
-      req->scatter_into(piece.offset, piece.data, piece.len);
+      req->copy_in(piece.offset, piece.data, piece.len);
     }
     ++req->host_copies_;
     m_adopt_bytes_copied_.inc(um.filled);
@@ -650,14 +609,14 @@ Request* Core::claim_wildcard_locked(const Gate& gate) {
 
 bool Core::test(Request* req) {
   auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
+  ctx.charge(kApiCost);
   (void)ctx;
   return req->flag_.test();
 }
 
 void Core::wait(Request* req) {
   auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
+  ctx.charge(kApiCost);
 
   if (cfg_.progress == ProgressMode::kPollThread) {
     // Progression belongs to the dedicated thread; we only watch the flag
@@ -677,66 +636,44 @@ void Core::wait(Request* req) {
   // so two waiters can never hold-and-wait across endpoints.
   Endpoint& own = *eps_[static_cast<std::size_t>(req->ep_)];
 
-  auto progress_once = [&] {
-    if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
-      // Polling goes through PIOMan (Fig. 6 configuration).
-      pioman_->poll_once(ctx);
-    } else {
-      progress_pass(ctx, own.id_, /*use_try=*/true);
-    }
-  };
-
-  switch (cfg_.wait) {
-    case WaitMode::kBusy:
-      // Coarse-grain semantics (Sec. 3.1): the mutex is held for the whole
-      // visit to the library -- the busy-waiting thread keeps it for the
-      // entire polling loop, which is exactly what serializes concurrent
-      // communication in Fig. 5. (Re-entrant: inner passes elide locks.)
-      // The loop is preemptible at timeslice boundaries (with the lock
-      // RELEASED around the preemption) so an oversubscribed core cannot
-      // be starved by its own spinner.
-      own.locks_.lock_library();
-      while (!req->flag_.test()) {
-        progress_once();
-        if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
-          const int depth = own.locks_.release_library_all();
-          sched_.maybe_preempt();
-          own.locks_.reacquire_library(depth);
-        }
+  if (cfg_.wait != WaitMode::kPassive) {
+    // Coarse-grain semantics (Sec. 3.1): the mutex is held for the whole
+    // visit to the library -- the spinning thread keeps it for the entire
+    // polling loop, which is exactly what serializes concurrent
+    // communication in Fig. 5. (Re-entrant: inner passes elide locks.)
+    // The loop is preemptible at timeslice boundaries (with the lock
+    // RELEASED around the preemption) so an oversubscribed core cannot be
+    // starved by its own spinner. Busy waiting spins until completion;
+    // fixed-spin waiting for its budget, then blocks below.
+    const sim::Time deadline = cfg_.wait == WaitMode::kBusy
+                                   ? sim::kTimeInfinity
+                                   : engine().now() + cfg_.fixed_spin_budget;
+    own.locks_.lock_library();
+    while (engine().now() < deadline) {
+      if (req->flag_.test()) {
+        own.locks_.unlock_library();
+        return;
       }
-      own.locks_.unlock_library();
-      return;
-    case WaitMode::kPassive: {
-      // "The mutex is released before entering a blocking section":
-      // progression must come from elsewhere (PIOMan hooks, other threads).
-      const int depth = own.locks_.release_library_all();
-      req->flag_.wait_passive();
-      own.locks_.reacquire_library(depth);
-      return;
-    }
-    case WaitMode::kFixedSpin: {
-      const sim::Time deadline = engine().now() + cfg_.fixed_spin_budget;
-      own.locks_.lock_library();
-      while (engine().now() < deadline) {
-        if (req->flag_.test()) {
-          own.locks_.unlock_library();
-          return;
-        }
-        progress_once();
-        if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
-          const int depth = own.locks_.release_library_all();
-          sched_.maybe_preempt();
-          own.locks_.reacquire_library(depth);
-        }
+      if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
+        // Polling goes through PIOMan (Fig. 6 configuration).
+        pioman_->poll_once(ctx);
+      } else {
+        progress_pass(ctx, own.id_, /*use_try=*/true);
       }
-      own.locks_.unlock_library();
-      // Release any enclosing library visit too before blocking.
-      const int depth = own.locks_.release_library_all();
-      req->flag_.wait_passive();
-      own.locks_.reacquire_library(depth);
-      return;
+      if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
+        const int depth = own.locks_.release_library_all();
+        sched_.maybe_preempt();
+        own.locks_.reacquire_library(depth);
+      }
     }
+    own.locks_.unlock_library();
   }
+  // "The mutex is released before entering a blocking section" -- any
+  // enclosing library visit too: progression must come from elsewhere
+  // (PIOMan hooks, other threads).
+  const int depth = own.locks_.release_library_all();
+  req->flag_.wait_passive();
+  own.locks_.reacquire_library(depth);
 }
 
 // Note: the blocking conveniences are deliberately NOT one lock-held
@@ -746,41 +683,6 @@ void Core::wait(Request* req) {
 // trap the paper's "the mutex is also released before entering a blocking
 // section" warns about. The wait itself still holds the lock across its
 // polling loop (see wait()).
-
-std::size_t Core::wait_any(const std::vector<Request*>& reqs) {
-  auto& ctx = mth::ExecContext::current();
-  ctx.charge(cfg_.api_cost);
-  assert(std::any_of(reqs.begin(), reqs.end(),
-                     [](Request* r) { return r != nullptr; }) &&
-         "wait_any with no live requests");
-  // With one endpoint the loop is one library visit, like wait()'s. The
-  // requests of several endpoints share no library lock, so at N > 1 the
-  // loop holds none and its blocking passes are safe: no endpoint lock is
-  // held between passes.
-  LockSet* held = num_eps_ == 1 ? &eps_[0]->locks_ : nullptr;
-  if (held != nullptr) held->lock_library();
-  for (;;) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      // Cheap host peek first; one priced read on the hit.
-      if (reqs[i] != nullptr && reqs[i]->flag_.is_set()) {
-        reqs[i]->flag_.test();
-        if (held != nullptr) held->unlock_library();
-        return i;
-      }
-    }
-    ctx.charge(sched_.costs().spin_retry);
-    if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
-      pioman_->poll_once(ctx);
-    } else {
-      progress(ctx);
-    }
-    if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
-      const int depth = held != nullptr ? held->release_library_all() : 0;
-      sched_.maybe_preempt();
-      if (held != nullptr) held->reacquire_library(depth);
-    }
-  }
-}
 
 void Core::send(Gate* gate, Tag tag, const void* data, std::size_t len) {
   Request* req = isend(gate, tag, data, len);
@@ -984,7 +886,7 @@ bool Core::submit_step(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
       Gate& g = *ep.gates_[i];
       if (!g.has_outgoing()) continue;
       ctx.touch(g.out_line_);
-      ep.strategy_->arrange(cfg_, g, ep.rail_ptrs_, ctx, staged);
+      ep.strategy_.arrange(g, ep.rail_ptrs_, ctx, staged);
     }
     ep.locks_.unlock(Domain::kCollect);
   }
@@ -1003,7 +905,7 @@ bool Core::commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
     if (!a.pkt.placements.empty()) {
       std::uint64_t placed = 0;
       for (const RdvPlacement& pl : a.pkt.placements) {
-        pl.dst->scatter_into(pl.msg_off, pl.src, pl.len);
+        pl.dst->copy_in(pl.msg_off, pl.src, pl.len);
         placed += pl.len;
       }
       m_placed_bytes_.inc(placed);
@@ -1307,9 +1209,11 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // carries the receiving request -- the advertised memory window --
       // so the data chunks can be *placed* with zero host copies.
       auto it = ep.send_by_cookie_.find(h.cookie);
-      assert(it != ep.send_by_cookie_.end() && "CTS for unknown request");
+      if (it == ep.send_by_cookie_.end() || it->second->rdv_granted_) {
+        m_rx_rejected_.inc();  // no send is waiting for this grant
+        return;
+      }
       Request* req = it->second;
-      assert(!req->rdv_granted_);
       req->rdv_granted_ = true;
       m_rdv_handshakes_.add_always();
       PackWrapper pw;
@@ -1318,10 +1222,6 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       pw.tag = req->tag_;
       pw.msg_seq = req->msg_seq_;
       pw.data = req->send_data_;
-      if (!req->send_slices_.empty()) {
-        pw.slices = req->send_slices_.data();
-        pw.n_slices = req->send_slices_.size();
-      }
       pw.len = req->total_len_;
       pw.cookie = req->id_;
       pw.rdv_window = static_cast<Request*>(note);
@@ -1352,11 +1252,22 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
     case ChunkKind::kEager:
     case ChunkKind::kRdvData: {
       // The first chunk of a message to arrive matches and binds it; its
-      // other chunks find the receive bound.
+      // other chunks find the receive bound. A chunk must lie inside its
+      // message and agree with the part already received; a malformed one
+      // is dropped.
+      if (std::uint64_t{h.offset} + h.chunk_len > h.total_len) {
+        m_rx_rejected_.inc();
+        return;
+      }
       Request* req = nullptr;
       auto bound = gate.bound_recvs_.find(h.msg_seq);
       if (bound != gate.bound_recvs_.end()) {
         req = bound->second;
+        if (h.total_len != req->total_len_ ||
+            h.chunk_len > req->total_len_ - req->filled_) {
+          m_rx_rejected_.inc();
+          return;
+        }
       } else {
         req = match_posted_locked(ep, gate, h.tag);
         if (req != nullptr) {
@@ -1365,8 +1276,8 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       }
       if (req != nullptr) {
         deliver_chunk_locked(ctx, rail, gate, req, h, data);
-      } else {
-        store_unexpected_locked(ctx, rail, gate, h, data, backing);
+      } else if (!store_unexpected_locked(ctx, rail, gate, h, data, backing)) {
+        return;
       }
       // An eager message counts as matched in channel order at its first
       // byte (rendezvous ones at their RTS).
@@ -1378,7 +1289,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
   }
 }
 
-void Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
+bool Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
                                    Gate& gate, const ChunkHeader& h,
                                    const std::uint8_t* data,
                                    const net::SlabRef* backing) {
@@ -1399,6 +1310,10 @@ void Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
     um->tag = h.tag;
     um->msg_seq = h.msg_seq;
     um->total_len = h.total_len;
+  } else if (um->is_rdv || h.total_len != um->total_len ||
+             h.chunk_len > um->total_len - um->filled) {
+    m_rx_rejected_.inc();
+    return false;
   }
   if (h.chunk_len > 0) {
     assert(data != nullptr && "placed chunk arrived unexpected");
@@ -1423,6 +1338,7 @@ void Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
   }
   um->filled += h.chunk_len;
   m_unexpected_chunks_.add_always();
+  return true;
 }
 
 void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
@@ -1483,9 +1399,9 @@ void Core::deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
     assert(h.offset + h.chunk_len <= req->capacity_);
     // Placed chunks (data == nullptr) already landed in the window at
     // commit time -- zero host copies on this side. Everything else is
-    // scattered from the rx ring into the user buffer(s) here.
+    // copied from the rx ring into the user buffer here.
     if (data != nullptr) {
-      req->scatter_into(h.offset, data, h.chunk_len);
+      req->copy_in(h.offset, data, h.chunk_len);
       ++req->host_copies_;
       m_deliver_bytes_copied_.inc(h.chunk_len);
       m_bytes_copied_.inc(h.chunk_len);

@@ -139,20 +139,8 @@ class Core final : public piom::PollSource {
   /// wire (buffer reusable). @p data must stay valid until completion.
   Request* isend(Gate* gate, Tag tag, const void* data, std::size_t len);
 
-  /// Non-blocking scatter/gather send: the message is the concatenation of
-  /// @p slices. The slice *array* is copied; the segment bytes must stay
-  /// valid until completion (they are gathered at most once, directly into
-  /// the wire buffer).
-  Request* isend_sg(Gate* gate, Tag tag, const ConstIoSlice* slices,
-                    std::size_t count);
-
   /// Non-blocking receive into @p buf (up to @p capacity bytes).
   Request* irecv(Gate* gate, Tag tag, void* buf, std::size_t capacity);
-
-  /// Non-blocking scatter receive: incoming bytes land across @p slices in
-  /// order, with no intermediate staging buffer.
-  Request* irecv_sg(Gate* gate, Tag tag, const IoSlice* slices,
-                    std::size_t count);
 
   /// Completion check (one priced flag read). Does not release.
   bool test(Request* req);
@@ -160,12 +148,6 @@ class Core final : public piom::PollSource {
   /// Wait for completion using the configured WaitMode. Does not release,
   /// so received_length() stays queryable; call release() when done.
   void wait(Request* req);
-
-  /// Wait until any request in @p reqs completes; returns its index.
-  /// Null entries are skipped; at least one entry must be non-null.
-  /// Always progress-polls (the fixed-spin/passive policies do not apply:
-  /// multiple flags cannot share one blocking slot efficiently here).
-  std::size_t wait_any(const std::vector<Request*>& reqs);
 
   /// Return a completed request to the core.
   void release(Request* req);
@@ -239,7 +221,9 @@ class Core final : public piom::PollSource {
                             Request* req, const ChunkHeader& h,
                             const std::uint8_t* data);
   /// Keep an eager chunk no posted receive matched, for a later irecv.
-  void store_unexpected_locked(mth::ExecContext& ctx, int rail, Gate& gate,
+  /// Returns false (and counts an rx reject) if the chunk disagrees with
+  /// the part of its message already stored.
+  bool store_unexpected_locked(mth::ExecContext& ctx, int rail, Gate& gate,
                                const ChunkHeader& h, const std::uint8_t* data,
                                const net::SlabRef* backing);
   /// RTS body of handle_chunk_locked (match-or-unexpected plus the CTS
@@ -363,8 +347,10 @@ class Core final : public piom::PollSource {
   obs::Counter m_unexpected_chunks_;
   obs::Counter m_rdv_handshakes_;
   obs::Counter m_progress_passes_;
-  /// Packets dropped on receive: unknown source port or malformed payload.
-  /// Registry-gated, like the data-path counters below.
+  /// Input dropped on receive: a packet from an unknown source port or
+  /// with a malformed payload, a data chunk that overruns or contradicts
+  /// its message, or a CTS no waiting send asked for. Registry-gated, like
+  /// the data-path counters below.
   obs::Counter m_rx_rejected_;
 
   // Data-path copy observability (registry-gated; zero cost when the

@@ -14,7 +14,7 @@ Endpoint::Endpoint(mth::Scheduler& sched, const Config& cfg, int id,
       // suffix the prefix so lock metrics and simsan reports stay apart.
       locks_(sched, cfg.lock, max_rails,
              id == 0 ? "nm" : "nm-ep" + std::to_string(id)),
-      strategy_(Strategy::make(cfg.strategy)) {
+      strategy_(cfg.strategy) {
   src_to_gate_.resize(static_cast<std::size_t>(max_rails));
   san_deferred_.set_name(name_ + ".deferred");
   if (count > 1) {

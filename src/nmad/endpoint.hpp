@@ -104,7 +104,7 @@ class Endpoint {
   std::deque<std::unique_ptr<Gate>> gates_;
   std::unordered_map<int, Gate*> by_peer_;
 
-  std::unique_ptr<Strategy> strategy_;
+  Strategy strategy_;
 
   /// Protocol pack-wrappers produced while holding this endpoint's
   /// matching lock (CTS replies, granted rendezvous data); moved into the

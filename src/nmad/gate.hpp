@@ -8,8 +8,8 @@
 //     in-flight wire message, and the unexpected-message store.
 //
 // Gate is a data holder; the logic that manipulates it lives in Core (with
-// locking applied according to the configured LockMode) and in the
-// strategies.
+// locking applied according to the configured LockMode) and in
+// Strategy::arrange().
 #pragma once
 
 #include <cstdint>
@@ -41,9 +41,6 @@ struct PackWrapper {
   Tag tag = 0;
   std::uint32_t msg_seq = 0;
   const std::uint8_t* data = nullptr;  ///< message bytes (kEager / kRdvData)
-  /// Scatter/gather source segments (data is null when set).
-  const ConstIoSlice* slices = nullptr;
-  std::size_t n_slices = 0;
   std::size_t len = 0;                 ///< total message length
   std::size_t offset = 0;              ///< next byte to submit (split sends)
   std::uint64_t cookie = 0;            ///< rendezvous correlation
@@ -102,7 +99,7 @@ class Gate {
 
  private:
   friend class Core;
-  friend class Strategy;  // arrange_fifo manipulates the collect lists
+  friend class Strategy;  // arrange() manipulates the collect lists
 
   int peer_node_;
   std::vector<int> peer_ports_;

@@ -1,11 +1,8 @@
 // pm2sim -- communication requests (the objects behind nm_isend / nm_irecv).
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "nmad/types.hpp"
 #include "sync/completion_flag.hpp"
@@ -61,28 +58,9 @@ class Request {
   friend class Core;
   friend class Strategy;  // submission accounting (inflight chunks)
 
-  /// Land @p len bytes at message offset @p offset: directly into the flat
-  /// receive buffer, or walked across the scatter list (irecv_sg).
-  void scatter_into(std::size_t offset, const std::uint8_t* src,
-                    std::size_t len) {
-    if (len == 0) return;
-    if (recv_slices_.empty()) {
-      std::memcpy(recv_buf_ + offset, src, len);
-      return;
-    }
-    for (const auto& s : recv_slices_) {
-      if (offset >= s.len) {
-        offset -= s.len;
-        continue;
-      }
-      const std::size_t take = std::min(len, s.len - offset);
-      std::memcpy(static_cast<std::uint8_t*>(s.base) + offset, src, take);
-      src += take;
-      len -= take;
-      offset = 0;
-      if (len == 0) break;
-    }
-    assert(len == 0 && "scatter past the registered segments");
+  /// Land @p len bytes at message offset @p offset of the receive buffer.
+  void copy_in(std::size_t offset, const std::uint8_t* src, std::size_t len) {
+    if (len > 0) std::memcpy(recv_buf_ + offset, src, len);
   }
 
   sync::CompletionFlag flag_;
@@ -97,16 +75,12 @@ class Request {
 
   // Send side.
   const std::uint8_t* send_data_ = nullptr;
-  /// Scatter/gather source segments (isend_sg); send_data_ is null when
-  /// set. The *bytes* must stay valid until completion, like send_data_.
-  std::vector<ConstIoSlice> send_slices_;
   unsigned inflight_chunks_ = 0;  ///< posted to a NIC, wire not done yet
   bool fully_submitted_ = false;  ///< all bytes handed to the transfer layer
   bool rdv_granted_ = false;      ///< CTS received
 
   // Receive side.
   std::uint8_t* recv_buf_ = nullptr;
-  std::vector<IoSlice> recv_slices_;  ///< scatter destinations (irecv_sg)
   std::size_t capacity_ = 0;
   std::uint16_t host_copies_ = 0;  ///< host memcpys this message's bytes took
 

@@ -7,18 +7,18 @@
 
 namespace pm2::nm {
 
-Strategy::~Strategy() = default;
-
-std::unique_ptr<Strategy> Strategy::make(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kDefault: return std::make_unique<DefaultStrategy>();
-    case StrategyKind::kAggreg: return std::make_unique<AggregStrategy>();
-    case StrategyKind::kSplit: return std::make_unique<SplitStrategy>();
-  }
-  return std::make_unique<DefaultStrategy>();
-}
-
 namespace {
+
+/// Maximum aggregated packet payload (kAggreg / kSplit).
+constexpr std::size_t kAggregMax = 4096;
+/// Minimum message size worth splitting across rails (kSplit).
+constexpr std::size_t kSplitMin = std::size_t{16} * 1024;
+/// Arrangement CPU cost: per packet arranged / per chunk placed.
+constexpr sim::Time kPacketCost = 60;
+constexpr sim::Time kChunkCost = 40;
+/// Cap on packets one arrangement round may stage (bounds the work done in
+/// a single progression pass).
+constexpr std::size_t kMaxPacketsPerRound = 8;
 
 ChunkHeader header_for(const PackWrapper& pw, std::size_t chunk_len, int ep) {
   ChunkHeader h;
@@ -38,37 +38,14 @@ ChunkHeader header_for(const PackWrapper& pw, std::size_t chunk_len, int ep) {
   return h;
 }
 
-/// Visit the contiguous pieces of [from, from+len) of @p pw's message,
-/// whether it is a flat buffer or a scatter/gather slice list.
-template <typename Fn>
-void for_each_piece(const PackWrapper& pw, std::size_t from, std::size_t len,
-                    Fn&& fn) {
-  if (len == 0) return;
-  if (pw.slices == nullptr) {
-    fn(pw.data + from, len);
-    return;
-  }
-  std::size_t skip = from;
-  for (std::size_t i = 0; i < pw.n_slices && len > 0; ++i) {
-    const ConstIoSlice& s = pw.slices[i];
-    if (skip >= s.len) {
-      skip -= s.len;
-      continue;
-    }
-    const std::size_t take = std::min(len, s.len - skip);
-    fn(static_cast<const std::uint8_t*>(s.base) + skip, take);
-    len -= take;
-    skip = 0;
-  }
-  assert(len == 0 && "message extends past its scatter/gather list");
-}
-
 }  // namespace
 
-void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
-                            const std::vector<Driver*>& rails,
-                            mth::ExecContext& ctx, std::size_t aggreg_budget,
-                            bool split_rdv, std::vector<Arranged>& out) {
+Strategy::Strategy(StrategyKind kind)
+    : aggreg_budget_(kind == StrategyKind::kDefault ? 0 : kAggregMax),
+      split_rdv_(kind == StrategyKind::kSplit) {}
+
+void Strategy::arrange(Gate& gate, const std::vector<Driver*>& rails,
+                       mth::ExecContext& ctx, std::vector<Arranged>& out) {
   assert(!rails.empty());
   // Arranging consumes the collect lists; the caller holds the collect lock.
   SIMSAN_ACCESS(gate.san_collect_);
@@ -90,9 +67,8 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
   std::uint64_t gathered_bytes = 0;
   std::uint32_t gathered_chunks = 0;
 
-  auto account_chunk = [&](PackWrapper& pw, std::size_t chunk_len) {
-    (void)chunk_len;
-    cost += cfg.strategy_chunk_cost;
+  auto account_chunk = [&](PackWrapper& pw) {
+    cost += kChunkCost;
     // Data-bearing wrappers complete via wire-done accounting, including
     // zero-length messages; RTS completion instead awaits the bulk data.
     if (pw.req != nullptr && (pw.kind == PackWrapper::Kind::kEager ||
@@ -105,11 +81,8 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
   // copy of the eager path (and of rendezvous fallback when no window is
   // known, e.g. raw-injected CTS).
   auto gather_chunk = [&](PackWrapper& pw, std::size_t len) {
-    builder_.add_chunk_begin(header_for(pw, len, gate.endpoint()));
-    for_each_piece(pw, pw.offset, len,
-                   [&](const std::uint8_t* p, std::size_t n) {
-                     builder_.gather(p, n);
-                   });
+    builder_.add_chunk(header_for(pw, len, gate.endpoint()),
+                       pw.data + pw.offset);
     if (len > 0) {
       gathered_bytes += len;
       ++gathered_chunks;
@@ -132,7 +105,7 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
     gathered_bytes = 0;
     gathered_chunks = 0;
     out.push_back(std::move(a));
-    cost += cfg.strategy_packet_cost;
+    cost += kPacketCost;
   };
 
   // 1. Protocol control chunks (RTS / CTS) ride first, aggregated. A CTS
@@ -144,23 +117,23 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
     if (pw.kind == PackWrapper::Kind::kCts) {
       builder_.annotate_last(pw.rdv_window);
     }
-    account_chunk(pw, 0);
+    account_chunk(pw);
     gate.ctrl_list_.pop_front();
   }
 
   // 2. Eager data, FIFO, whole messages only.
-  while (!gate.out_list_.empty() && out.size() < cfg.max_packets_per_round) {
+  while (!gate.out_list_.empty() && out.size() < kMaxPacketsPerRound) {
     PackWrapper& pw = gate.out_list_.front();
     if (pw.kind == PackWrapper::Kind::kRdvData) break;  // bulk: step 3
     assert(pw.kind == PackWrapper::Kind::kEager);
     const std::size_t len = pw.remaining();
     const bool fits_aggregate =
-        aggreg_budget > 0 && builder_.size_with(len) <= aggreg_budget;
+        aggreg_budget_ > 0 && builder_.size_with(len) <= aggreg_budget_;
     if (!fits_aggregate && builder_.chunk_count() > 0) {
       flush(0, kTrkSmall);  // close the current aggregate first
     }
     gather_chunk(pw, len);
-    account_chunk(pw, len);
+    account_chunk(pw);
     pw.offset += len;
     pw.req->filled_ = pw.len;
     pw.req->fully_submitted_ = true;
@@ -176,21 +149,17 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
   auto emit_rdv_chunk = [&](PackWrapper& pw, std::size_t len) {
     if (pw.rdv_window != nullptr) {
       builder_.add_chunk_placed(header_for(pw, len, gate.endpoint()));
-      std::size_t msg_off = pw.offset;
-      for_each_piece(pw, pw.offset, len,
-                     [&](const std::uint8_t* p, std::size_t n) {
-                       placements.push_back(
-                           {pw.rdv_window, static_cast<std::uint32_t>(msg_off),
-                            p, static_cast<std::uint32_t>(n)});
-                       msg_off += n;
-                     });
+      placements.push_back({pw.rdv_window,
+                            static_cast<std::uint32_t>(pw.offset),
+                            pw.data + pw.offset,
+                            static_cast<std::uint32_t>(len)});
     } else {
       gather_chunk(pw, len);
     }
   };
 
   // 3. Rendezvous bulk data on trk 1, optionally split across rails.
-  while (!gate.out_list_.empty() && out.size() < cfg.max_packets_per_round &&
+  while (!gate.out_list_.empty() && out.size() < kMaxPacketsPerRound &&
          gate.out_list_.front().kind == PackWrapper::Kind::kRdvData) {
     PackWrapper& pw = gate.out_list_.front();
     std::vector<int> ready;
@@ -198,12 +167,12 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
       if (rails[r]->ready()) ready.push_back(static_cast<int>(r));
     }
     if (ready.empty()) break;
-    if (!split_rdv || ready.size() < 2 || pw.remaining() < cfg.split_min) {
+    if (!split_rdv_ || ready.size() < 2 || pw.remaining() < kSplitMin) {
       // Whole remaining payload on the first ready rail.
       const int rail = ready.front();
       const std::size_t len = pw.remaining();
       emit_rdv_chunk(pw, len);
-      account_chunk(pw, len);
+      account_chunk(pw);
       pw.offset += len;
       flush(rail, kTrkBulk);
     } else {
@@ -234,7 +203,7 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
         }
         if (len == 0) continue;
         emit_rdv_chunk(pw, len);
-        account_chunk(pw, len);
+        account_chunk(pw);
         pw.offset += len;
         assigned += len;
         flush(r, kTrkBulk);
@@ -248,28 +217,6 @@ void Strategy::arrange_fifo(const Config& cfg, Gate& gate,
   }
 
   ctx.charge(cost);
-}
-
-void DefaultStrategy::arrange(const Config& cfg, Gate& gate,
-                              const std::vector<Driver*>& rails,
-                              mth::ExecContext& ctx,
-                              std::vector<Arranged>& out) {
-  arrange_fifo(cfg, gate, rails, ctx, /*aggreg_budget=*/0,
-               /*split_rdv=*/false, out);
-}
-
-void AggregStrategy::arrange(const Config& cfg, Gate& gate,
-                             const std::vector<Driver*>& rails,
-                             mth::ExecContext& ctx,
-                             std::vector<Arranged>& out) {
-  arrange_fifo(cfg, gate, rails, ctx, cfg.aggreg_max, /*split_rdv=*/false,
-               out);
-}
-
-void SplitStrategy::arrange(const Config& cfg, Gate& gate,
-                            const std::vector<Driver*>& rails,
-                            mth::ExecContext& ctx, std::vector<Arranged>& out) {
-  arrange_fifo(cfg, gate, rails, ctx, cfg.aggreg_max, /*split_rdv=*/true, out);
 }
 
 }  // namespace pm2::nm

@@ -10,7 +10,7 @@
 // harmless because chunks carry explicit offsets.
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "nmad/driver.hpp"
@@ -21,64 +21,40 @@
 
 namespace pm2::nm {
 
+/// The optimization layer of one endpoint. Every kind arranges the same
+/// FIFO way and differs only in two knobs:
+///   kDefault -- one message per packet, rail 0 only;
+///   kAggreg  -- control chunks and small messages share packets (packet
+///               reordering/coalescing of the paper's core layer);
+///   kSplit   -- aggregation plus multirail distribution of rendezvous
+///               bulk data.
 class Strategy {
  public:
-  virtual ~Strategy();
+  explicit Strategy(StrategyKind kind);
 
-  virtual const char* name() const = 0;
-
-  /// Arrange chunks from @p gate's lists into packets. The caller holds the
-  /// collect lock. Emits StagedPackets (rail index in StagedPacket order is
-  /// carried separately via the .rail field below). Charges arrangement CPU
-  /// to @p ctx. May emit nothing (e.g. no rail has room).
+  /// One arranged packet and the rail it leaves on.
   struct Arranged {
     int rail = 0;
     StagedPacket pkt;
   };
-  virtual void arrange(const Config& cfg, Gate& gate,
-                       const std::vector<Driver*>& rails,
-                       mth::ExecContext& ctx, std::vector<Arranged>& out) = 0;
 
-  static std::unique_ptr<Strategy> make(StrategyKind kind);
+  /// Arrange chunks from @p gate's lists into packets, appended to @p out.
+  /// The caller holds the collect lock. Drains all control chunks (RTS/CTS)
+  /// plus, under the aggregation budget, as many whole eager messages as
+  /// fit, into one packet on rail 0; an oversized eager message goes whole
+  /// into its own packet. Then emits rendezvous data, split across ready
+  /// rails for kSplit. Charges arrangement CPU to @p ctx. May emit nothing
+  /// (e.g. no rail has room).
+  void arrange(Gate& gate, const std::vector<Driver*>& rails,
+               mth::ExecContext& ctx, std::vector<Arranged>& out);
 
- protected:
-  /// Drain all control chunks (RTS/CTS) plus, under @p aggreg_budget, as
-  /// many whole eager messages as fit, into one packet on rail 0.
-  /// Oversized eager messages go whole into their own packet. Also emits
-  /// rendezvous data (unsplit) on rail 0. Shared by all strategies.
-  void arrange_fifo(const Config& cfg, Gate& gate,
-                    const std::vector<Driver*>& rails, mth::ExecContext& ctx,
-                    std::size_t aggreg_budget, bool split_rdv,
-                    std::vector<Arranged>& out);
+ private:
+  std::size_t aggreg_budget_;  ///< max aggregated payload; 0 = no sharing
+  bool split_rdv_;             ///< stripe rendezvous data across rails
 
   /// Reused across arrangement rounds (always empty between calls) so the
   /// hot path does not reallocate header storage per packet.
   PacketBuilder builder_;
-};
-
-/// FIFO, one message per packet, rail 0 only.
-class DefaultStrategy final : public Strategy {
- public:
-  const char* name() const override { return "default"; }
-  void arrange(const Config& cfg, Gate& gate, const std::vector<Driver*>& rails,
-               mth::ExecContext& ctx, std::vector<Arranged>& out) override;
-};
-
-/// Aggregates control chunks and small messages into shared packets
-/// (packet reordering/coalescing of the paper's core layer).
-class AggregStrategy final : public Strategy {
- public:
-  const char* name() const override { return "aggreg"; }
-  void arrange(const Config& cfg, Gate& gate, const std::vector<Driver*>& rails,
-               mth::ExecContext& ctx, std::vector<Arranged>& out) override;
-};
-
-/// Aggregation plus multirail distribution of rendezvous bulk data.
-class SplitStrategy final : public Strategy {
- public:
-  const char* name() const override { return "split"; }
-  void arrange(const Config& cfg, Gate& gate, const std::vector<Driver*>& rails,
-               mth::ExecContext& ctx, std::vector<Arranged>& out) override;
 };
 
 }  // namespace pm2::nm

@@ -15,20 +15,6 @@ using Tag = std::uint64_t;
 /// (MPI_ANY_TAG equivalent). Never valid as a SEND tag.
 inline constexpr Tag kAnyTag = ~Tag{0};
 
-/// One segment of a scatter/gather list (iovec equivalents).
-struct IoSlice {
-  void* base = nullptr;
-  std::size_t len = 0;
-};
-struct ConstIoSlice {
-  const void* base = nullptr;
-  std::size_t len = 0;
-
-  ConstIoSlice() = default;
-  ConstIoSlice(const void* b, std::size_t l) : base(b), len(l) {}
-  ConstIoSlice(const IoSlice& s) : base(s.base), len(s.len) {}  // NOLINT
-};
-
 /// How the library protects its shared state (paper Sec. 3).
 enum class LockMode {
   kNone,    ///< no locking: single-threaded baseline ("No locking", Fig. 3)
@@ -82,23 +68,6 @@ struct Config {
 
   /// Messages larger than this use the rendezvous protocol.
   std::size_t rdv_threshold = std::size_t{32} * 1024;
-
-  /// Maximum aggregated packet payload (strategy kAggreg/kSplit).
-  std::size_t aggreg_max = 4096;
-
-  /// Minimum message size worth splitting across rails (kSplit).
-  std::size_t split_min = std::size_t{16} * 1024;
-
-  /// Fixed per-call bookkeeping cost of the public API.
-  sim::Time api_cost = 50;
-
-  /// Optimization-layer CPU costs: per packet arranged / per chunk placed.
-  sim::Time strategy_packet_cost = 60;
-  sim::Time strategy_chunk_cost = 40;
-
-  /// Cap on packets one arrangement round may stage (bounds the work done
-  /// in a single progression pass).
-  std::size_t max_packets_per_round = 8;
 };
 
 }  // namespace pm2::nm

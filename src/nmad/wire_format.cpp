@@ -78,31 +78,20 @@ void PacketBuilder::grow_data(std::size_t need) {
 
 void PacketBuilder::add_chunk(const ChunkHeader& h, const std::uint8_t* data) {
   assert((data != nullptr || h.chunk_len == 0) && "null data with bytes");
-  add_chunk_begin(h);
-  gather(data, h.chunk_len);
-}
-
-void PacketBuilder::add_chunk_begin(const ChunkHeader& h) {
-  assert(gather_left_ == 0 && "previous chunk's gather still open");
   put_header(h);
   Seg seg;
   seg.slab_off = static_cast<std::uint32_t>(data_used_);
   seg.len = h.chunk_len;
   segs_.push_back(seg);
-  gather_left_ = h.chunk_len;
-}
-
-void PacketBuilder::gather(const std::uint8_t* piece, std::size_t len) {
-  if (len == 0) return;
-  assert(len <= gather_left_ && "gather overruns the announced chunk_len");
-  if (data_used_ + len > data_.capacity()) grow_data(data_used_ + len);
-  std::memcpy(data_.data() + data_used_, piece, len);
-  data_used_ += len;
-  gather_left_ -= len;
+  if (h.chunk_len == 0) return;
+  if (data_used_ + h.chunk_len > data_.capacity()) {
+    grow_data(data_used_ + h.chunk_len);
+  }
+  std::memcpy(data_.data() + data_used_, data, h.chunk_len);
+  data_used_ += h.chunk_len;
 }
 
 void PacketBuilder::add_chunk_placed(const ChunkHeader& h) {
-  assert(gather_left_ == 0 && "previous chunk's gather still open");
   put_header(h);
   Seg seg;
   seg.len = h.chunk_len;
@@ -116,7 +105,6 @@ void PacketBuilder::annotate_last(void* note) {
 }
 
 net::Payload PacketBuilder::take() {
-  assert(gather_left_ == 0 && "take() with an open gather");
   assert(segs_.size() <= 0xFFFF);
   const std::size_t count = segs_.size();
   hdr_[0] = static_cast<std::uint8_t>(count & 0xFF);

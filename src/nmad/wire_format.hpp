@@ -82,14 +82,9 @@ class PacketBuilder {
   /// (growth hint; never required for correctness).
   void reserve(std::size_t chunks, std::size_t data_bytes);
 
-  /// Append one chunk, gathering @p data (contiguous). @p data may be null
-  /// iff len == 0.
+  /// Append one chunk, gathering h.chunk_len bytes of @p data. @p data may
+  /// be null iff h.chunk_len == 0.
   void add_chunk(const ChunkHeader& h, const std::uint8_t* data);
-
-  /// Append one chunk whose data arrives via gather() pieces (scatter/
-  /// gather sends). Exactly h.chunk_len bytes must follow.
-  void add_chunk_begin(const ChunkHeader& h);
-  void gather(const std::uint8_t* piece, std::size_t len);
 
   /// Append one *placed* chunk: h.chunk_len wire bytes, no host bytes.
   void add_chunk_placed(const ChunkHeader& h);
@@ -125,7 +120,6 @@ class PacketBuilder {
   net::SlabRef data_;
   std::size_t data_used_ = 0;
   std::size_t wire_size_ = 2;
-  std::size_t gather_left_ = 0;  ///< bytes an open add_chunk_begin still expects
 };
 
 /// Decodes a packet payload chunk by chunk. Works on both flat byte

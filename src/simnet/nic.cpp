@@ -253,7 +253,6 @@ void Nic::enqueue_rx(Packet pkt) {
     m_rxq_depth_[q].set(static_cast<std::int64_t>(rx_rings_[q].size()));
   }
   m_rx_queue_depth_.set(total_rx_depth());
-  if (rx_notifier_) rx_notifier_();
 }
 
 std::int64_t Nic::total_rx_depth() const {

@@ -207,9 +207,6 @@ class Nic {
   /// pollers can never both commit to the same doorbell observation.
   std::optional<Packet> poll(int q = 0);
 
-  /// Notifier invoked (in engine context) at each packet arrival.
-  void set_rx_notifier(std::function<void()> fn) { rx_notifier_ = std::move(fn); }
-
   /// Attach a timeline: tx spans and rx instants recorded into @p timeline
   /// under (pid=@p pid, tid=@p tid). nullptr detaches.
   void set_timeline(obs::TraceLog* timeline, int pid, int tid);
@@ -252,7 +249,6 @@ class Nic {
   /// the same packet twice.
   std::vector<std::uint32_t> rx_claimed_ = std::vector<std::uint32_t>(1, 0);
   std::function<int(const Packet&)> rx_steer_;
-  std::function<void()> rx_notifier_;
   obs::TraceLog* timeline_ = nullptr;
   int timeline_pid_ = 0;
   int timeline_tid_ = 0;

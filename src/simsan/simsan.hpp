@@ -60,7 +60,6 @@ enum class ActorKind : std::uint8_t {
 enum class LockKind : std::uint8_t {
   kSpin,    ///< active-wait lock; holding one forbids blocking
   kMutex,   ///< blocking lock
-  kRw,      ///< readers-writer lock (readers and writer share the slot)
   kHbOnly,  ///< pseudo-lock carrying happens-before only (condvars,
             ///< semaphores, completion flags, barriers); never "held"
 };

@@ -173,7 +173,6 @@ class Scheduler {
   sim::Time run_hooks(std::vector<std::pair<int, Hook>>& hooks, int core);
   bool hooks_want(const std::vector<std::pair<int, Hook>>& hooks, int core) const;
   void on_all_done();
-  void ensure_timer_armed();
 
   mach::Machine& machine_;
   std::vector<Core> cores_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -177,24 +176,6 @@ TEST_P(MadMpiSizes, GatherCollectsInRankOrder) {
   }
 }
 
-TEST_P(MadMpiSizes, ScatterDistributesInRankOrder) {
-  const int nodes = GetParam();
-  nm::Cluster world(cluster_config(nodes));
-  int wrong = 0;
-  launch(world, [&](Comm comm) {
-    std::vector<std::uint32_t> chunks;
-    if (comm.rank() == 0) {
-      for (int r = 0; r < nodes; ++r) chunks.push_back(0x2000u + static_cast<std::uint32_t>(r));
-    }
-    std::uint32_t mine = 0;
-    comm.scatter(0, comm.rank() == 0 ? chunks.data() : nullptr, sizeof(mine),
-                 &mine);
-    if (mine != 0x2000u + static_cast<std::uint32_t>(comm.rank())) ++wrong;
-  });
-  world.run();
-  EXPECT_EQ(wrong, 0);
-}
-
 TEST_P(MadMpiSizes, RingAllreduceMatchesBinomial) {
   const int nodes = GetParam();
   if (nodes < 3) GTEST_SKIP() << "ring needs > 2 ranks to differ";
@@ -232,97 +213,7 @@ TEST(MadMpi, LargeAllreduceUsesRingAndIsCorrect) {
   EXPECT_EQ(wrong, 0);
 }
 
-TEST_P(MadMpiSizes, AllgatherGivesEveryoneEverything) {
-  const int nodes = GetParam();
-  nm::Cluster world(cluster_config(nodes));
-  int wrong = 0;
-  launch(world, [&](Comm comm) {
-    const std::uint32_t mine = 0x3000u + static_cast<std::uint32_t>(comm.rank());
-    std::vector<std::uint32_t> all(static_cast<std::size_t>(nodes), 0);
-    comm.allgather(&mine, sizeof(mine), all.data());
-    for (int r = 0; r < nodes; ++r) {
-      if (all[static_cast<std::size_t>(r)] != 0x3000u + static_cast<std::uint32_t>(r)) ++wrong;
-    }
-  });
-  world.run();
-  EXPECT_EQ(wrong, 0);
-}
-
-TEST_P(MadMpiSizes, AlltoallPersonalizedExchange) {
-  const int nodes = GetParam();
-  nm::Cluster world(cluster_config(nodes));
-  int wrong = 0;
-  launch(world, [&](Comm comm) {
-    const int me = comm.rank();
-    // Block for rank d carries (me * 100 + d).
-    std::vector<std::uint32_t> out_blocks(static_cast<std::size_t>(nodes));
-    for (int d = 0; d < nodes; ++d) {
-      out_blocks[static_cast<std::size_t>(d)] =
-          static_cast<std::uint32_t>(me * 100 + d);
-    }
-    std::vector<std::uint32_t> in_blocks(static_cast<std::size_t>(nodes), 9999);
-    comm.alltoall(out_blocks.data(), sizeof(std::uint32_t), in_blocks.data());
-    for (int s = 0; s < nodes; ++s) {
-      if (in_blocks[static_cast<std::size_t>(s)] !=
-          static_cast<std::uint32_t>(s * 100 + me)) {
-        ++wrong;
-      }
-    }
-  });
-  world.run();
-  EXPECT_EQ(wrong, 0);
-}
-
-TEST(MadMpi, AlltoallLargeBlocksUseRendezvous) {
-  nm::Cluster world(cluster_config(3));
-  constexpr std::size_t kBlock = 50 * 1024;
-  int wrong = 0;
-  launch(world, [&](Comm comm) {
-    const int n = comm.size();
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n) * kBlock);
-    for (int d = 0; d < n; ++d) {
-      std::fill_n(out.begin() + d * static_cast<long>(kBlock), kBlock,
-                  static_cast<std::uint8_t>(comm.rank() * 16 + d));
-    }
-    std::vector<std::uint8_t> in(static_cast<std::size_t>(n) * kBlock, 0);
-    comm.alltoall(out.data(), kBlock, in.data());
-    for (int s = 0; s < n; ++s) {
-      const std::uint8_t expect = static_cast<std::uint8_t>(s * 16 + comm.rank());
-      if (in[static_cast<std::size_t>(s) * kBlock] != expect) ++wrong;
-      if (in[static_cast<std::size_t>(s + 1) * kBlock - 1] != expect) ++wrong;
-    }
-  });
-  world.run();
-  EXPECT_EQ(wrong, 0);
-}
-
 INSTANTIATE_TEST_SUITE_P(Worlds, MadMpiSizes, ::testing::Values(2, 3, 4, 5, 8));
-
-TEST(MadMpi, WaitAnyReleasesAndNulls) {
-  nm::Cluster world(cluster_config(2));
-  launch(world, [&](Comm comm) {
-    if (comm.rank() == 0) {
-      int a = 0, b = 0;
-      std::vector<nm::Request*> reqs = {
-          comm.irecv(1, 5, &a, sizeof(a)),
-          comm.irecv(1, 6, &b, sizeof(b)),
-      };
-      const std::size_t first = comm.wait_any(reqs);
-      EXPECT_EQ(first, 1u);
-      EXPECT_EQ(reqs[1], nullptr);
-      EXPECT_EQ(b, 66);
-      const std::size_t second = comm.wait_any(reqs);
-      EXPECT_EQ(second, 0u);
-      EXPECT_EQ(a, 55);
-    } else {
-      int v6 = 66, v5 = 55;
-      comm.send(0, 6, &v6, sizeof(v6));
-      world.sched(1).work(sim::microseconds(10));
-      comm.send(0, 5, &v5, sizeof(v5));
-    }
-  });
-  world.run();
-}
 
 TEST(MadMpi, WtimeAdvances) {
   nm::Cluster world(cluster_config(2));

@@ -1,9 +1,13 @@
 // Failure injection: malformed wire data and traffic from unknown peers
 // must be contained (dropped / rejected), never corrupt matching state.
-// Every rejected packet is counted in the receiver's nmad rx_rejected.
+// Every rejected packet or chunk is counted in the receiver's nmad
+// rx_rejected.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nmad/cluster.hpp"
+#include "nmad/wire_format.hpp"
 #include "obs/metrics.hpp"
 
 namespace pm2::nm {
@@ -125,6 +129,118 @@ TEST(FailureInjection, ChunkCountLyingAboutContentIsContained) {
   world.run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(rejected("node1"), 1u);
+}
+
+// --- well-framed chunks whose fields disagree --------------------------------
+
+constexpr Tag kBadTag = 5;
+
+ChunkHeader chunk(ChunkKind kind, std::uint32_t offset, std::uint32_t len,
+                  std::uint32_t total) {
+  ChunkHeader h;
+  h.kind = kind;
+  h.tag = kBadTag;
+  h.msg_seq = 1000;  // clear of the good traffic's sequence numbers
+  h.offset = offset;
+  h.chunk_len = len;
+  h.total_len = total;
+  return h;
+}
+
+struct Outcome {
+  bool good = false;            ///< the good message arrived intact
+  std::size_t bad_bytes = 0;    ///< bytes the kBadTag receive holds
+  bool bad_completed = false;   ///< the kBadTag receive completed
+};
+
+/// Node 0 posts each chunk as its own packet straight into its NIC, then
+/// sends one good message on tag 1. Node 1 posts a @p capacity-byte
+/// kBadTag receive before the chunks land (after the good message when
+/// @p capacity is 0, so it adopts whatever was stored unexpected), and
+/// receives the good message. Exactly one chunk must be rejected.
+Outcome inject(const std::vector<ChunkHeader>& chunks, std::size_t capacity) {
+  RegistryOn registry;
+  Cluster world(ClusterConfig{});
+  Outcome out;
+  std::vector<std::uint8_t> bad_buf(256);
+  Request* bad = nullptr;
+  world.spawn(0, [&] {
+    world.sched(0).work(sim::microseconds(5));  // node 1 posts first
+    for (const ChunkHeader& h : chunks) {
+      const std::vector<std::uint8_t> data(h.chunk_len, 0xAB);
+      PacketBuilder b;
+      b.add_chunk(h, data.data());
+      world.nic(0, 0).post_send(1, 0, b.take().linearize());
+    }
+    world.sched(0).work(sim::microseconds(20));
+    std::uint8_t v = 9;
+    world.core(0).send(world.gate(0, 1), 1, &v, 1);
+  });
+  world.spawn(1, [&] {
+    Core& c = world.core(1);
+    if (capacity > 0) {
+      bad = c.irecv(world.gate(1, 0), kBadTag, bad_buf.data(), capacity);
+    }
+    std::uint8_t v = 0;
+    c.recv(world.gate(1, 0), 1, &v, 1);
+    out.good = v == 9;
+    if (bad == nullptr) {
+      bad = c.irecv(world.gate(1, 0), kBadTag, bad_buf.data(), 64);
+    }
+  });
+  world.run();
+  out.bad_bytes = bad->received_length();
+  out.bad_completed = bad->completed();
+  EXPECT_EQ(rejected("node1"), 1u);
+  return out;
+}
+
+TEST(FailureInjection, ChunkLongerThanItsMessageIsDropped) {
+  const Outcome o = inject({chunk(ChunkKind::kEager, 0, 8, 4)}, 64);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 0u);
+  EXPECT_FALSE(o.bad_completed);
+}
+
+TEST(FailureInjection, ChunkPastTheEndOfAPostedReceiveIsDropped) {
+  // Offset 60 + 8 bytes in a 64-byte message: would write past the buffer.
+  const Outcome o = inject({chunk(ChunkKind::kEager, 60, 8, 64)}, 64);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 0u);
+  EXPECT_FALSE(o.bad_completed);
+}
+
+TEST(FailureInjection, ChunkPastTheEndOfAnUnexpectedMessageIsDropped) {
+  const Outcome o = inject({chunk(ChunkKind::kEager, 60, 8, 64)}, 0);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 0u);  // nothing was stored for the late receive
+  EXPECT_FALSE(o.bad_completed);
+}
+
+TEST(FailureInjection, ChunkOverfillingABoundMessageIsDropped) {
+  const Outcome o = inject({chunk(ChunkKind::kEager, 0, 32, 64),
+                            chunk(ChunkKind::kEager, 0, 64, 64)},
+                           64);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 32u);  // only the first, well-formed chunk landed
+  EXPECT_FALSE(o.bad_completed);
+}
+
+TEST(FailureInjection, ChunkChangingABoundMessageLengthIsDropped) {
+  const Outcome o = inject({chunk(ChunkKind::kEager, 0, 32, 64),
+                            chunk(ChunkKind::kEager, 32, 64, 128)},
+                           256);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 32u);
+  EXPECT_FALSE(o.bad_completed);
+}
+
+TEST(FailureInjection, CtsForNoWaitingSendIsDropped) {
+  ChunkHeader cts = chunk(ChunkKind::kCts, 0, 0, 0);
+  cts.cookie = 12345;
+  const Outcome o = inject({cts}, 0);
+  EXPECT_TRUE(o.good);
+  EXPECT_EQ(o.bad_bytes, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
-// Multi-rail rendezvous reassembly (ISSUE satellite): when the split
-// strategy stripes one bulk message across rails of different speeds, the
-// chunks' completions arrive out of order -- the slow rail's low-offset
-// chunk lands after the fast rail's high-offset chunk. Every byte must
-// still land exactly once at its message offset, for posted receives,
-// scatter receives, and the unexpected-then-matched handshake.
+// Multi-rail rendezvous reassembly: when the split strategy stripes one
+// bulk message across rails of different speeds, the chunks' completions
+// arrive out of order -- the slow rail's low-offset chunk lands after the
+// fast rail's high-offset chunk. Every byte must still land exactly once
+// at its message offset, for posted receives and the unexpected-then-
+// matched handshake.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "nmad/cluster.hpp"
-#include "nmad/pack.hpp"
-#include "obs/metrics.hpp"
 
 namespace pm2::nm {
 namespace {
@@ -78,62 +75,6 @@ TEST(MultirailReassembly, UnexpectedThenMatchedRendezvous) {
     EXPECT_EQ(world.core(1).recv(world.gate(1, 0), 8, buf.data(), buf.size()),
               kBig);
     EXPECT_EQ(buf, pattern(kBig, 9));
-  });
-  world.run();
-}
-
-TEST(MultirailReassembly, ScatterReceiveAcrossRails) {
-  // irecv_sg: the striped chunks scatter across three destination segments
-  // whose boundaries do not line up with the rail split.
-  ClusterConfig cfg = split_config();
-  Cluster world(cfg);
-  world.spawn(1, [&world] {
-    std::vector<std::uint8_t> a(10 * 1024 + 7, 0xEE);
-    std::vector<std::uint8_t> b(100 * 1024 + 13, 0xEE);
-    std::vector<std::uint8_t> c(kBig, 0xEE);  // oversized tail
-    UnpackDest up(world.core(1));
-    up.unpack(a.data(), a.size()).unpack(b.data(), b.size()).unpack(
-        c.data(), c.size());
-    EXPECT_EQ(up.recv(world.gate(1, 0), 2), kBig);
-    const auto want = pattern(kBig, 5);
-    EXPECT_EQ(std::memcmp(a.data(), want.data(), a.size()), 0);
-    EXPECT_EQ(std::memcmp(b.data(), want.data() + a.size(), b.size()), 0);
-    const std::size_t tail = kBig - a.size() - b.size();
-    EXPECT_EQ(std::memcmp(c.data(), want.data() + a.size() + b.size(), tail),
-              0);
-    EXPECT_EQ(c[tail], 0xEE);  // untouched past the message end
-  });
-  world.spawn(0, [&world] {
-    world.sched(0).work(sim::microseconds(20));
-    static auto data = pattern(kBig, 5);
-    world.core(0).send(world.gate(0, 1), 2, data.data(), data.size());
-  });
-  world.run();
-}
-
-TEST(MultirailReassembly, GatherSendAcrossRails) {
-  // isend_sg: the message lives in three source segments; split rendezvous
-  // placements must walk the slice list correctly.
-  ClusterConfig cfg = split_config();
-  Cluster world(cfg);
-  world.spawn(1, [&world] {
-    std::vector<std::uint8_t> buf(kBig, 0xEE);
-    EXPECT_EQ(world.core(1).recv(world.gate(1, 0), 4, buf.data(), buf.size()),
-              kBig);
-    EXPECT_EQ(buf, pattern(kBig, 7));
-  });
-  world.spawn(0, [&world] {
-    world.sched(0).work(sim::microseconds(20));
-    static auto data = pattern(kBig, 7);
-    static const std::size_t cut1 = 9 * 1024 + 11;
-    static const std::size_t cut2 = 120 * 1024 + 3;
-    Request* req = isend_v(
-        world.core(0), world.gate(0, 1), 4,
-        {ConstIoSlice{data.data(), cut1},
-         ConstIoSlice{data.data() + cut1, cut2 - cut1},
-         ConstIoSlice{data.data() + cut2, kBig - cut2}});
-    world.core(0).wait(req);
-    world.core(0).release(req);
   });
   world.run();
 }

@@ -9,6 +9,23 @@
 namespace pm2::net {
 namespace {
 
+/// Runs @p engine to one tick before @p t, then to @p t: @p nic's next
+/// packet must arrive exactly at @p t. Consumes that packet.
+void expect_arrival_at(sim::Engine& engine, Nic& nic, sim::Time t) {
+  engine.run_until(t - 1);
+  EXPECT_FALSE(nic.rx_pending()) << "arrived before " << t;
+  engine.run_until(t);
+  EXPECT_TRUE(nic.rx_pending()) << "not arrived at " << t;
+  nic.poll();
+}
+
+/// Arrival time of a lone @p size-byte packet posted at time 0.
+sim::Time lone_arrival(const NicParams& p, std::size_t size) {
+  const auto wire = static_cast<sim::Time>(
+      std::llround(p.wire_ns_per_byte * static_cast<double>(size)));
+  return p.tx_dma_delay + wire + p.wire_latency + p.rx_deliver_delay;
+}
+
 class NicTest : public ::testing::Test {
  protected:
   NicTest()
@@ -55,30 +72,21 @@ TEST_F(NicTest, DeliversPayloadIntact) {
 }
 
 TEST_F(NicTest, ArrivalTimeFollowsTimingModel) {
-  const auto& p = nic_a_.params();
   const std::size_t size = 512;
-  sim::Time arrival = -1;
-  nic_b_.set_rx_notifier([&] { arrival = engine_.now(); });
   nic_a_.post_send(1, 0, bytes(size));
-  engine_.run();
-  const auto wire = static_cast<sim::Time>(
-      std::llround(p.wire_ns_per_byte * static_cast<double>(size)));
-  EXPECT_EQ(arrival,
-            p.tx_dma_delay + wire + p.wire_latency + p.rx_deliver_delay);
+  expect_arrival_at(engine_, nic_b_, lone_arrival(nic_a_.params(), size));
 }
 
 TEST_F(NicTest, BackToBackPacketsSerializeOnTheWire) {
   const auto& p = nic_a_.params();
   const std::size_t size = 1000;
-  std::vector<sim::Time> arrivals;
-  nic_b_.set_rx_notifier([&] { arrivals.push_back(engine_.now()); });
   nic_a_.post_send(1, 0, bytes(size));
   nic_a_.post_send(1, 0, bytes(size));
-  engine_.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  const auto wire = static_cast<sim::Time>(p.wire_ns_per_byte * size);
+  const sim::Time first = lone_arrival(p, size);
+  expect_arrival_at(engine_, nic_b_, first);
   // Second packet queues behind the first's wire occupancy.
-  EXPECT_EQ(arrivals[1] - arrivals[0], wire);
+  const auto wire = static_cast<sim::Time>(p.wire_ns_per_byte * size);
+  expect_arrival_at(engine_, nic_b_, first + wire);
 }
 
 TEST_F(NicTest, InOrderDeliveryPerSender) {
@@ -189,17 +197,15 @@ TEST(FabricContention, IncastSerializesAtTheDestinationPort) {
   Nic rx(m, fabric, NicParams::myri10g());
   Nic tx1(m, fabric, NicParams::myri10g());
   Nic tx2(m, fabric, NicParams::myri10g());
-  std::vector<sim::Time> arrivals;
-  rx.set_rx_notifier([&] { arrivals.push_back(engine.now()); });
   const std::size_t size = 2000;
   std::vector<std::uint8_t> payload(size, 1);
   tx1.post_send(0, 0, payload);
   tx2.post_send(0, 0, payload);
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 2u);
+  const sim::Time first = lone_arrival(rx.params(), size);
+  expect_arrival_at(engine, rx, first);
   const auto wire = static_cast<sim::Time>(
       std::llround(rx.params().wire_ns_per_byte * static_cast<double>(size)));
-  EXPECT_EQ(arrivals[1] - arrivals[0], wire);
+  expect_arrival_at(engine, rx, first + wire);
 }
 
 TEST(FabricContention, DistinctDestinationsDoNotContend) {
@@ -211,15 +217,17 @@ TEST(FabricContention, DistinctDestinationsDoNotContend) {
   Nic rx2(m, fabric, NicParams::myri10g());
   Nic tx1(m, fabric, NicParams::myri10g());
   Nic tx2(m, fabric, NicParams::myri10g());
-  std::vector<sim::Time> arrivals;
-  rx1.set_rx_notifier([&] { arrivals.push_back(engine.now()); });
-  rx2.set_rx_notifier([&] { arrivals.push_back(engine.now()); });
   std::vector<std::uint8_t> payload(2000, 1);
   tx1.post_send(0, 0, payload);
   tx2.post_send(1, 0, payload);
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], arrivals[1]);  // fully parallel paths
+  // Fully parallel paths: both packets land at the lone-packet time.
+  const sim::Time t = lone_arrival(rx1.params(), payload.size());
+  engine.run_until(t - 1);
+  EXPECT_FALSE(rx1.rx_pending());
+  EXPECT_FALSE(rx2.rx_pending());
+  engine.run_until(t);
+  EXPECT_TRUE(rx1.rx_pending());
+  EXPECT_TRUE(rx2.rx_pending());
 }
 
 TEST_F(NicTest, MultiQueueSteersByKey) {
