@@ -22,7 +22,7 @@ Result run(std::size_t size, sim::Time budget, int iters) {
   cfg.nm.wait = nm::WaitMode::kFixedSpin;
   cfg.nm.fixed_spin_budget = budget;
   cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
-  cfg.pioman_poll_core = 0;
+  cfg.nm.poll_core = 0;
   bench::PingpongOptions opt;
   opt.iters = iters;
   opt.warmup = 10;

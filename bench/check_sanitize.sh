@@ -63,7 +63,7 @@ TSAN_OPTIONS="halt_on_error=1" \
 # races, fine-locked multi-queue clean).
 TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/tests/test_simnet \
-  --gtest_filter='NicTest.MultiQueue*:NicTest.ConfigureRxQueues*:NicTest.PollClaim*:NicTest.FabricLinks*'
+  --gtest_filter='NicTest.MultiQueue*:NicTest.ConfigureRxQueues*:NicTest.PollClaim*'
 TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/tests/test_nmad_units \
   --gtest_filter='EndpointStress.RxQueue*:EndpointStress.SameSeedSameFlowTraceMultiQueue:SparseFabric.*'

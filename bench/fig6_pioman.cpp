@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
       // The paper's latency test is single-threaded: polling happens in the
       // waiting thread's PIOMan passes on the app core.
-      cfg.pioman_poll_core = 0;
+      cfg.nm.poll_core = 0;
     }
     series.push_back(bench::run_pingpong(c.label, cfg, sizes, opt));
   }
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   mcfg.nm.lock = nm::LockMode::kCoarse;
   mcfg.nm.wait = nm::WaitMode::kBusy;
   mcfg.nm.progress = nm::ProgressMode::kPiomanHooks;
-  mcfg.pioman_poll_core = 0;
+  mcfg.nm.poll_core = 0;
   // --simsan=on: concurrency analysis on the same configuration.
   bench::run_simsan_report(args, "representative", mcfg);
   bench::write_metrics_report(args, mcfg);

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     // scheduler hooks poll while the thread is blocked), and using it
     // everywhere isolates the waiting-policy effect.
     cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
-    cfg.pioman_poll_core = 0;
+    cfg.nm.poll_core = 0;
     series.push_back(bench::run_pingpong(c.label, cfg, sizes, opt));
   }
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   mcfg.nm.lock = nm::LockMode::kCoarse;
   mcfg.nm.wait = nm::WaitMode::kPassive;
   mcfg.nm.progress = nm::ProgressMode::kPiomanHooks;
-  mcfg.pioman_poll_core = 0;
+  mcfg.nm.poll_core = 0;
   // --simsan=on: concurrency analysis on the same configuration.
   bench::run_simsan_report(args, "representative", mcfg);
   bench::write_metrics_report(args, mcfg);

@@ -37,11 +37,9 @@ int main(int argc, char** argv) {
     cfg.nm.wait = nm::WaitMode::kBusy;
     cfg.nm.progress = c.progress;
     // Offload target: core 1, which shares its L2 with the application
-    // core (Sec. 4.1 showed why the neighbour is the right choice).
+    // core (Sec. 4.1 showed why the neighbour is the right choice). Under
+    // idle-core offload it is the one core PIOMan's hooks poll from.
     cfg.nm.poll_core = 1;
-    if (c.progress == nm::ProgressMode::kIdleCoreOffload) {
-      cfg.pioman_poll_core = 1;
-    }
     series.push_back(bench::run_pingpong(c.label, cfg, sizes, opt));
   }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "nmad/cluster.hpp"
-#include "sync/mutex.hpp"
 
 using namespace pm2;
 

@@ -75,18 +75,20 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     }
     node->core->attach_tasklets(node->tasklets.get());
     node->core->attach_pioman(node->pioman.get());
-    if (cfg_.pioman_poll_core >= 0) {
-      node->pioman->bind_polling(cfg_.pioman_poll_core);
+    if (hooks) {
+      // One progression mechanism at a time: with PIOMan's hooks on,
+      // poll_core is where they poll.
+      node->pioman->bind_polling(cfg_.nm.poll_core);
+      node->pioman->enable_hooks();
     }
-    if (hooks) node->pioman->enable_hooks();
     nodes_.push_back(std::move(node));
   }
 
-  // No eager full mesh: gates (and fabric link state) materialize lazily on
-  // first use -- gate(a, b) / Core::gate_to connect on demand, and the rx
-  // side creates its peer gate when the first packet from an unknown port
-  // arrives. A 128-node world with sparse traffic therefore constructs in
-  // O(nodes + active links), not O(nodes^2).
+  // No eager full mesh: gates materialize lazily on first use -- gate(a, b)
+  // / Core::gate_to connect on demand, and the rx side creates its peer
+  // gate when the first packet from an unknown port arrives; the fabric
+  // keeps no per-pair state at all. A 128-node world with sparse traffic
+  // therefore constructs in O(nodes + active pairs), not O(nodes^2).
 }
 
 Cluster::~Cluster() {

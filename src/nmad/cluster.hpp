@@ -45,8 +45,6 @@ struct ClusterConfig {
   /// each endpoint's progress drains its own ring with no shared lock. A
   /// core configures min(M, endpoints) rings: the rest would stay empty.
   int rx_queues = 1;
-  /// Restrict hook-driven polling to this core (-1 = any). See Fig. 6/8.
-  int pioman_poll_core = -1;
   /// Engine partitioning: the nodes are spread over this many event-heap
   /// partitions (node n lives in partition n % partitions; clamped to the
   /// node count), synchronized with conservative lookahead equal to the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,23 +17,12 @@ constexpr int kMaxRails = 4;
 /// Fixed per-call bookkeeping cost of the public API.
 constexpr sim::Time kApiCost = 50;
 
-sim::Time copy_cost(double ns_per_byte, std::size_t bytes) {
-  return static_cast<sim::Time>(
-      std::llround(ns_per_byte * static_cast<double>(bytes)));
-}
-
 /// Core index for flow-event placement; engine context maps to core 0.
 int current_core() {
   auto* ctx = mth::ExecContext::current_or_null();
   return ctx != nullptr ? ctx->core() : 0;
 }
 
-/// Leaf-lock acquisition usable from any execution context: one RMW try
-/// (hook-legal; blocking spins need a thread context). On failure the
-/// caller mutates without the lock -- host-safe, like the contended
-/// fallback in Core::flush_deferred: host execution is single-threaded per
-/// partition, the locks model cost, not safety.
-bool leaf_try(sync::SpinLock& l) { return l.try_lock(); }
 }  // namespace
 
 Core::Core(mth::Scheduler& sched, Config cfg, std::string name, int endpoints,
@@ -210,7 +198,6 @@ Request* Core::alloc_request() {
   req->capacity_ = 0;
   req->host_copies_ = 0;
   req->total_len_ = 0;
-  req->total_known_ = false;
   req->filled_ = 0;
   req->flow_id_ = 0;
   req->released_ = false;
@@ -304,7 +291,6 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   req->gate_ = gate;
   req->tag_ = tag;
   req->total_len_ = len;
-  req->total_known_ = true;
   ++active_reqs_;
   m_sends_.add_always();
   ep.m_sends_.inc();
@@ -430,7 +416,7 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
     m_adopt_bytes_copied_.inc(um.filled);
     m_bytes_copied_.inc(um.filled);
     m_copies_.inc();
-    ctx.charge(copy_cost(nics_[0]->params().rx_copy_per_byte, um.filled));
+    ctx.charge(net::byte_time(nics_[0]->params().rx_copy_per_byte, um.filled));
   }
   if (flow_ != nullptr) {
     // The bytes reach the user buffer here, not at chunk arrival: the
@@ -472,7 +458,6 @@ void Core::bind_locked(Gate& gate, Request* req, Tag tag,
   req->msg_seq_ = msg_seq;
   req->seq_bound_ = true;
   req->total_len_ = total_len;
-  req->total_known_ = true;
   if (total_len > req->capacity_) {
     throw std::length_error("nm: message exceeds receive buffer (" +
                             std::to_string(total_len) + " > " +
@@ -532,7 +517,7 @@ Request* Core::launch_recv_wildcard(mth::ExecContext& ctx, Request* req,
   // before is found by the scan below -- no window where both sides miss
   // each other.
   {
-    const bool locked = leaf_try(*wildcard_lock_);
+    const bool locked = wildcard_lock_->try_lock();
     if (locked) SIMSAN_ACCESS(san_wildcard_);
     wildcard_recvs_.push_back(req);
     if (locked) wildcard_lock_->unlock();
@@ -550,7 +535,7 @@ Request* Core::launch_recv_wildcard(mth::ExecContext& ctx, Request* req,
       // adopting; if it is gone, an incoming message already claimed it.
       bool ours = false;
       {
-        const bool locked = leaf_try(*wildcard_lock_);
+        const bool locked = wildcard_lock_->try_lock();
         if (locked) SIMSAN_ACCESS(san_wildcard_);
         auto it =
             std::find(wildcard_recvs_.begin(), wildcard_recvs_.end(), req);
@@ -572,7 +557,7 @@ Request* Core::launch_recv_wildcard(mth::ExecContext& ctx, Request* req,
         // Nothing adoptable after all: re-publish and keep scanning.
         req->ep_ = 0;
         req->gate_ = gate;
-        const bool locked = leaf_try(*wildcard_lock_);
+        const bool locked = wildcard_lock_->try_lock();
         if (locked) SIMSAN_ACCESS(san_wildcard_);
         wildcard_recvs_.push_back(req);
         if (locked) wildcard_lock_->unlock();
@@ -593,7 +578,7 @@ Request* Core::launch_recv_wildcard(mth::ExecContext& ctx, Request* req,
 Request* Core::claim_wildcard_locked(const Gate& gate) {
   // Unpriced host peek: skip the leaf lock when nothing is parked.
   if (wildcard_recvs_.empty()) return nullptr;
-  const bool locked = leaf_try(*wildcard_lock_);
+  const bool locked = wildcard_lock_->try_lock();
   if (locked) SIMSAN_ACCESS(san_wildcard_);
   Request* req = nullptr;
   for (auto it = wildcard_recvs_.begin(); it != wildcard_recvs_.end(); ++it) {
@@ -621,12 +606,13 @@ void Core::wait(Request* req) {
   if (cfg_.progress == ProgressMode::kPollThread) {
     // Progression belongs to the dedicated thread; we only watch the flag
     // (this is the Fig. 8 configuration).
-    req->flag_.wait(cfg_.wait == WaitMode::kBusy
-                        ? sync::WaitPolicy::kBusy
-                        : cfg_.wait == WaitMode::kPassive
-                              ? sync::WaitPolicy::kPassive
-                              : sync::WaitPolicy::kFixedSpin,
-                    cfg_.fixed_spin_budget);
+    switch (cfg_.wait) {
+      case WaitMode::kBusy: req->flag_.wait_busy(); break;
+      case WaitMode::kPassive: req->flag_.wait_passive(); break;
+      case WaitMode::kFixedSpin:
+        req->flag_.wait_fixed_spin(cfg_.fixed_spin_budget);
+        break;
+    }
     return;
   }
 
@@ -1104,7 +1090,7 @@ bool Core::drain_rails(mth::ExecContext& ctx, int own_ep, bool use_try) {
           }
         }
         if (!locked) {
-          const bool leaf = leaf_try(*park_lock_);
+          const bool leaf = park_lock_->try_lock();
           if (leaf) SIMSAN_ACCESS(san_parked_);
           parked.emplace_back(r, std::move(*pkt));
           mark_active(ep);
@@ -1150,7 +1136,7 @@ bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
   }
   std::deque<std::pair<int, net::Packet>> local;
   {
-    const bool locked = leaf_try(*park_lock_);
+    const bool locked = park_lock_->try_lock();
     if (locked) SIMSAN_ACCESS(san_parked_);
     local.swap(q);
     if (locked) park_lock_->unlock();
@@ -1332,7 +1318,7 @@ bool Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
       m_copies_.inc();
     }
     um->pieces.push_back(std::move(piece));
-    ctx.charge(copy_cost(
+    ctx.charge(net::byte_time(
         nics_[static_cast<std::size_t>(rail)]->params().rx_copy_per_byte,
         h.chunk_len));
   }
@@ -1412,7 +1398,7 @@ void Core::deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
     // charge is taken either way (the DMA-completion model is unchanged).
     const auto& p = nics_[static_cast<std::size_t>(rail)]->params();
     ctx.charge(h.chunk_len <= p.pio_threshold
-                   ? copy_cost(p.rx_copy_per_byte, h.chunk_len)
+                   ? net::byte_time(p.rx_copy_per_byte, h.chunk_len)
                    : p.rx_match_cost);
   }
   req->filled_ += h.chunk_len;

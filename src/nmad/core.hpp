@@ -293,6 +293,11 @@ class Core final : public piom::PollSource {
   std::unique_ptr<piom::Tasklet> submit_tasklet_;
 
   // --- multi-endpoint shared state (constructed only at N > 1) -------------
+  // The two leaf locks below are only ever try-locked: one RMW, legal from
+  // any execution context. On failure the caller mutates without the lock
+  // -- host-safe, like the contended fallback in flush_deferred: host
+  // execution is single-threaded per partition, the locks model cost, not
+  // safety.
   /// Wildcard (kAnyTag) receives at N > 1 cannot hash to an endpoint; they
   /// park here and are claimed by whichever endpoint's matching pass first
   /// sees an otherwise-unmatched message for their gate. Lock order:

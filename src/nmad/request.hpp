@@ -85,7 +85,6 @@ class Request {
   std::uint16_t host_copies_ = 0;  ///< host memcpys this message's bytes took
 
   std::size_t total_len_ = 0;
-  bool total_known_ = false;
   std::size_t filled_ = 0;  ///< send: bytes submitted; recv: bytes landed
 
   std::uint64_t flow_id_ = 0;  ///< observability only; never drives protocol

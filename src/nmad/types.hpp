@@ -62,8 +62,9 @@ struct Config {
   /// suggests "for instance 5 us").
   sim::Time fixed_spin_budget = sim::microseconds(5);
 
-  /// Core the progression thread / offload tasklets live on (kPollThread,
-  /// kTaskletOffload). -1 = unbound.
+  /// The progression core: where the progression thread / offload tasklets
+  /// live (kPollThread, kTaskletOffload), or the one core PIOMan's hooks
+  /// poll from (kPiomanHooks, kIdleCoreOffload). -1 = unbound.
   int poll_core = -1;
 
   /// Messages larger than this use the rendezvous protocol.

@@ -3,11 +3,19 @@
 // One JSON document bundling the metrics registry dump with (optionally)
 // the flow tracer's per-stage latency breakdown and the binary telemetry
 // summary; this is what the figure benches write for --metrics-out=FILE.
+// Also the JSON string writer that every report and trace writer shares.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace pm2::obs {
+
+/// Append @p s as a quoted JSON string: `"` and `\` escaped, \b \f \n \r
+/// \t as short escapes, every other byte below 0x20 as \u00XX (JSON
+/// forbids them raw). The one string writer of every JSON document in the
+/// tree: metrics, traces, simsan and explorer reports.
+void append_json_string(std::string& out, std::string_view s);
 
 class MetricsRegistry;
 class FlowTracer;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "obs/flow.hpp"
+#include "obs/report.hpp"
 
 namespace pm2::obs {
 
@@ -52,28 +53,6 @@ TraceRecord make_record(char phase, std::uint16_t name, std::uint16_t cat,
   return r;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Virtual nanoseconds -> trace microseconds (fractional).
 double to_trace_us(sim::Time t) { return static_cast<double>(t) / 1e3; }
 
@@ -85,17 +64,15 @@ void append_event_json(std::string& out, char phase, std::string_view name,
   char buf[160];
   out += "{\"ph\":\"";
   out += phase;
-  out += "\",\"name\":\"";
-  append_escaped(out, phase == 'M' ? cat : name);
-  out += "\"";
+  out += "\",\"name\":";
+  append_json_string(out, phase == 'M' ? cat : name);
   if (phase == 'M') {
-    out += ",\"args\":{\"name\":\"";
-    append_escaped(out, name);
-    out += "\"}";
+    out += ",\"args\":{\"name\":";
+    append_json_string(out, name);
+    out += "}";
   } else {
-    out += ",\"cat\":\"";
-    append_escaped(out, cat.empty() ? std::string_view{"sim"} : cat);
-    out += "\"";
+    out += ",\"cat\":";
+    append_json_string(out, cat.empty() ? std::string_view{"sim"} : cat);
     std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f", to_trace_us(r.ts));
     out += buf;
     if (phase == 'X') {

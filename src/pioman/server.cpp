@@ -34,10 +34,7 @@ void Server::unregister_source(PollSource* src) {
 bool Server::has_pending(int core) const {
   if (poll_core_ >= 0 && core >= 0 && core != poll_core_) return false;
   for (const PollSource* s : sources_) {
-    if (!s->pending()) continue;
-    const int pref = s->preferred_core();
-    if (pref >= 0 && core >= 0 && pref != core) continue;
-    return true;
+    if (s->pending()) return true;
   }
   return false;
 }
@@ -64,10 +61,7 @@ bool Server::poll_once(mth::ExecContext& ctx) {
   }
   bool progressed = false;
   SIMSAN_ACCESS_RO(san_sources_);  // iteration is read-only, under list_lock_
-  const int core = ctx.core();
   for (PollSource* s : sources_) {
-    const int pref = s->preferred_core();
-    if (pref >= 0 && pref != core) continue;
     if (s->poll(ctx)) progressed = true;
   }
   list_lock_.unlock();

@@ -32,9 +32,6 @@ class PollSource {
 
   /// True if the source may have work (gates idle-loop re-arming).
   virtual bool pending() const = 0;
-
-  /// If >= 0, only this core should poll the source (Fig. 8's binding).
-  virtual int preferred_core() const { return -1; }
 };
 
 class Server {
@@ -56,10 +53,9 @@ class Server {
   void remove_hooks();
   bool hooks_enabled() const { return idle_hook_id_ >= 0; }
 
-  /// Restrict hook-driven polling to one core (-1 = any core). Used by the
-  /// Fig. 8 affinity experiment.
+  /// Restrict hook-driven polling to one core (-1 = any core). The Cluster
+  /// binds it to nm::Config::poll_core when hooks are on.
   void bind_polling(int core) { poll_core_ = core; }
-  int polling_binding() const { return poll_core_; }
 
   /// One explicit pass: pay the list-management cost, take the internal
   /// lock (skipping the pass entirely if another context is already inside,

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sync/context_util.hpp"
-
 namespace pm2::piom {
 
 TaskletEngine::TaskletEngine(mth::Scheduler& sched) : sched_(sched) {
@@ -27,8 +25,8 @@ void TaskletEngine::schedule(Tasklet* t, int core) {
   t->scheduled_ = true;
   // Queue insertion, cross-core signalling, and the tasklet queue line
   // moving to the scheduling core.
-  sync::charge_if_ctx(sched_.costs().tasklet_schedule);
-  sync::touch_if_ctx(queue_line_);
+  mth::charge_if_ctx(sched_.costs().tasklet_schedule);
+  mth::touch_if_ctx(queue_line_);
   queues_[static_cast<std::size_t>(core)].push_back(t);
   sched_.notify_idle_work();
 }

@@ -110,10 +110,6 @@ void Engine::configure_partitions(int n, Time lookahead) {
 
 void Engine::set_workers(int w) { workers_ = std::max(1, w); }
 
-void Engine::set_mailbox_capacity(std::size_t cap) {
-  mailbox_cap_ = std::max<std::size_t>(1, cap);
-}
-
 EventHandle Engine::schedule_at(Time when, EventQueue::Callback cb) {
   Partition& p = part(active_partition());
   if (when < p.now) {
@@ -142,7 +138,7 @@ void Engine::schedule_cross(int dst, Time when, EventQueue::Callback cb) {
   auto& box = mailbox(src, dst);
   box.push_back(CrossEvent{when, s.out_seq++, src, std::move(cb)});
   ++s.cross_sent;
-  if (box.size() >= mailbox_cap_ && !s.window_abort) {
+  if (box.size() >= kMailboxCapacity && !s.window_abort) {
     ++s.overflows;
     s.window_abort = true;
   }

@@ -206,7 +206,7 @@ class Engine {
   /// undelivered events, the sending partition ends its current window
   /// early (deterministic backpressure -- the events are delivered at the
   /// barrier as usual and the window resumes from the same horizon rule).
-  void set_mailbox_capacity(std::size_t cap);
+  static constexpr std::size_t kMailboxCapacity = 4096;
 
  private:
   struct CrossEvent {
@@ -263,7 +263,6 @@ class Engine {
   std::vector<std::vector<CrossEvent>> mail_;
   Time lookahead_ = 0;
   int workers_ = 1;
-  std::size_t mailbox_cap_ = 4096;
   std::uint64_t windows_ = 0;
   std::uint64_t barrier_wait_ns_ = 0;
   std::atomic<bool> stopped_{false};

@@ -48,8 +48,9 @@ namespace pm2::sim {
 class EventQueue;
 
 /// Inline capture budget for event callbacks. Sized so that every in-tree
-/// capture fits without heap fallback; the largest is the NIC wire-done
-/// completion (this + shared state + a user std::function, 56 bytes).
+/// capture fits without heap fallback; the largest is the fabric's
+/// cross-partition delivery hop (this + port occupancy + the Packet,
+/// 48 bytes).
 inline constexpr std::size_t kEventCallbackCapacity = 64;
 
 /// Opaque handle to a scheduled event, usable to cancel it.

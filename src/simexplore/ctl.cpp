@@ -6,7 +6,6 @@ const char* to_string(SiteKind k) {
   switch (k) {
     case SiteKind::kDispatch: return "dispatch";
     case SiteKind::kSpinHandoff: return "spin-handoff";
-    case SiteKind::kMutexHandoff: return "mutex-handoff";
   }
   return "?";
 }

@@ -9,7 +9,6 @@
 //   kDispatch     which ready thread a core runs next
 //                 (simthread::Scheduler::dispatch, runqueue pick)
 //   kSpinHandoff  which spinner a SpinLock release wakes/hands off to
-//   kMutexHandoff which waiter a Mutex release hands ownership to
 //
 // Disabled (the default), every instrumented site costs one branch on a
 // global flag and picks option 0 -- byte-identical to the uninstrumented
@@ -41,10 +40,11 @@
 
 namespace pm2::xpl {
 
+/// The explicit values are part of every schedule hash: roll() in
+/// explore.cpp mixes them into the rolling prefix hash.
 enum class SiteKind : std::uint8_t {
   kDispatch = 1,
   kSpinHandoff = 2,
-  kMutexHandoff = 3,
 };
 
 const char* to_string(SiteKind k);

@@ -6,27 +6,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/report.hpp"
 #include "simcore/engine.hpp"
 #include "simsan/simsan.hpp"
 
 namespace pm2::xpl {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
 
 /// Rolling hash over an executed choice prefix: two candidates forcing the
 /// same decision sequence from the same states collapse onto one hash,
@@ -157,24 +143,29 @@ std::size_t ExploreReport::count(const std::string& kind) const {
 }
 
 std::string ExploreReport::to_json() const {
-  std::string out = "{\"label\":\"" + json_escape(label) +
-                    "\",\"bound\":" + std::to_string(bound) +
-                    ",\"budget\":" + std::to_string(budget) +
-                    ",\"schedules_run\":" + std::to_string(schedules_run) +
-                    ",\"schedules_pruned\":" + std::to_string(schedules_pruned) +
-                    ",\"frontier_exhausted\":" +
-                    (frontier_exhausted ? "true" : "false") +
-                    ",\"livelock\":" + (livelock ? "true" : "false") +
-                    ",\"findings\":[\n";
+  std::string out = "{\"label\":";
+  obs::append_json_string(out, label);
+  out += ",\"bound\":" + std::to_string(bound) +
+         ",\"budget\":" + std::to_string(budget) +
+         ",\"schedules_run\":" + std::to_string(schedules_run) +
+         ",\"schedules_pruned\":" + std::to_string(schedules_pruned) +
+         ",\"frontier_exhausted\":" +
+         (frontier_exhausted ? "true" : "false") +
+         ",\"livelock\":" + (livelock ? "true" : "false") + ",\"findings\":[\n";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const AggFinding& f = findings[i];
-    out += "{\"kind\":\"" + json_escape(f.kind) + "\",\"rule\":\"" +
-           json_escape(f.rule) +
-           "\",\"occurrences\":" + std::to_string(f.occurrences) +
+    out += "{\"kind\":";
+    obs::append_json_string(out, f.kind);
+    out += ",\"rule\":";
+    obs::append_json_string(out, f.rule);
+    out += ",\"occurrences\":" + std::to_string(f.occurrences) +
            ",\"first_schedule\":" + std::to_string(f.first_schedule) +
            ",\"first_divergence\":" + std::to_string(f.first_divergence) +
-           ",\"replay\":\"" + json_escape(f.replay_token) +
-           "\",\"message\":\"" + json_escape(f.message) + "\"}";
+           ",\"replay\":";
+    obs::append_json_string(out, f.replay_token);
+    out += ",\"message\":";
+    obs::append_json_string(out, f.message);
+    out += "}";
     if (i + 1 < findings.size()) out += ",";
     out += "\n";
   }

@@ -44,7 +44,7 @@ struct CostBook {
   int spin_backoff_onset = 4;
   Time spin_backoff_cap = 2560;
 
-  /// Semaphore / mutex fast path (no blocking).
+  /// Semaphore, completion-flag and barrier fast path (no blocking).
   Time sem_fast_path = 25;
 
   /// One scheduler context switch (save + restore + runqueue manipulation).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace_log.hpp"
@@ -11,15 +10,6 @@
 namespace pm2::net {
 
 namespace {
-sim::Time byte_time(double ns_per_byte, std::size_t bytes) {
-  return static_cast<sim::Time>(
-      std::llround(ns_per_byte * static_cast<double>(bytes)));
-}
-
-void charge_ctx(sim::Time t) {
-  if (auto* ctx = mth::ExecContext::current_or_null()) ctx->charge(t);
-}
-
 // Hook contexts accumulate their CPU cost instead of advancing the clock;
 // anything they do to the *timeline* (like starting a DMA) must be skewed
 // by the work they have already performed in this pass.
@@ -33,32 +23,7 @@ sim::Time hook_skew() {
 }  // namespace
 
 Fabric::Fabric(sim::Engine& engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {
-  links_.resize(static_cast<std::size_t>(std::max(1, engine.num_partitions())));
-}
-
-std::size_t Fabric::active_links() const {
-  std::size_t n = 0;
-  for (const auto& shard : links_) n += shard.size();
-  return n;
-}
-
-Fabric::LinkStats Fabric::link(int src_port, int dst_port) const {
-  const std::uint64_t key = link_key(src_port, dst_port);
-  for (const auto& shard : links_) {
-    auto it = shard.find(key);
-    if (it != shard.end()) return it->second;
-  }
-  return {};
-}
-
-void Fabric::touch_link(int shard, int src, int dst, std::size_t bytes) {
-  LinkStats& ls = links_[static_cast<std::size_t>(shard)][link_key(src, dst)];
-  if (ls.packets == 0) ls.first_use = engine_.now();
-  ++ls.packets;
-  ls.bytes += bytes;
-  ls.last_use = engine_.now();
-}
+    : engine_(engine), name_(std::move(name)) {}
 
 int Fabric::attach(Nic* nic) {
   ports_.push_back(nic);
@@ -77,8 +42,7 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
         port_partition_[static_cast<std::size_t>(pkt.dst_port)];
     engine_.schedule_cross(
         dst_part, earliest,
-        [this, dst_part, occupancy, p = std::move(pkt)]() mutable {
-          touch_link(dst_part, p.src_port, p.dst_port, p.size());
+        [this, occupancy, p = std::move(pkt)]() mutable {
           sim::Time& busy =
               port_busy_until_[static_cast<std::size_t>(p.dst_port)];
           const sim::Time now = engine_.now();
@@ -97,7 +61,6 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
   }
   // Output-port contention: packets from different senders converging on
   // one port serialize on its egress link.
-  touch_link(0, pkt.src_port, pkt.dst_port, pkt.size());
   sim::Time& busy = port_busy_until_[static_cast<std::size_t>(pkt.dst_port)];
   const sim::Time when = std::max(earliest, busy + occupancy);
   busy = when;
@@ -122,8 +85,8 @@ Nic::Nic(mach::Machine& machine, Fabric& fabric, NicParams params)
   m_rx_queue_depth_ = reg.gauge({"nic", node, -1, rail + ".rx_queue_depth"});
 }
 
-SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
-                          std::function<void()> on_wire_done) {
+void Nic::post_send(int dst_port, Channel channel, Payload payload,
+                    std::function<void()> on_wire_done) {
   if (!tx_ready()) {
     throw std::logic_error("Nic::post_send: tx queue full (check tx_ready)");
   }
@@ -137,7 +100,7 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
       size <= params_.pio_threshold
           ? byte_time(params_.tx_copy_per_byte, size)
           : params_.tx_dma_setup;
-  charge_ctx(params_.tx_post_cost + xfer_cpu);
+  mth::charge_if_ctx(params_.tx_post_cost + xfer_cpu);
 
   Packet pkt;
   pkt.src_port = port_;
@@ -163,9 +126,7 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
       wire_start + byte_time(params_.wire_ns_per_byte, size);
   tx_busy_until_ = wire_end;
 
-  auto state = std::make_shared<bool>(false);
-  eng.schedule_at(wire_end, [this, state, done = std::move(on_wire_done)] {
-    *state = true;
+  eng.schedule_at(wire_end, [this, done = std::move(on_wire_done)] {
     assert(tx_inflight_ > 0);
     --tx_inflight_;
     if (done) done();
@@ -188,7 +149,6 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
       wire_end + params_.wire_latency + params_.rx_deliver_delay;
   fabric_.deliver_at(arrival, byte_time(params_.wire_ns_per_byte, size),
                      std::move(pkt));
-  return SendHandle(std::move(state));
 }
 
 void Nic::set_timeline(obs::TraceLog* timeline, int pid, int tid) {
@@ -267,7 +227,7 @@ std::optional<Packet> Nic::poll(int q) {
   if (ring.empty()) {
     ++polls_empty_;
     m_polls_empty_.inc();
-    charge_ctx(params_.poll_empty_cost);
+    mth::charge_if_ctx(params_.poll_empty_cost);
     return std::nullopt;
   }
   ++polls_hit_;
@@ -281,7 +241,7 @@ std::optional<Packet> Nic::poll(int q) {
   ring.pop_front();
   if (ring.empty()) rx_doorbells_.reset(q);
   ++rx_claimed_[static_cast<std::size_t>(q)];
-  charge_ctx(params_.poll_hit_cost);
+  mth::charge_if_ctx(params_.poll_hit_cost);
   --rx_claimed_[static_cast<std::size_t>(q)];
   if (rx_queues() > 1) {
     m_rxq_depth_[static_cast<std::size_t>(q)].set(

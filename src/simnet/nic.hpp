@@ -8,10 +8,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -31,7 +29,8 @@ class Nic;
 
 /// A switched fabric: every attached NIC can reach every other. Wire timing
 /// uses the sending NIC's parameters, so heterogeneous fabrics behave like
-/// their slowest path.
+/// their slowest path. The fabric keeps per-port state only, none per
+/// (src, dst) pair: a fully connected fabric costs O(ports), not O(ports^2).
 class Fabric {
  public:
   explicit Fabric(sim::Engine& engine, std::string name = "fabric");
@@ -47,23 +46,6 @@ class Fabric {
 
   int num_ports() const { return static_cast<int>(ports_.size()); }
   Nic* port(int id) const { return ports_.at(static_cast<std::size_t>(id)); }
-
-  /// Per-(src,dst) link state, materialized on first delivery over that
-  /// pair. A fully-connected fabric holds no per-pair state up front:
-  /// total footprint is O(active links), not O(ports^2).
-  struct LinkStats {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    sim::Time first_use = 0;
-    sim::Time last_use = 0;
-  };
-
-  /// Number of (src,dst) pairs that have carried at least one packet.
-  std::size_t active_links() const;
-
-  /// Stats for one directed link; all-zero if the pair never carried
-  /// traffic (no state is created by the lookup).
-  LinkStats link(int src_port, int dst_port) const;
 
  private:
   friend class Nic;
@@ -83,30 +65,6 @@ class Fabric {
   /// into the receiver's partition first, then resolves incast contention
   /// against port_busy_until_ there, so that state stays single-owner.
   std::vector<int> port_partition_;
-
-  static std::uint64_t link_key(int src, int dst) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-           static_cast<std::uint32_t>(dst);
-  }
-  void touch_link(int shard, int src, int dst, std::size_t bytes);
-
-  /// Link maps sharded by the *receiver's* partition -- the same owner as
-  /// port_busy_until_ -- so parallel workers never share a map.
-  std::vector<std::unordered_map<std::uint64_t, LinkStats>> links_;
-};
-
-/// Identifies an in-flight send; completes when the wire has absorbed the
-/// packet (the sender may then reuse its buffer and post the next one).
-class SendHandle {
- public:
-  SendHandle() = default;
-  bool valid() const { return static_cast<bool>(state_); }
-  bool done() const { return state_ && *state_; }
-
- private:
-  friend class Nic;
-  explicit SendHandle(std::shared_ptr<bool> s) : state_(std::move(s)) {}
-  std::shared_ptr<bool> state_;
 };
 
 class Nic {
@@ -139,16 +97,17 @@ class Nic {
   /// Post one packet. Charges the host-side post cost to the current
   /// execution context (if any). Pre: tx_ready().
   /// @p on_wire_done, if given, fires (in engine context) once the wire has
-  /// absorbed the packet -- the moment the sender's buffer is reusable.
-  SendHandle post_send(int dst_port, Channel channel, Payload payload,
-                       std::function<void()> on_wire_done = nullptr);
+  /// absorbed the packet -- the moment the sender's buffer is reusable; it
+  /// is the send's one completion signal.
+  void post_send(int dst_port, Channel channel, Payload payload,
+                 std::function<void()> on_wire_done = nullptr);
 
   /// Convenience overload: raw flat bytes (tests, fault injection).
-  SendHandle post_send(int dst_port, Channel channel,
-                       std::vector<std::uint8_t> payload,
-                       std::function<void()> on_wire_done = nullptr) {
-    return post_send(dst_port, channel, Payload(std::move(payload)),
-                     std::move(on_wire_done));
+  void post_send(int dst_port, Channel channel,
+                 std::vector<std::uint8_t> payload,
+                 std::function<void()> on_wire_done = nullptr) {
+    post_send(dst_port, channel, Payload(std::move(payload)),
+              std::move(on_wire_done));
   }
 
   /// Notifier invoked (in engine context) whenever a tx slot frees up.

@@ -17,6 +17,7 @@
 // examples to exercise heterogeneous-rail configurations.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -25,6 +26,13 @@
 namespace pm2::net {
 
 using sim::Time;
+
+/// Time to move @p bytes at @p ns_per_byte (a wire, PIO or copy rate),
+/// rounded to the nearest nanosecond.
+inline Time byte_time(double ns_per_byte, std::size_t bytes) {
+  return static_cast<Time>(
+      std::llround(ns_per_byte * static_cast<double>(bytes)));
+}
 
 struct NicParams {
   std::string name = "nic";

@@ -46,31 +46,31 @@ inline std::uint32_t current_actor() {
 
 // --- tap helpers (all enabled-checked, engine-context tolerant) -------------
 
-inline void acquired(SlotTag& tag, const std::string& name, LockKind kind,
-                     bool blocking) {
+/// A spinlock was acquired / released (the only lock kind that is held).
+inline void acquired(SlotTag& tag, const std::string& name, bool blocking) {
   Analyzer& a = Analyzer::global();
   if (!a.enabled()) return;
   const std::uint32_t actor = current_actor();
   if (actor == kNoActor) return;
-  a.on_acquire(actor, a.lock_slot(tag, name, kind), blocking);
+  a.on_acquire(actor, a.lock_slot(tag, name), blocking);
 }
 
-inline void released(SlotTag& tag, const std::string& name, LockKind kind) {
+inline void released(SlotTag& tag, const std::string& name) {
   Analyzer& a = Analyzer::global();
   if (!a.enabled()) return;
   const std::uint32_t actor = current_actor();
   if (actor == kNoActor) return;
-  a.on_release(actor, a.lock_slot(tag, name, kind));
+  a.on_release(actor, a.lock_slot(tag, name));
 }
 
-/// Publish the caller's clock through a pseudo-lock (notify, sem release,
+/// Publish the caller's clock through a pseudo-lock (sem release,
 /// flag set, barrier arrival).
 inline void hb_release(SlotTag& tag, const std::string& name) {
   Analyzer& a = Analyzer::global();
   if (!a.enabled()) return;
   const std::uint32_t actor = current_actor();
   if (actor == kNoActor) return;
-  a.hb_release(actor, a.lock_slot(tag, name, LockKind::kHbOnly));
+  a.hb_release(actor, a.lock_slot(tag, name));
 }
 
 /// Observe previously published clocks (wait return, sem acquire).
@@ -79,7 +79,7 @@ inline void hb_acquire(SlotTag& tag, const std::string& name) {
   if (!a.enabled()) return;
   const std::uint32_t actor = current_actor();
   if (actor == kNoActor) return;
-  a.hb_acquire(actor, a.lock_slot(tag, name, LockKind::kHbOnly));
+  a.hb_acquire(actor, a.lock_slot(tag, name));
 }
 
 /// The caller entered a may-block primitive (checks the no-blocking-while-

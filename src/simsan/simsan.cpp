@@ -4,6 +4,8 @@
 #include <cassert>
 #include <memory>
 
+#include "obs/report.hpp"
+
 namespace pm2::san {
 
 namespace {
@@ -12,19 +14,19 @@ namespace {
 // report stays readable and memory stays bounded on pathological runs.
 constexpr std::size_t kMaxFindings = 256;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
+/// Append one finding's JSON object; @p count >= 1 adds the merged
+/// report's occurrence count.
+void append_finding_json(std::string& out, const Finding& f,
+                         std::size_t count = 0) {
+  out += "{\"kind\":\"";
+  out += to_string(f.kind);
+  out += "\",\"rule\":";
+  obs::append_json_string(out, f.rule);
+  out += ",\"time_ns\":" + std::to_string(f.time_ns);
+  if (count > 0) out += ",\"count\":" + std::to_string(count);
+  out += ",\"message\":";
+  obs::append_json_string(out, f.message);
+  out += "}";
 }
 
 }  // namespace
@@ -182,14 +184,9 @@ std::string Analyzer::merged_report_json() {
                     ",\"findings\":[";
   bool first = true;
   for (const MergedEntry& e : merged_entries(shards)) {
-    const Finding& f = *e.finding;
     if (!first) out += ",";
     first = false;
-    out += "{\"kind\":\"" + std::string(to_string(f.kind)) +
-           "\",\"rule\":\"" + json_escape(f.rule) +
-           "\",\"time_ns\":" + std::to_string(f.time_ns) +
-           ",\"count\":" + std::to_string(e.count) +
-           ",\"message\":\"" + json_escape(f.message) + "\"}";
+    append_finding_json(out, *e.finding, e.count);
   }
   out += "]}";
   return out;
@@ -287,12 +284,11 @@ std::uint32_t Analyzer::hook_actor(const void* machine, int core,
   return it->second;
 }
 
-std::uint32_t Analyzer::lock_slot(SlotTag& tag, const std::string& name,
-                                  LockKind kind) {
+std::uint32_t Analyzer::lock_slot(SlotTag& tag, const std::string& name) {
   if (tag.epoch == epoch_) return tag.id;
   tag.id = static_cast<std::uint32_t>(locks_.size());
   tag.epoch = epoch_;
-  locks_.push_back(LockState{name, kind, Clock{}});
+  locks_.push_back(LockState{name, Clock{}});
   return tag.id;
 }
 
@@ -350,23 +346,18 @@ void Analyzer::on_acquire(std::uint32_t actor, std::uint32_t lock,
     }
   }
   a.held.push_back(lock);
-  if (l.kind == LockKind::kSpin) ++a.spin_held;
 }
 
 void Analyzer::on_release(std::uint32_t actor, std::uint32_t lock) {
   if (!enabled_ || actor == kNoActor) return;
   ActorState& a = actors_[actor];
   LockState& l = locks_[lock];
-  // Join (not assign) so a reader releasing an RWLock does not erase the
-  // happens-before earlier readers published; conservative for exclusive
-  // locks (extra ordering never creates a false positive).
+  // Join (not assign): conservative, extra ordering never creates a false
+  // positive.
   join(l.clock, a.clock);
   tick(a, actor);
   auto it = std::find(a.held.rbegin(), a.held.rend(), lock);
-  if (it != a.held.rend()) {
-    a.held.erase(std::next(it).base());
-    if (l.kind == LockKind::kSpin) --a.spin_held;
-  }
+  if (it != a.held.rend()) a.held.erase(std::next(it).base());
 }
 
 void Analyzer::hb_release(std::uint32_t actor, std::uint32_t slot) {
@@ -390,25 +381,21 @@ void Analyzer::on_wake(std::uint32_t src, std::uint32_t dst) {
 
 void Analyzer::on_block(std::uint32_t actor, const char* what) {
   if (!enabled_ || actor == kNoActor) return;
-  ActorState& a = actors_[actor];
-  if (a.spin_held == 0) return;
-  std::vector<std::uint32_t> spins;
-  for (std::uint32_t h : a.held) {
-    if (locks_[h].kind == LockKind::kSpin) spins.push_back(h);
-  }
+  const ActorState& a = actors_[actor];
+  if (a.held.empty()) return;
   const std::string key = "block-spin:" + std::to_string(actor) + ":" + what +
-                          ":" + std::to_string(spins.empty() ? 0 : spins[0]);
+                          ":" + std::to_string(a.held[0]);
   if (!reported_ctx_.insert(key).second) return;
   ++ctx_violations_;
   m_ctx_.add_always(1);
   add_finding(FindingKind::kContextViolation, "block-while-spinlock-held",
               actor_name(actor) + " enters blocking " + what +
-                  " while holding spinlock(s) " + lock_names(spins));
+                  " while holding spinlock(s) " + lock_names(a.held));
 }
 
 void Analyzer::on_access(std::uint32_t actor, Shared& obj, bool is_write) {
   if (!enabled_ || actor == kNoActor) return;
-  const std::uint32_t obj_id = lock_slot(obj.tag_, obj.name_, LockKind::kHbOnly);
+  const std::uint32_t obj_id = lock_slot(obj.tag_, obj.name_);
   // Object state is kept parallel to the slot table (slots are shared
   // between locks and objects; an id is only ever used as one or the other).
   if (objects_.size() <= obj_id) objects_.resize(obj_id + 1);
@@ -559,12 +546,8 @@ std::string Analyzer::report_json() const {
                     ",\"context_violations\":" + std::to_string(ctx_violations_) +
                     ",\"findings\":[";
   for (std::size_t i = 0; i < findings_.size(); ++i) {
-    const Finding& f = findings_[i];
     if (i > 0) out += ",";
-    out += "{\"kind\":\"" + std::string(to_string(f.kind)) + "\",\"rule\":\"" +
-           json_escape(f.rule) + "\",\"time_ns\":" +
-           std::to_string(f.time_ns) + ",\"message\":\"" +
-           json_escape(f.message) + "\"}";
+    append_finding_json(out, findings_[i]);
   }
   out += "]}";
   return out;

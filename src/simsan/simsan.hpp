@@ -18,10 +18,9 @@
 //     B" edges with cycle detection. Cycles are flagged even when the two
 //     acquisition chains never overlap in (virtual) time.
 //  3. Context rules -- the "thread context only" / "hook-safe" comments in
-//     sync/ and pioman/ turned into machine-checked rules: blocking
-//     primitives entered from hook context, blocking while holding a
-//     spinlock (the release_library_all() contract), CondVar::wait without
-//     the mutex, re-entrant Mutex::lock.
+//     sync/ and pioman/ turned into machine-checked rules: a blocking
+//     Semaphore::acquire entered from hook context, and blocking while
+//     holding a spinlock (the release_library_all() contract).
 //
 // The analyzer is always compiled and runtime-switchable: disabled, every
 // tap is one branch on a global flag and zero allocation; enabled, events
@@ -55,13 +54,6 @@ enum class ActorKind : std::uint8_t {
   kThread,  ///< a simulated thread (stable identity: its ThreadContext)
   kHook,    ///< hook/tasklet runs on one (machine, core) -- serialized, so
             ///< all runs on that core form one logical actor
-};
-
-enum class LockKind : std::uint8_t {
-  kSpin,    ///< active-wait lock; holding one forbids blocking
-  kMutex,   ///< blocking lock
-  kHbOnly,  ///< pseudo-lock carrying happens-before only (condvars,
-            ///< semaphores, completion flags, barriers); never "held"
 };
 
 enum class FindingKind : std::uint8_t {
@@ -161,7 +153,9 @@ class Analyzer {
   std::uint32_t thread_actor(const void* key, const std::string& name);
   std::uint32_t hook_actor(const void* machine, int core,
                            const std::string& node_name);
-  std::uint32_t lock_slot(SlotTag& tag, const std::string& name, LockKind kind);
+  /// Slot of a spinlock, a happens-before pseudo-lock (semaphore, flag,
+  /// barrier) or a Shared object; the kinds share one table.
+  std::uint32_t lock_slot(SlotTag& tag, const std::string& name);
 
   // --- event stream ---------------------------------------------------------
 
@@ -172,7 +166,7 @@ class Analyzer {
   void on_release(std::uint32_t actor, std::uint32_t lock);
 
   /// Happens-before publish/observe through a pseudo-lock slot (semaphore
-  /// release->acquire, condvar notify->wait, flag set->wait, barrier).
+  /// release->acquire, flag set->wait, barrier).
   void hb_release(std::uint32_t actor, std::uint32_t slot);
   void hb_acquire(std::uint32_t actor, std::uint32_t slot);
 
@@ -217,14 +211,14 @@ class Analyzer {
     std::string name;
     ActorKind kind = ActorKind::kThread;
     Clock clock;                      ///< clock[self] starts at 1
-    std::vector<std::uint32_t> held;  ///< lock slots, acquisition order
-    int spin_held = 0;                ///< count of kSpin entries in held
+    /// Spinlock slots, acquisition order (every lock that can be held is
+    /// a spinlock).
+    std::vector<std::uint32_t> held;
   };
 
   struct LockState {
     std::string name;
-    LockKind kind = LockKind::kMutex;
-    Clock clock;  ///< released-at clock (joined, not assigned: readers)
+    Clock clock;  ///< released-at clock (joined, not assigned)
   };
 
   struct Access {

@@ -112,4 +112,20 @@ class HookContext final : public ExecContext {
   sim::Time consumed_ = 0;
 };
 
+// Synchronization objects and the NIC are poked from three places:
+// simulated threads, hooks/tasklets, and raw engine events such as NIC
+// completions (no context at all -- the "hardware" acts, no CPU pays).
+// These helpers charge when someone is there to pay and do nothing
+// otherwise.
+
+/// Charge @p t to the active context, if any.
+inline void charge_if_ctx(sim::Time t) {
+  if (auto* ctx = ExecContext::current_or_null()) ctx->charge(t);
+}
+
+/// Touch a shared line from the active context, if any.
+inline void touch_if_ctx(mach::CacheLine& line) {
+  if (auto* ctx = ExecContext::current_or_null()) ctx->touch(line);
+}
+
 }  // namespace pm2::mth

@@ -238,12 +238,9 @@ void Fiber::run_body() {
 #endif
   try {
     body_();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pm2sim: uncaught exception in fiber: %s\n", e.what());
-    std::abort();
   } catch (...) {
-    std::fprintf(stderr, "pm2sim: uncaught exception in fiber\n");
-    std::abort();
+    // The fiber finishes; its resumer rethrows (see take_error()).
+    error_ = std::current_exception();
   }
   finished_ = true;
   // Return to the last resumer; this context is never entered again.

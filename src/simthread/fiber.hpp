@@ -21,7 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <utility>
 
 #include "simcore/partition.hpp"
 #include "simthread/stack_pool.hpp"
@@ -114,8 +116,12 @@ class Fiber {
   /// Must be called from inside this fiber.
   void suspend();
 
-  /// True once body() has returned.
+  /// True once body() has returned or thrown.
   bool finished() const { return finished_; }
+
+  /// What body() threw, if it did; the fiber finished either way. Cleared
+  /// by the call, so the exception is rethrown once.
+  std::exception_ptr take_error() { return std::exchange(error_, nullptr); }
 
   /// True while the fiber is the one currently executing.
   bool active() const { return active_; }
@@ -128,6 +134,7 @@ class Fiber {
   void run_body();
 
   std::function<void()> body_;
+  std::exception_ptr error_;
   StackPool::Stack stack_;
 #if PM2SIM_FIBER_ASM
   friend void fiber_run_trampoline(Fiber* f);

@@ -238,6 +238,11 @@ void Scheduler::post_resume(int core, Thread* t) {
   Core& c = cores_[static_cast<std::size_t>(core)];
   if (t->fiber_.finished()) {
     finish_thread(core, t);
+    // A body that threw: the exception leaves through the event that
+    // resumed the fiber, which the engine delivers like any event's.
+    if (std::exception_ptr e = t->fiber_.take_error()) {
+      std::rethrow_exception(e);
+    }
     return;
   }
   switch (t->suspend_reason_) {

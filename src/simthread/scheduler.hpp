@@ -59,7 +59,10 @@ class Scheduler {
 
   // --- world-facing -------------------------------------------------------
 
-  /// Create a thread; it becomes runnable immediately.
+  /// Create a thread; it becomes runnable immediately. An exception that
+  /// escapes @p body finishes the thread and is rethrown from the event
+  /// that resumed it, so it reaches Engine::run()'s caller like any
+  /// event's.
   Thread* spawn(ThreadFunc body, ThreadAttrs attrs = {});
 
   /// Move a Blocked thread back to a runqueue. Callable from any context.

@@ -3,18 +3,8 @@
 #include <cassert>
 
 #include "simsan/context.hpp"
-#include "sync/context_util.hpp"
 
 namespace pm2::sync {
-
-const char* to_string(WaitPolicy p) {
-  switch (p) {
-    case WaitPolicy::kBusy: return "busy";
-    case WaitPolicy::kPassive: return "passive";
-    case WaitPolicy::kFixedSpin: return "fixed-spin";
-  }
-  return "?";
-}
 
 CompletionFlag::CompletionFlag(mth::Scheduler& sched, std::string name)
     : sched_(sched), name_(std::move(name)) {}
@@ -32,7 +22,8 @@ void CompletionFlag::set() {
   // observes it (set-before-wait included, where no wake edge exists).
   if (san::on()) san::hb_release(san_tag_, name_);
   done_ = true;
-  touch_if_ctx(line_);  // the completion write moves the line to the setter
+  // The completion write moves the line to the setter.
+  mth::touch_if_ctx(line_);
   for (Waiter& w : waiters_) {
     if (w.mode == Mode::kSpin) {
       sched_.spin_unpark(w.t, sched_.costs().spin_retry);
@@ -46,14 +37,6 @@ void CompletionFlag::set() {
 void CompletionFlag::reset() {
   assert(waiters_.empty() && "reset with waiters registered");
   done_ = false;
-}
-
-void CompletionFlag::wait(WaitPolicy policy, sim::Time spin_budget) {
-  switch (policy) {
-    case WaitPolicy::kBusy: wait_busy(); return;
-    case WaitPolicy::kPassive: wait_passive(); return;
-    case WaitPolicy::kFixedSpin: wait_fixed_spin(spin_budget); return;
-  }
 }
 
 void CompletionFlag::wait_busy() {

@@ -27,15 +27,6 @@
 
 namespace pm2::sync {
 
-/// How a waiter waits on a CompletionFlag.
-enum class WaitPolicy {
-  kBusy,       ///< spin until set
-  kPassive,    ///< block immediately
-  kFixedSpin,  ///< spin for a budget, then block
-};
-
-const char* to_string(WaitPolicy p);
-
 class CompletionFlag {
  public:
   explicit CompletionFlag(mth::Scheduler& sched, std::string name = "flag");
@@ -57,9 +48,8 @@ class CompletionFlag {
   /// Re-arm for reuse. Only valid with no waiters registered.
   void reset();
 
-  /// Wait according to @p policy; @p spin_budget applies to kFixedSpin.
-  void wait(WaitPolicy policy, sim::Time spin_budget = sim::microseconds(5));
-
+  /// The three waiting policies (nm::WaitMode picks one): spin until set;
+  /// block at once; spin for @p spin_budget, then block.
   void wait_busy();
   void wait_passive();
   void wait_fixed_spin(sim::Time spin_budget);

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "simsan/context.hpp"
-#include "sync/context_util.hpp"
 
 namespace pm2::sync {
 
@@ -65,8 +64,8 @@ bool Semaphore::try_acquire() {
 
 void Semaphore::release() {
   if (san::on()) san::hb_release(san_tag_, name_);
-  charge_if_ctx(sched_.costs().sem_fast_path);
-  touch_if_ctx(line_);
+  mth::charge_if_ctx(sched_.costs().sem_fast_path);
+  mth::touch_if_ctx(line_);
   if (!waiters_.empty()) {
     Waiter* w = waiters_.front();
     waiters_.pop_front();

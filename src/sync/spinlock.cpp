@@ -5,7 +5,6 @@
 
 #include "simexplore/ctl.hpp"
 #include "simsan/context.hpp"
-#include "sync/context_util.hpp"
 
 namespace pm2::sync {
 
@@ -117,11 +116,11 @@ bool SpinLock::try_lock() {
 }
 
 void SpinLock::san_acquired(bool blocking) {
-  san::acquired(san_tag_, name_, san::LockKind::kSpin, blocking);
+  san::acquired(san_tag_, name_, blocking);
 }
 
 void SpinLock::san_released() {
-  san::released(san_tag_, name_, san::LockKind::kSpin);
+  san::released(san_tag_, name_);
 }
 
 void SpinLock::unlock() {
@@ -132,7 +131,7 @@ void SpinLock::unlock() {
         static_cast<std::uint64_t>(sched_.engine().now() - acquired_at_));
     acquired_at_ = -1;
   }
-  charge_if_ctx(sched_.costs().spin_release);
+  mth::charge_if_ctx(sched_.costs().spin_release);
   if (!spinners_.empty()) {
     // Schedule-exploration choice point: which parked spinner this release
     // wakes (or hands off to). Default 0 keeps the FIFO order.

@@ -68,7 +68,7 @@ TEST(FigureProperties, Fig6PiomanAddsBoundedOverhead) {
   plain.nm.lock = nm::LockMode::kFine;
   nm::ClusterConfig pioman = plain;
   pioman.nm.progress = nm::ProgressMode::kPiomanHooks;
-  pioman.pioman_poll_core = 0;
+  pioman.nm.poll_core = 0;
   const double delta = oneway_us(pioman, 8) - oneway_us(plain, 8);
   EXPECT_GT(delta, 0.05);  // it is not free (paper: ~200 ns)
   EXPECT_LT(delta, 0.5);   // and not dominant
@@ -79,7 +79,7 @@ TEST(FigureProperties, Fig7PassiveCostsAboutTwoSwitches) {
     nm::ClusterConfig cfg;
     cfg.nm.wait = wait;
     cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
-    cfg.pioman_poll_core = 0;
+    cfg.nm.poll_core = 0;
     return oneway_us(cfg, 8);
   };
   const double busy = with_wait(nm::WaitMode::kBusy);
@@ -122,7 +122,6 @@ TEST(FigureProperties, Fig9TaskletsCostMoreThanIdleCores) {
     cfg.nm.lock = nm::LockMode::kFine;
     cfg.nm.progress = mode;
     cfg.nm.poll_core = 1;
-    if (mode == nm::ProgressMode::kIdleCoreOffload) cfg.pioman_poll_core = 1;
     bench::PingpongOptions opt;
     opt.compute_phase = sim::microseconds(10);
     return oneway_us(cfg, 8192, opt);

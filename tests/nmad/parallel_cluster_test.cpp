@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nmad/cluster.hpp"
@@ -111,18 +112,20 @@ TEST(ParallelCluster, MoreWorkersThanHostCpus) {
   EXPECT_GT(w1.cross_events, 0u);
 }
 
-// A 64 B message into an 8 B receive. The receiver waits passively, so a
-// PIOMan hook matches the message and the length check throws from an
-// engine event rather than from inside the receiving fiber. Returns what
-// run() threw. The receiving fiber never resumes after the throw and is
-// torn down unfinished, so its buffers live on its stack: a heap buffer
+// A 64 B message into an 8 B receive; returns what run() threw. With
+// PIOMan hooks and passive waiting a hook matches the message, so the
+// length check throws from an engine event; app-driven with busy waiting,
+// it throws inside the receiving fiber, which finishes, and the event that
+// resumed it rethrows. A fiber still blocked at the throw is torn down
+// unfinished, so the buffers live on the fibers' stacks: a heap buffer
 // would stay allocated.
-std::string truncated_receive_error(int partitions, int workers) {
+std::string truncated_receive_error(ProgressMode progress, WaitMode wait,
+                                    int partitions, int workers) {
   ClusterConfig cfg;
   cfg.partitions = partitions;
   cfg.workers = workers;
-  cfg.nm.progress = ProgressMode::kPiomanHooks;
-  cfg.nm.wait = WaitMode::kPassive;
+  cfg.nm.progress = progress;
+  cfg.nm.wait = wait;
   Cluster world(cfg);
   world.spawn(0, [&world] {
     const std::uint8_t m[64] = {};
@@ -142,10 +145,17 @@ std::string truncated_receive_error(int partitions, int workers) {
 
 TEST(ParallelCluster, TruncatedReceiveThrowsAtEveryWorkerCount) {
   const std::string expected = "nm: message exceeds receive buffer (64 > 8)";
-  EXPECT_EQ(truncated_receive_error(1, 1), expected);
-  for (const int workers : {1, 2}) {
-    EXPECT_EQ(truncated_receive_error(2, workers), expected)
-        << "workers " << workers;
+  const std::pair<ProgressMode, WaitMode> modes[] = {
+      {ProgressMode::kPiomanHooks, WaitMode::kPassive},  // thrown by a hook
+      {ProgressMode::kAppDriven, WaitMode::kBusy},       // thrown in a fiber
+  };
+  for (const auto& [progress, wait] : modes) {
+    EXPECT_EQ(truncated_receive_error(progress, wait, 1, 1), expected)
+        << to_string(progress);
+    for (const int workers : {1, 2}) {
+      EXPECT_EQ(truncated_receive_error(progress, wait, 2, workers), expected)
+          << to_string(progress) << ", workers " << workers;
+    }
   }
 }
 

@@ -73,7 +73,12 @@ TEST_P(PingpongMatrix, DataIntegrityAcrossSizes) {
   cfg.nm.lock = p.lock;
   cfg.nm.wait = p.wait;
   cfg.nm.progress = p.progress;
-  cfg.nm.poll_core = 1;
+  // The progression thread / tasklets live on core 1; the hook modes keep
+  // polling from any core.
+  if (p.progress == ProgressMode::kPollThread ||
+      p.progress == ProgressMode::kTaskletOffload) {
+    cfg.nm.poll_core = 1;
+  }
   Cluster world(cfg);
 
   const std::vector<std::size_t> sizes = {0, 1, 13, 256, 2048, 40000};

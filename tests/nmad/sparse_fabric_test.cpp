@@ -1,6 +1,7 @@
 // pm2sim -- sparse fabric and lazy gates: wide worlds must construct in
-// O(active links), not O(nodes^2). A 128-node cluster allocates no per-pair
-// state up front; fabric links and gates materialize on first use.
+// O(active pairs), not O(nodes^2). A 128-node cluster allocates no per-pair
+// state up front: the fabric keeps none at all, and gates materialize on
+// first use.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,11 +18,10 @@ TEST(SparseFabric, WideWorldConstructsInActiveLinkSpace) {
   Cluster world(cfg);
 
   // Construction materializes nothing pairwise: a full mesh would be
-  // 128*127 gates and as many link records.
+  // 128*127 gates.
   for (int n = 0; n < cfg.nodes; ++n) {
     ASSERT_EQ(world.core(n).gate_count(), 0) << "node " << n;
   }
-  EXPECT_EQ(world.nic(0, 0).fabric().active_links(), 0u);
 
   // Sparse traffic: 5 disjoint pairs (i, i + 64) pingpong once.
   constexpr int kPairs = 5;
@@ -44,20 +44,16 @@ TEST(SparseFabric, WideWorldConstructsInActiveLinkSpace) {
   }
   world.run();
 
-  // Each pair lit exactly its two directed links: O(active), not O(n^2).
-  EXPECT_EQ(world.nic(0, 0).fabric().active_links(),
-            static_cast<std::size_t>(2 * kPairs));
-  const auto ab = world.nic(0, 0).fabric().link(0, 64);
-  EXPECT_GT(ab.packets, 0u);
-  EXPECT_EQ(world.nic(0, 0).fabric().link(0, 65).packets, 0u);
-
   // Gates exist only where traffic flowed: one peer per participant,
-  // none anywhere else.
+  // none anywhere else -- O(active), not O(n^2).
   for (int i = 0; i < kPairs; ++i) {
     EXPECT_EQ(world.core(i).gate_count(), 1);
     EXPECT_EQ(world.core(i + 64).gate_count(), 1);
   }
   for (int n = kPairs; n < 64; ++n) {
+    ASSERT_EQ(world.core(n).gate_count(), 0) << "node " << n;
+  }
+  for (int n = 64 + kPairs; n < cfg.nodes; ++n) {
     ASSERT_EQ(world.core(n).gate_count(), 0) << "node " << n;
   }
 }

@@ -21,12 +21,10 @@ class FakeSource : public PollSource {
     return false;
   }
   bool pending() const override { return work_ > 0; }
-  int preferred_core() const override { return preferred_core_; }
 
   int polls_ = 0;
   int work_ = 0;
   int last_core_ = -1;
-  int preferred_core_ = -1;
   sim::Time cost_;
 };
 
@@ -95,21 +93,6 @@ TEST_F(ServerTest, HasPendingHonoursPollCoreBinding) {
   server_.bind_polling(1);
   EXPECT_TRUE(server_.has_pending(1));
   EXPECT_FALSE(server_.has_pending(0));
-}
-
-TEST_F(ServerTest, SourcePreferredCoreRespected) {
-  FakeSource src;
-  src.work_ = 1;
-  src.preferred_core_ = 3;
-  server_.register_source(&src);
-  EXPECT_FALSE(server_.has_pending(0));
-  EXPECT_TRUE(server_.has_pending(3));
-  sched_.spawn([&] {
-    // A pass from core 0 must skip the core-3-only source.
-    server_.poll_once(mth::ExecContext::current());
-    EXPECT_EQ(src.polls_, 0);
-  }, mth::ThreadAttrs{.name = "t", .bind_core = 0, .stack_size = 64 * 1024});
-  engine_.run();
 }
 
 TEST_F(ServerTest, HooksPollIdleCores) {

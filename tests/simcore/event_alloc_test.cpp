@@ -80,8 +80,9 @@ TEST(EventAlloc, SteadyStateScheduleAndFireIsAllocationFree) {
 }
 
 TEST(EventAlloc, InTreeSizedCapturesStayInline) {
-  // The NIC wire-done completion is the largest in-tree capture (56 bytes);
-  // captures of that size must neither allocate nor count as fallbacks.
+  // The largest in-tree capture is the fabric's cross-partition delivery
+  // hop (48 bytes); captures up to 56 bytes must neither allocate nor count
+  // as fallbacks.
   Engine engine;
   struct Payload {
     void* a;

@@ -117,13 +117,14 @@ TEST(ParallelEngine, CrossEventsMergeInCanonicalOrder) {
 TEST(ParallelEngine, MailboxBackpressureAbortsWindowDeterministically) {
   Engine e;
   e.configure_partitions(2, kLookahead);
-  e.set_mailbox_capacity(2);
+  constexpr int kSent = static_cast<int>(Engine::kMailboxCapacity) + 1;
   int delivered = 0;
   bool late_local_ran_in_first_window = true;
 
   e.schedule_at(0, [&] {
-    for (int i = 0; i < 3; ++i) {
-      e.schedule_cross(1, kLookahead + i, [&] { ++delivered; });
+    // One more than the mailbox holds, all due inside the second window.
+    for (int i = 0; i < kSent; ++i) {
+      e.schedule_cross(1, kLookahead + i % 3, [&] { ++delivered; });
     }
   });
   // Would run inside window 1 (t = 50 < horizon 100) -- but the overflow
@@ -134,9 +135,9 @@ TEST(ParallelEngine, MailboxBackpressureAbortsWindowDeterministically) {
   e.run();
 
   EXPECT_EQ(e.mailbox_overflows(), 1u);
-  EXPECT_EQ(delivered, 3);  // backpressure delays, never drops
+  EXPECT_EQ(delivered, kSent);  // backpressure delays, never drops
   EXPECT_FALSE(late_local_ran_in_first_window);
-  // Window 1 (aborted early) + window 2 (deferred local + the 3 deliveries).
+  // Window 1 (aborted early) + window 2 (deferred local + every delivery).
   EXPECT_EQ(e.windows_executed(), 2u);
 }
 
@@ -332,9 +333,12 @@ TEST(ParallelEngine, TryAdvanceStaysWithinRunUntilDeadline) {
 TEST(ParallelEngine, TryAdvanceRefusesAfterBackpressureAbort) {
   Engine e;
   e.configure_partitions(2, kLookahead);
-  e.set_mailbox_capacity(1);
   e.schedule_at(0, [&] {
     EXPECT_TRUE(e.try_advance(10));
+    for (std::size_t i = 1; i < Engine::kMailboxCapacity; ++i) {
+      e.schedule_cross(1, e.now() + kLookahead, [] {});
+    }
+    EXPECT_TRUE(e.try_advance(0));  // one slot left: no abort yet
     e.schedule_cross(1, e.now() + kLookahead, [] {});  // fills the mailbox
     EXPECT_FALSE(e.try_advance(10));  // the window ends after this event
     EXPECT_EQ(e.now(), 10);

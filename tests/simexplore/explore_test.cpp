@@ -40,7 +40,7 @@ TEST(ExploreCtl, ForcedChoicesDriveTheTrace) {
   EXPECT_EQ(c.pick(SiteKind::kDispatch, 3, 0xA), 1);
   // Single-option sites take the only branch without consuming a step.
   EXPECT_EQ(c.pick(SiteKind::kSpinHandoff, 1, 0xB), 0);
-  EXPECT_EQ(c.pick(SiteKind::kMutexHandoff, 2, 0xC), 0);
+  EXPECT_EQ(c.pick(SiteKind::kDispatch, 2, 0xC), 0);
   EXPECT_EQ(c.pick(SiteKind::kSpinHandoff, 4, 0xD), 2);
   // Past the forced prefix: default.
   EXPECT_EQ(c.pick(SiteKind::kDispatch, 2, 0xE), 0);
@@ -48,7 +48,8 @@ TEST(ExploreCtl, ForcedChoicesDriveTheTrace) {
   ASSERT_EQ(steps.size(), 4u);
   EXPECT_EQ(steps[0].site, SiteKind::kDispatch);
   EXPECT_EQ(steps[0].chosen, 1);
-  EXPECT_EQ(steps[1].site, SiteKind::kMutexHandoff);
+  EXPECT_EQ(steps[1].site, SiteKind::kDispatch);
+  EXPECT_EQ(steps[1].options, 2);
   EXPECT_EQ(steps[1].chosen, 0);
   EXPECT_EQ(steps[2].site, SiteKind::kSpinHandoff);
   EXPECT_EQ(steps[2].chosen, 2);
@@ -172,10 +173,10 @@ TEST(CanonicalKey, RaceKeyIgnoresActorsAndTimestamps) {
 TEST(CanonicalKey, ContextKeyIgnoresTheActingActor) {
   const std::string a = san::canonical_site_key(
       san::FindingKind::kContextViolation, "hook-blocking",
-      "hook(node0/c2): blocking primitive Mutex::lock in hook context");
+      "hook(node0/c2): blocking primitive Semaphore::acquire in hook context");
   const std::string b = san::canonical_site_key(
       san::FindingKind::kContextViolation, "hook-blocking",
-      "worker3: blocking primitive Mutex::lock in hook context");
+      "worker3: blocking primitive Semaphore::acquire in hook context");
   EXPECT_EQ(a, b);
 }
 
@@ -193,8 +194,8 @@ TEST(MergedReport, IdenticalSitesAcrossShardsReportOnceWithCount) {
   const std::uint32_t a1 = s1.thread_actor(&key1, "w7");
   // The same contract violated in two partition shards by different
   // actors: one canonical site.
-  s0.report_context(a0, "spin-held-block", "blocking in Mutex::lock");
-  s1.report_context(a1, "spin-held-block", "blocking in Mutex::lock");
+  s0.report_context(a0, "spin-held-block", "blocking in Semaphore::acquire");
+  s1.report_context(a1, "spin-held-block", "blocking in Semaphore::acquire");
 
   // Raw totals stay raw (counters, acceptance gates) ...
   EXPECT_EQ(san::Analyzer::merged_total_findings(), 2u);
@@ -212,6 +213,42 @@ TEST(MergedReport, IdenticalSitesAcrossShardsReportOnceWithCount) {
     san::Analyzer::shard(i).set_enabled(false);
     san::Analyzer::shard(i).reset();
   }
+}
+
+// JSON forbids raw bytes below 0x20 inside strings: a name carrying one
+// must render escaped, or the whole report stops parsing.
+TEST(ReportJson, ControlBytesInFindingsAreEscaped) {
+  const std::string detail = "lock \"a\x01" "b\" held\rnext";
+  const std::string escaped = "lock \\\"a\\u0001b\\\" held\\rnext";
+  auto expect_clean = [&](const std::string& json, const char* what) {
+    EXPECT_NE(json.find(escaped), std::string::npos) << what << ": " << json;
+    int raw = 0;
+    for (char c : json) {
+      // '\n' separates the explorer's findings, between strings.
+      if (c != '\n' && static_cast<unsigned char>(c) < 0x20) ++raw;
+    }
+    EXPECT_EQ(raw, 0) << what;
+  };
+
+  auto& an = san::Analyzer::shard(0);
+  an.reset();
+  an.set_enabled(true);
+  int key = 0;
+  an.report_context(an.thread_actor(&key, "t\x01"), "ctl-rule", detail);
+  expect_clean(an.report_json(), "simsan report_json");
+  expect_clean(san::Analyzer::merged_report_json(), "simsan merged");
+  an.set_enabled(false);
+  an.reset();
+
+  xpl::ExploreReport report;
+  report.label = "ctl";
+  xpl::AggFinding f;
+  f.kind = "context-violation";
+  f.rule = "ctl-rule";
+  f.message = detail;
+  f.replay_token = "PM2XPL1 seed=1 label=ctl choices=-";
+  report.findings.push_back(f);
+  expect_clean(report.to_json(), "explorer to_json");
 }
 
 // --- the explorer -----------------------------------------------------------

@@ -4,7 +4,7 @@
 
 #include "simcore/random.hpp"
 #include "simthread/scheduler.hpp"
-#include "sync/mutex.hpp"
+#include "sync/semaphore.hpp"
 
 namespace pm2::mth {
 namespace {
@@ -79,17 +79,18 @@ TEST(SchedulerStressMutex, HeavyContentionConserves) {
   mach::Machine machine(engine, "n", mach::CacheTopology::quad_core(),
                         mach::CostBook::xeon_quad());
   Scheduler sched(machine);
-  sync::Mutex m(sched);
+  sync::Semaphore m(sched, /*initial=*/1);  // binary: a blocking mutex
   long counter = 0;
   constexpr int kThreads = 10;
   constexpr int kIncrements = 40;
   for (int i = 0; i < kThreads; ++i) {
     sched.spawn([&] {
       for (int k = 0; k < kIncrements; ++k) {
-        sync::MutexGuard g(m);
+        m.acquire();
         const long snapshot = counter;
         sched.charge_current(137);  // widen the race window
         counter = snapshot + 1;
+        m.release();
       }
     });
   }

@@ -5,6 +5,20 @@
 namespace pm2::sync {
 namespace {
 
+/// The three waiting policies, as nmad's wait modes call them; @p budget
+/// applies to the fixed spin.
+struct WaitFn {
+  const char* name;
+  void (*wait)(CompletionFlag& f, sim::Time budget);
+};
+constexpr WaitFn kWaits[3] = {
+    {"busy", [](CompletionFlag& f, sim::Time) { f.wait_busy(); }},
+    {"passive", [](CompletionFlag& f, sim::Time) { f.wait_passive(); }},
+    {"fixed-spin",
+     [](CompletionFlag& f, sim::Time b) { f.wait_fixed_spin(b); }},
+};
+constexpr sim::Time kBudget = sim::microseconds(5);
+
 class FlagTest : public ::testing::Test {
  protected:
   sim::Engine engine_;
@@ -15,13 +29,12 @@ class FlagTest : public ::testing::Test {
 
 TEST_F(FlagTest, AlreadySetReturnsImmediately) {
   CompletionFlag f(sched_);
-  for (WaitPolicy p :
-       {WaitPolicy::kBusy, WaitPolicy::kPassive, WaitPolicy::kFixedSpin}) {
-    sched_.spawn([&, p] {
+  for (const WaitFn& w : kWaits) {
+    sched_.spawn([&] {
       f.set();
       const sim::Time before = engine_.now();
-      f.wait(p);
-      EXPECT_LT(engine_.now() - before, 100) << to_string(p);
+      w.wait(f, kBudget);
+      EXPECT_LT(engine_.now() - before, 100) << w.name;
     });
     engine_.run();
     f.reset();
@@ -144,13 +157,11 @@ TEST_F(FlagTest, SetIsIdempotent) {
 TEST_F(FlagTest, MultipleWaitersAllReleased) {
   CompletionFlag f(sched_);
   int released = 0;
-  const WaitPolicy policies[3] = {WaitPolicy::kBusy, WaitPolicy::kPassive,
-                                  WaitPolicy::kFixedSpin};
   for (int i = 0; i < 3; ++i) {
     mth::ThreadAttrs a;
     a.bind_core = i;
     sched_.spawn([&, i] {
-      f.wait(policies[i], sim::microseconds(100));
+      kWaits[i].wait(f, sim::microseconds(100));
       ++released;
     }, a);
   }
@@ -219,20 +230,19 @@ TEST_F(FlagTest, SignalBeforeWaitNeverBlocksAcrossReuse) {
   // block -- under every policy, including after reset() re-arms the flag.
   CompletionFlag f(sched_);
   for (int round = 0; round < 2; ++round) {
-    for (WaitPolicy p :
-         {WaitPolicy::kBusy, WaitPolicy::kPassive, WaitPolicy::kFixedSpin}) {
+    for (const WaitFn& w : kWaits) {
       const std::uint64_t blocked_before = f.blocked_waits();
       sched_.spawn([&] { f.set(); });
       mth::ThreadAttrs a;
       a.bind_core = 1;
-      sched_.spawn([&, p] {
+      sched_.spawn([&] {
         // Arrive well after the setter ran: the signal is already latched.
         sched_.charge_current(sim::microseconds(5));
-        f.wait(p);
+        w.wait(f, kBudget);
         EXPECT_TRUE(f.is_set());
       }, a);
       engine_.run();
-      EXPECT_EQ(f.blocked_waits(), blocked_before) << to_string(p);
+      EXPECT_EQ(f.blocked_waits(), blocked_before) << w.name;
       f.reset();
       EXPECT_FALSE(f.is_set());
     }
