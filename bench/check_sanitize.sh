@@ -71,9 +71,16 @@ TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/bench/fig3_locking --iters=5 --warmup=1 --simsan=on \
   --partitions=2 --workers=2 --endpoints=4 --rx-queues=4 > /dev/null
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir"/bench/rxq_simsan > /dev/null
+# Charge handoffs under TSan: fibers that switch straight into the next
+# charge's resume (the ucontext backend carries the TSan fiber state over),
+# across nodes, through window horizons at two workers, and out of a fiber
+# that throws.
+TSAN_OPTIONS="halt_on_error=1" \
+  "$tsan_dir"/tests/test_simthread --gtest_filter='ChargeHandoff.*'
 # Trace recorder under TSan: the intern table's concurrent lookups and
 # inserts, and the multi-worker traced cluster whose workers append to
-# their partitions' record vectors, cross host-thread boundaries here.
+# their partitions' record chunks from the shared chunk pool, cross
+# host-thread boundaries here.
 TSAN_OPTIONS="halt_on_error=1" \
   "$tsan_dir"/tests/test_obs --gtest_filter='TraceLog.*'
 

@@ -8,12 +8,16 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "nmad/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/engine.hpp"
+#include "simmachine/machine.hpp"
 #include "simthread/fiber.hpp"
+#include "simthread/scheduler.hpp"
 
 using namespace pm2;
 
@@ -50,6 +54,57 @@ void BM_FiberSwitch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);  // two switches per resume
 }
 BENCHMARK(BM_FiberSwitch);
+
+void BM_ChargeRoundTrip(benchmark::State& state) {
+  // Host cost of a virtual-time charge that another event may interleave
+  // with, such as one poll of a busy-wait loop: the scheduler schedules
+  // its resume, and the next charge resume runs by a fiber switch.
+  // range(0) fibers on two dual quad-core nodes, one per core, each charge
+  // 19-22 ns in a loop, so most charges end on another fiber's resume and
+  // some on a tie. Only run() is timed; ns_per_charge is its host time per
+  // charge, the engine and fiber-switch layers' probe for this path.
+  const int fibers = static_cast<int>(state.range(0));
+  constexpr int kCharges = 2000;
+  double run_s = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::vector<std::unique_ptr<mach::Machine>> machines;
+    std::vector<std::unique_ptr<mth::Scheduler>> scheds;
+    for (int n = 0; n < 2; ++n) {
+      machines.push_back(std::make_unique<mach::Machine>(
+          engine, "node" + std::to_string(n),
+          mach::CacheTopology::dual_quad_core(),
+          mach::CostBook::xeon_dual_quad()));
+      scheds.push_back(std::make_unique<mth::Scheduler>(*machines.back()));
+    }
+    for (int f = 0; f < fibers; ++f) {
+      mth::Scheduler& s = *scheds[static_cast<std::size_t>(f % 2)];
+      mth::ThreadAttrs attrs;
+      attrs.bind_core = f / 2;
+      const sim::Time dt = 19 + f % 4;
+      s.spawn([&s, dt] {
+        for (int i = 0; i < kCharges; ++i) s.charge_current(dt);
+      }, attrs);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    engine.run();
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    state.SetIterationTime(elapsed);
+    run_s += elapsed;
+    benchmark::DoNotOptimize(engine.events_executed());
+  }
+  const double charges =
+      static_cast<double>(state.iterations()) * fibers * kCharges;
+  state.SetItemsProcessed(static_cast<std::int64_t>(charges));
+  state.counters["ns_per_charge"] = run_s * 1e9 / charges;
+}
+BENCHMARK(BM_ChargeRoundTrip)
+    ->Arg(2)
+    ->Arg(16)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CancelledEvents(benchmark::State& state) {
   for (auto _ : state) {

@@ -1228,11 +1228,15 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
         early.tag = h.tag;
         early.total_len = h.total_len;
         early.cookie = h.cookie;
-        gate.early_rts_[h.msg_seq] = early;
+        // A second RTS for a stashed msg_seq is dropped: replacing the
+        // first would leave its sender waiting for a CTS forever.
+        if (!gate.early_rts_.emplace(h.msg_seq, early).second) {
+          m_rx_rejected_.inc();
+        }
         return;
       }
-      process_rts_locked(ctx, ep, gate, h.tag, h.msg_seq, h.total_len,
-                         h.cookie);
+      process_rts_locked(ep, gate, h.tag, h.msg_seq, h.total_len, h.cookie);
+      bump_match_seq_locked(ep, gate, h.msg_seq);
       return;
     }
     case ChunkKind::kEager:
@@ -1268,7 +1272,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // An eager message counts as matched in channel order at its first
       // byte (rendezvous ones at their RTS).
       if (h.kind == ChunkKind::kEager && h.offset == 0) {
-        bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
+        bump_match_seq_locked(ep, gate, h.msg_seq);
       }
       return;
     }
@@ -1327,9 +1331,9 @@ bool Core::store_unexpected_locked(mth::ExecContext& ctx, int rail,
   return true;
 }
 
-void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
-                              Tag tag, std::uint32_t msg_seq,
-                              std::size_t total_len, std::uint64_t cookie) {
+void Core::process_rts_locked(Endpoint& ep, Gate& gate, Tag tag,
+                              std::uint32_t msg_seq, std::size_t total_len,
+                              std::uint64_t cookie) {
   Request* req = match_posted_locked(ep, gate, tag);
   if (req != nullptr) {
     bind_locked(gate, req, tag, msg_seq, total_len);
@@ -1347,28 +1351,30 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     gate.unexpected_.push_back(std::move(um));
     m_unexpected_chunks_.add_always();
   }
-  bump_match_seq_locked(ctx, ep, gate, msg_seq);
 }
 
-void Core::bump_match_seq_locked(mth::ExecContext& ctx, Endpoint& ep,
-                                 Gate& gate, std::uint32_t msg_seq) {
-  if (msg_seq == gate.next_match_seq_) {
-    ++gate.next_match_seq_;
-  } else if (msg_seq > gate.next_match_seq_) {
-    // Cross-rail slip: a later eager physically arrived first. Adopt the
-    // relaxed order rather than stalling the channel -- only RTS chunks
-    // (which the packer reorders deliberately) are ever held back.
-    gate.next_match_seq_ = msg_seq + 1;
+void Core::bump_match_seq_locked(Endpoint& ep, Gate& gate,
+                                 std::uint32_t msg_seq) {
+  // Each stashed RTS that becomes matchable moves the cursor on and may
+  // make the next one matchable: drain them in a loop, in msg_seq order,
+  // so the stack depth does not grow with the stash.
+  for (;;) {
+    if (msg_seq == gate.next_match_seq_) {
+      ++gate.next_match_seq_;
+    } else if (msg_seq > gate.next_match_seq_) {
+      // Cross-rail slip: a later eager physically arrived first. Adopt the
+      // relaxed order rather than stalling the channel -- only RTS chunks
+      // (which the packer reorders deliberately) are ever held back.
+      gate.next_match_seq_ = msg_seq + 1;
+    }
+    if (gate.early_rts_.empty()) return;
+    auto it = gate.early_rts_.begin();
+    if (it->first > gate.next_match_seq_) return;
+    const Gate::EarlyRts e = it->second;
+    msg_seq = it->first;
+    gate.early_rts_.erase(it);
+    process_rts_locked(ep, gate, e.tag, msg_seq, e.total_len, e.cookie);
   }
-  if (gate.early_rts_.empty()) return;
-  auto it = gate.early_rts_.begin();
-  if (it->first > gate.next_match_seq_) return;
-  const Gate::EarlyRts e = it->second;
-  const std::uint32_t seq = it->first;
-  gate.early_rts_.erase(it);
-  // Recurses through bump_match_seq_locked to drain any further stashed
-  // RTS that just became matchable; depth is bounded by the stash size.
-  process_rts_locked(ctx, ep, gate, e.tag, seq, e.total_len, e.cookie);
 }
 
 void Core::deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,

@@ -226,15 +226,16 @@ class Core final : public piom::PollSource {
   bool store_unexpected_locked(mth::ExecContext& ctx, int rail, Gate& gate,
                                const ChunkHeader& h, const std::uint8_t* data,
                                const net::SlabRef* backing);
-  /// RTS body of handle_chunk_locked (match-or-unexpected plus the CTS
-  /// grant), shared with the early-RTS stash drain.
-  void process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
-                          Tag tag, std::uint32_t msg_seq,
-                          std::size_t total_len, std::uint64_t cookie);
-  /// Advance the channel match cursor past @p msg_seq and drain any
-  /// stashed RTS that became matchable (caller holds the matching lock).
-  void bump_match_seq_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
-                             std::uint32_t msg_seq);
+  /// RTS body of handle_chunk_locked, shared with the early-RTS stash
+  /// drain: match a posted receive and grant it, or keep the RTS as an
+  /// unexpected rendezvous message. The caller moves the match cursor.
+  void process_rts_locked(Endpoint& ep, Gate& gate, Tag tag,
+                          std::uint32_t msg_seq, std::size_t total_len,
+                          std::uint64_t cookie);
+  /// Advance the channel match cursor past @p msg_seq and drain, in a
+  /// loop, every stashed RTS that became matchable (caller holds the
+  /// matching lock).
+  void bump_match_seq_locked(Endpoint& ep, Gate& gate, std::uint32_t msg_seq);
   /// Adopt the earliest matching unexpected message into @p req (caller
   /// holds @p ep's matching lock). Returns false if nothing matched;
   /// *adopted_rdv is set when a deferred CTS was queued.

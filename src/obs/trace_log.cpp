@@ -94,9 +94,67 @@ void append_event_json(std::string& out, char phase, std::string_view name,
 
 }  // namespace
 
+namespace {
+
+/// Record chunks no TraceLog holds, shared by every TraceLog in the process
+/// (partitions on several host threads take chunks concurrently). At most
+/// kMaxPooled are kept, so a long trace's memory goes back to the allocator
+/// when its TraceLog dies. Leaked on purpose: a TraceLog destroyed during
+/// static destruction still finds it.
+struct ChunkPool {
+  static constexpr std::size_t kMaxPooled = 64;  // 3 MiB
+  std::mutex mu;
+  std::vector<std::unique_ptr<TraceRecord[]>> free;
+  static ChunkPool& instance() {
+    static auto* pool = new ChunkPool();
+    return *pool;
+  }
+};
+
+}  // namespace
+
+TraceLog::~TraceLog() { release_chunks(); }
+
+void TraceLog::add_chunk(Partition& part) {
+  auto& pool = ChunkPool::instance();
+  Chunk c;
+  {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    if (!pool.free.empty()) {
+      c = std::move(pool.free.back());
+      pool.free.pop_back();
+    }
+  }
+  if (c == nullptr) c = std::make_unique<TraceRecord[]>(kChunkRecords);
+  part.next = c.get();
+  part.end = c.get() + kChunkRecords;
+  part.chunks.push_back(std::move(c));
+}
+
+void TraceLog::release_chunks() {
+  auto& pool = ChunkPool::instance();
+  std::lock_guard<std::mutex> lock(pool.mu);
+  for (Partition& p : parts_) {
+    for (Chunk& c : p.chunks) {
+      if (pool.free.size() < ChunkPool::kMaxPooled) {
+        pool.free.push_back(std::move(c));
+      }
+    }
+    p.chunks.clear();
+    p.next = p.end = nullptr;
+  }
+}
+
+std::size_t TraceLog::Partition::size() const {
+  if (chunks.empty()) return 0;
+  return (chunks.size() - 1) * kChunkRecords +
+         static_cast<std::size_t>(next - chunks.back().get());
+}
+
 void TraceLog::configure(const Options& opts) {
-  parts_.assign(static_cast<std::size_t>(std::max(1, opts.partitions)),
-                Partition{});
+  release_chunks();
+  parts_.clear();
+  parts_.resize(static_cast<std::size_t>(std::max(1, opts.partitions)));
   engine_ = opts.engine;
   for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
   entries_.clear();
@@ -154,7 +212,7 @@ void TraceLog::set_thread_name(int pid, int tid, std::string_view name) {
 
 std::size_t TraceLog::record_count() const {
   std::size_t n = 0;
-  for (const Partition& p : parts_) n += p.records.size();
+  for (const Partition& p : parts_) n += p.size();
   return n;
 }
 
@@ -186,9 +244,18 @@ std::vector<TraceRecord> TraceLog::canonicalize(
 }
 
 std::vector<TraceRecord> TraceLog::canonical_records() const {
+  std::vector<std::vector<TraceRecord>> recs(parts_.size());
   std::vector<const std::vector<TraceRecord>*> parts;
   parts.reserve(parts_.size());
-  for (const Partition& p : parts_) parts.push_back(&p.records);
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    const Partition& p = parts_[i];
+    recs[i].reserve(p.size());
+    for (const Chunk& c : p.chunks) {
+      recs[i].insert(recs[i].end(), static_cast<const TraceRecord*>(c.get()),
+                     p.end_of(c));
+    }
+    parts.push_back(&recs[i]);
+  }
   return canonicalize(parts);
 }
 
@@ -262,14 +329,15 @@ void TraceLog::write_binary(const std::string& path) {
   f.write(reinterpret_cast<const char*>(&h), sizeof(h));
 
   for (const Partition& p : parts_) {
-    BinRingHeader rh{p.records.size(), 0, 0};
+    BinRingHeader rh{p.size(), 0, 0};
     f.write(reinterpret_cast<const char*>(&rh), sizeof(rh));
   }
   for (const Partition& p : parts_) {
-    if (p.records.empty()) continue;
-    f.write(reinterpret_cast<const char*>(p.records.data()),
-            static_cast<std::streamsize>(p.records.size() *
-                                         sizeof(TraceRecord)));
+    for (const Chunk& c : p.chunks) {
+      const auto n = static_cast<std::size_t>(p.end_of(c) - c.get());
+      f.write(reinterpret_cast<const char*>(c.get()),
+              static_cast<std::streamsize>(n * sizeof(TraceRecord)));
+    }
   }
   for (const std::string& s : strings_) {
     const auto len = static_cast<std::uint32_t>(s.size());

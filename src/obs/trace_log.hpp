@@ -2,15 +2,21 @@
 // format, and the canonical merge to Chrome trace-event JSON.
 //
 // TraceLog is the one recording path for timeline events (scheduler spans,
-// hook time, NIC tx/rx) and flow-lifecycle stamps, over one record vector
+// hook time, NIC tx/rx) and flow-lifecycle stamps, over one record store
 // per engine partition. The producer path (push) is the partition's host
 // worker: it stamps the record with the partition clock (`emit`), routes by
-// sim::tls_partition and appends to that partition's vector -- no lock, no
-// formatting, an amortized append. A partition runs on one host worker at a
-// time (the engine pins partition p to worker p % workers, and the window
+// sim::tls_partition and appends to that partition's records -- no lock, no
+// formatting, one store. A partition runs on one host worker at a time
+// (the engine pins partition p to worker p % workers, and the window
 // barrier orders one window's appends before the next window's), so each
-// vector has one writer. Strings cross the boundary as u16 ids from a
-// lock-free-read intern table (insert-locked, first sight of a string only).
+// partition's records have one writer. They are kept in fixed-size chunks
+// recycled through a process-wide pool: an append never moves earlier
+// records, and a new trace writes into memory an earlier one faulted in
+// instead of growing a fresh vector (a page fault per 4 KiB and a copy at
+// every doubling; in the trace_overhead gate's pingpong those cost about
+// as much as the appends themselves). Strings cross the
+// boundary as u16 ids from a lock-free-read intern table (insert-locked,
+// first sight of a string only).
 // Read-side calls (record_count, the exports) run after the world's run.
 //
 // The canonical order that makes every export byte-stable at any worker
@@ -29,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -82,6 +89,7 @@ class TraceLog {
 
   TraceLog() { configure(Options{}); }
   explicit TraceLog(const Options& opts) { configure(opts); }
+  ~TraceLog();
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
 
@@ -124,7 +132,9 @@ class TraceLog {
   void push_prestamped(const TraceRecord& r) {
     auto p = static_cast<std::size_t>(sim::tls_partition);
     if (p >= parts_.size()) p = 0;
-    parts_[p].records.push_back(r);
+    Partition& part = parts_[p];
+    if (part.next == part.end) add_chunk(part);
+    *part.next++ = r;
   }
 
   // --- results (after the run) ----------------------------------------------
@@ -174,11 +184,26 @@ class TraceLog {
   static std::string data_to_json(const Data& data);
 
  private:
+  static constexpr std::size_t kChunkRecords = 1024;  // 48 KiB
+  using Chunk = std::unique_ptr<TraceRecord[]>;
+
   /// One partition's records in push order, on its own cache line so two
   /// workers' appends never share one.
   struct alignas(64) Partition {
-    std::vector<TraceRecord> records;
+    std::vector<Chunk> chunks;    ///< full, except the last
+    TraceRecord* next = nullptr;  ///< next free record of the last chunk
+    TraceRecord* end = nullptr;   ///< one past the last chunk
+    std::size_t size() const;
+    /// The records of @p chunk, a chunk of this partition.
+    const TraceRecord* end_of(const Chunk& chunk) const {
+      return &chunk == &chunks.back() ? next : chunk.get() + kChunkRecords;
+    }
   };
+
+  /// Give @p part a chunk from the pool (a new one if the pool is empty).
+  static void add_chunk(Partition& part);
+  /// Return every partition's chunks to the pool.
+  void release_chunks();
 
   struct InternEntry {
     std::string str;

@@ -110,19 +110,9 @@ void Engine::configure_partitions(int n, Time lookahead) {
 
 void Engine::set_workers(int w) { workers_ = std::max(1, w); }
 
-EventHandle Engine::schedule_at(Time when, EventQueue::Callback cb) {
-  Partition& p = part(active_partition());
-  if (when < p.now) {
-    throw std::logic_error("Engine::schedule_at: time " + format_time(when) +
-                           " is in the past (now = " + format_time(p.now) +
-                           ")");
-  }
-  return p.queue.schedule(when, std::move(cb));
-}
-
-EventHandle Engine::schedule_after(Time delay, EventQueue::Callback cb) {
-  assert(delay >= 0 && "negative delay");
-  return schedule_at(now() + delay, std::move(cb));
+void Engine::throw_in_past(Time when, Time now) {
+  throw std::logic_error("Engine::schedule_at: time " + format_time(when) +
+                         " is in the past (now = " + format_time(now) + ")");
 }
 
 void Engine::schedule_cross(int dst, Time when, EventQueue::Callback cb) {
@@ -150,11 +140,11 @@ bool Engine::cancel(EventHandle& h) {
 
 bool Engine::step_partition(Partition& p) {
   if (p.queue.empty()) return false;
-  auto [when, cb] = p.queue.pop();
-  assert(when >= p.now && "event queue went backwards");
-  p.now = when;
-  ++p.executed;
-  cb();
+  p.queue.run_next([&p](Time when) {
+    assert(when >= p.now && "event queue went backwards");
+    p.now = when;
+    ++p.executed;
+  });
   return true;
 }
 

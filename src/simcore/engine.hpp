@@ -32,11 +32,13 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
@@ -108,11 +110,21 @@ class Engine {
   Time partition_now(int p) const { return part(p).now; }
 
   /// Schedule a callback at absolute virtual time @p when in the calling
-  /// context's partition. @p when must not be in the past.
-  EventHandle schedule_at(Time when, EventQueue::Callback cb);
+  /// context's partition. @p when must not be in the past. The callable is
+  /// constructed in its event slot.
+  template <typename F>
+  EventHandle schedule_at(Time when, F&& f) {
+    Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
+    if (when < p.now) throw_in_past(when, p.now);
+    return p.queue.schedule(when, std::forward<F>(f));
+  }
 
   /// Schedule a callback @p delay nanoseconds from now (delay >= 0).
-  EventHandle schedule_after(Time delay, EventQueue::Callback cb);
+  template <typename F>
+  EventHandle schedule_after(Time delay, F&& f) {
+    assert(delay >= 0 && "negative delay");
+    return schedule_at(now() + delay, std::forward<F>(f));
+  }
 
   /// Schedule a callback into partition @p dst at time @p when. The only
   /// legal producer of true cross-partition events is the simnet wire (the
@@ -166,11 +178,32 @@ class Engine {
   bool try_advance(Time dt) {
     Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
     const Time t = p.now + dt;
-    if (p.queue.due_by(t) || t > p.advance_limit || p.window_abort) {
+    if (p.queue.due_by(t) || t > p.advance_limit || !loop_goes_on(p)) {
       return false;
     }
-    if (parts_.size() == 1 && stopped()) return false;
     p.now = t;
+    return true;
+  }
+
+  /// Take the event the loop now running would execute next, if its
+  /// callback is an @p F, instead of returning to the loop to run it: pop
+  /// it, move the calling partition's clock to its time, count it in
+  /// events_executed(), and copy the callable to @p out for the caller to
+  /// run. The loop would run it next when it is the earliest live event of
+  /// the calling partition, its time is within the loop's limit (the
+  /// run_until deadline; a window's horizon and deadline), no backpressure
+  /// abort ends the window, and, in single-partition runs only, no stop()
+  /// is pending. Returns false, changing nothing but dropped cancelled
+  /// entries, otherwise and outside a run.
+  template <typename F>
+  bool take_next(F& out) {
+    Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
+    if (!loop_goes_on(p)) return false;
+    Time when = 0;
+    if (!p.queue.take_next_if(p.advance_limit, when, out)) return false;
+    assert(when >= p.now && "event queue went backwards");
+    p.now = when;
+    ++p.executed;
     return true;
   }
 
@@ -246,6 +279,13 @@ class Engine {
                  static_cast<std::size_t>(dst)];
   }
 
+  /// False once the running loop will stop at the current event: a
+  /// backpressure abort ends the window, and a single-partition run stops
+  /// at a pending stop() (a window ignores it until its barrier).
+  bool loop_goes_on(const Partition& p) const {
+    return !p.window_abort && !(parts_.size() == 1 && stopped());
+  }
+  [[noreturn]] static void throw_in_past(Time when, Time now);
   Time window_horizon(Time tmin) const;
   bool step_partition(Partition& p);
   void drain_mailboxes_for(int dst);

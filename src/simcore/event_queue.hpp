@@ -13,13 +13,15 @@
 //    cache line and half the sift-down depth of a binary heap, which is
 //    what the pop-heavy engine loop is bound by at scale.
 //
-// pop() takes the smaller of (lane front, heap top); each schedule costs at
-// most one extra comparison versus a pure heap.
+// run_next() takes the smaller of (lane front, heap top); each schedule
+// costs at most one extra comparison versus a pure heap.
 //
 // The hot path is allocation-free in steady state:
 //  * callbacks live in slab-pooled slots as small-buffer-optimized
-//    InplaceFunction objects (no std::function heap traffic); slots are
-//    recycled through an intrusive free list threaded through their keys;
+//    InplaceFunction objects (no std::function heap traffic), built in
+//    their slot by schedule() and invoked there by run_next(), so an event
+//    never moves its callback; slots are recycled through an intrusive free
+//    list threaded through their keys;
 //  * handles carry the event's 64-bit key -- no shared_ptr control block
 //    per event; a released slot can never match a stale key, so handles to
 //    fired/cancelled events are detected in O(1) even after slot reuse;
@@ -37,6 +39,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -93,13 +96,19 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule @p cb to fire at absolute time @p when.
-  EventHandle schedule(Time when, Callback cb) {
+  /// Schedule @p f to fire at absolute time @p when. A callable other than
+  /// a Callback is constructed directly in its slot.
+  template <typename F>
+  EventHandle schedule(Time when, F&& f) {
     const std::uint32_t s = acquire_slot();
     assert(seq_ < (std::uint64_t{1} << (64 - kSlotBits)) && "sequence overflow");
     const std::uint64_t key = (seq_++ << kSlotBits) | s;
     Slot& sl = slot(s);
-    sl.cb = std::move(cb);
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      sl.cb = std::move(f);
+    } else {
+      sl.cb.emplace(std::forward<F>(f));
+    }
     sl.key = key;
     const HeapEntry e{when, key};
     // Keys grow monotonically, so "e after lane back" reduces to a time
@@ -149,28 +158,48 @@ class EventQueue {
            (!heap_.empty() && heap_[0].when <= t);
   }
 
-  /// Pop the earliest live event. Pre: !empty().
-  /// Returns its (time, callback); the callback is not invoked here so the
-  /// engine can advance the clock first.
-  std::pair<Time, Callback> pop() {
+  /// Remove the earliest live event and run it in its slot: first @p at
+  /// with its time (the engine moves its clock there), then its callback.
+  /// While the callback runs, its handle reads !pending() and the slot is
+  /// not reused; it is released afterwards, also when the callback throws.
+  /// Pre: !empty().
+  template <typename At>
+  void run_next(At&& at) {
     drop_dead();
-    assert(live_ > 0 && "pop() on empty EventQueue");
-    HeapEntry e;
-    const bool from_lane =
-        !lane_empty() && (heap_.empty() || later(heap_[0], lane_[lane_head_]));
-    if (from_lane) {
-      e = lane_[lane_head_++];
-      if (lane_empty()) lane_trim();
-    } else {
-      assert(!heap_.empty());
-      e = heap_[0];
-      remove_top();
-    }
+    assert(live_ > 0 && "run_next() on empty EventQueue");
+    const HeapEntry e = remove_front();
     const std::uint32_t s = slot_of(e.key);
-    Callback cb = std::move(slot(s).cb);
-    release_slot(s);
-    --live_;
-    return {e.when, std::move(cb)};
+    Slot& sl = slot(s);
+    sl.key = kFiringKey;
+    struct Release {
+      EventQueue& q;
+      std::uint32_t s;
+      ~Release() { q.release_slot(s); }
+    } release{*this, s};
+    at(e.when);
+    sl.cb();
+  }
+
+  /// If the earliest live event is due at or before @p limit and its
+  /// callback is an @p F, remove it without running it: its time goes to
+  /// @p when, a copy of the callable to @p out. Otherwise change nothing
+  /// but dropped cancelled entries, and return false.
+  template <typename F>
+  bool take_next_if(Time limit, Time& when, F& out) {
+    static_assert(std::is_trivially_copyable_v<F> &&
+                  std::is_trivially_destructible_v<F>);
+    drop_dead();
+    if (live_ == 0) return false;
+    const HeapEntry& front =
+        front_in_lane() ? lane_[lane_head_] : heap_[0];
+    if (front.when > limit) return false;
+    const F* f = slot(slot_of(front.key)).cb.template target<F>();
+    if (f == nullptr) return false;
+    out = *f;
+    const HeapEntry e = remove_front();
+    when = e.when;
+    release_slot(slot_of(e.key));
+    return true;
   }
 
   /// Total number of events ever scheduled (diagnostics).
@@ -203,6 +232,9 @@ class EventQueue {
   static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr std::uint64_t kFreeTag = std::uint64_t{1} << 63;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// Key of a slot whose callback is running: matches no handle or entry,
+  /// and the slot is on no free list.
+  static constexpr std::uint64_t kFiringKey = kFreeTag | kNoSlot;
 
   struct Slot {
     Callback cb;
@@ -264,11 +296,34 @@ class EventQueue {
     ++num_free_;
   }
 
+  /// True if the earliest entry is the lane's front rather than the heap's
+  /// top. Pre: some entry is queued.
+  bool front_in_lane() const {
+    return !lane_empty() &&
+           (heap_.empty() || later(heap_[0], lane_[lane_head_]));
+  }
+
+  /// Unlink the earliest entry, live after drop_dead(), and count it out of
+  /// size(); its slot is left to the caller. Pre: live_ > 0.
+  HeapEntry remove_front() {
+    HeapEntry e;
+    if (front_in_lane()) {
+      e = lane_[lane_head_++];
+      lane_trim();
+    } else {
+      assert(!heap_.empty());
+      e = heap_[0];
+      remove_top();
+    }
+    --live_;
+    return e;
+  }
+
   void drop_dead() {
     while (lane_head_ < lane_.size() && entry_dead(lane_[lane_head_])) {
       ++lane_head_;
     }
-    if (lane_empty()) lane_trim();
+    lane_trim();
     while (!heap_.empty() && entry_dead(heap_[0])) {
       remove_top();
     }
@@ -281,7 +336,9 @@ class EventQueue {
 
   bool lane_empty() const { return lane_head_ == lane_.size(); }
 
-  /// Reclaim the lane's processed prefix / reset an emptied lane.
+  /// Reset an emptied lane, or reclaim the processed prefix of one that
+  /// has not drained for a while (a stream that always has an entry queued
+  /// would otherwise keep every popped entry).
   void lane_trim() {
     if (lane_empty()) {
       lane_.clear();

@@ -36,14 +36,7 @@ class InplaceFunction {
             typename = std::enable_if_t<!std::is_same_v<D, InplaceFunction> &&
                                         std::is_invocable_r_v<void, D&>>>
   InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-      ++heap_fallbacks_;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   InplaceFunction(InplaceFunction&& other) noexcept : ops_(other.ops_) {
@@ -83,6 +76,22 @@ class InplaceFunction {
     }
   }
 
+  /// Replace the held callable with @p f, constructed in the inline buffer
+  /// (no temporary InplaceFunction is built and relocated).
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, InplaceFunction> &&
+                                        std::is_invocable_r_v<void, D&>>>
+  void emplace(F&& f) {
+    reset();
+    construct<D>(std::forward<F>(f));
+  }
+
+  /// The held callable if it is a @p D stored inline, else nullptr.
+  template <typename D>
+  D* target() noexcept {
+    return ops_ == &kInlineOps<D> ? as<D>(buf_) : nullptr;
+  }
+
   /// True if the held callable spilled to the heap (capture too large).
   bool on_heap() const noexcept { return ops_ != nullptr && ops_->heap; }
 
@@ -112,6 +121,19 @@ class InplaceFunction {
   static constexpr bool trivial_inline =
       fits_inline<D> && std::is_trivially_copyable_v<D> &&
       std::is_trivially_destructible_v<D>;
+
+  /// Pre: empty.
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &kHeapOps<D>;
+      ++heap_fallbacks_;
+    }
+  }
 
   /// Pre: ops_ == other.ops_ != nullptr. Moves the payload, empties other.
   void relocate_from(InplaceFunction& other) noexcept {

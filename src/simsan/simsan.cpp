@@ -97,32 +97,32 @@ namespace {
 
 /// Shard store (leaked: tap sites may run from static destructors). Shard 0
 /// is created eagerly so pre-partitioned call sites see one instance.
-std::vector<std::unique_ptr<Analyzer>>& shard_store() {
-  static auto* shards = [] {
-    auto* s = new std::vector<std::unique_ptr<Analyzer>>();
-    s->push_back(std::make_unique<Analyzer>());
-    return s;
-  }();
+std::vector<Analyzer*>& shard_store() {
+  static auto* shards = new std::vector<Analyzer*>{new Analyzer()};
   return *shards;
 }
 
 }  // namespace
 
-Analyzer& Analyzer::global() {
+void Analyzer::publish_table() {
   auto& shards = shard_store();
-  const int p = sim::tls_partition;
-  const std::size_t i =
-      p > 0 && static_cast<std::size_t>(p) < shards.size()
-          ? static_cast<std::size_t>(p)
-          : 0;
-  return *shards[i];
+  table_ = shards.data();
+  table_size_ = static_cast<int>(shards.size());
 }
+
+namespace {
+// Publish before main(), while the process has one thread, so worker
+// threads never race on the lazy first publication in global().
+[[maybe_unused]] const bool kTablePublished =
+    (Analyzer::publish_table(), true);
+}  // namespace
 
 void Analyzer::configure_shards(int n) {
   auto& shards = shard_store();
   while (shards.size() < static_cast<std::size_t>(n > 1 ? n : 1)) {
-    shards.push_back(std::make_unique<Analyzer>());
+    shards.push_back(new Analyzer());
   }
+  publish_table();
 }
 
 int Analyzer::num_shards() {
@@ -151,7 +151,7 @@ struct MergedEntry {
 };
 
 std::vector<MergedEntry> merged_entries(
-    const std::vector<std::unique_ptr<Analyzer>>& shards) {
+    const std::vector<Analyzer*>& shards) {
   std::vector<MergedEntry> entries;
   std::unordered_map<std::string, std::size_t> index;
   for (const auto& s : shards) {
@@ -284,8 +284,7 @@ std::uint32_t Analyzer::hook_actor(const void* machine, int core,
   return it->second;
 }
 
-std::uint32_t Analyzer::lock_slot(SlotTag& tag, const std::string& name) {
-  if (tag.epoch == epoch_) return tag.id;
+std::uint32_t Analyzer::intern_slot(SlotTag& tag, const std::string& name) {
   tag.id = static_cast<std::uint32_t>(locks_.size());
   tag.epoch = epoch_;
   locks_.push_back(LockState{name, Clock{}});
@@ -402,36 +401,36 @@ void Analyzer::on_access(std::uint32_t actor, Shared& obj, bool is_write) {
   ObjState& o = objects_[obj_id];
   o.name = obj.name_;
   ActorState& a = actors_[actor];
-  Access cur;
-  cur.actor = actor;
-  cur.at = a.clock.size() > actor ? a.clock[actor] : 0;
-  cur.locks = a.held;
-  cur.time_ns = now();
+  const std::uint32_t at = a.clock.size() > actor ? a.clock[actor] : 0;
+  const std::uint64_t time_ns = now();
 
   const Access& w = o.last_write;
   if (w.actor != kNoActor && w.actor != actor && !ordered_before(w, a) &&
-      !share_lock(w.locks, cur.locks)) {
+      !share_lock(w.locks, a.held)) {
     report_race(is_write ? "write-write-race" : "read-write-race", w, actor,
                 o, obj_id);
   }
+  Access* cur = nullptr;
   if (is_write) {
     for (const Access& r : o.reads) {
       if (r.actor != actor && !ordered_before(r, a) &&
-          !share_lock(r.locks, cur.locks)) {
+          !share_lock(r.locks, a.held)) {
         report_race("write-read-race", r, actor, o, obj_id);
       }
     }
     o.reads.clear();
-    o.last_write = std::move(cur);
+    cur = &o.last_write;
   } else {
     auto it = std::find_if(o.reads.begin(), o.reads.end(),
                            [&](const Access& r) { return r.actor == actor; });
-    if (it != o.reads.end()) {
-      *it = std::move(cur);
-    } else {
-      o.reads.push_back(std::move(cur));
-    }
+    cur = it != o.reads.end() ? &*it : &o.reads.emplace_back();
   }
+  // Recorded in place: the entry's lock vector keeps its capacity, so the
+  // steady state allocates nothing.
+  cur->actor = actor;
+  cur->at = at;
+  cur->locks.assign(a.held.begin(), a.held.end());
+  cur->time_ns = time_ns;
 }
 
 bool Analyzer::report_context(std::uint32_t actor, const char* rule,

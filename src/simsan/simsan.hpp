@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "simcore/partition.hpp"
 
 namespace pm2::san {
 
@@ -112,12 +113,19 @@ class Analyzer {
   /// each shard's event stream -- coming from one partition's deterministic
   /// schedule -- is itself deterministic. Single-partition worlds always
   /// resolve to shard 0, the original process-global instance.
-  static Analyzer& global();
+  static Analyzer& global() {
+    if (table_ == nullptr) [[unlikely]] publish_table();
+    const int p = sim::tls_partition;
+    return *table_[p > 0 && p < table_size_ ? p : 0];
+  }
 
   /// Size the shard set for @p n engine partitions (never shrinks; shard 0
   /// always exists). Installed by Cluster::enable_simsan.
   static void configure_shards(int n);
   static int num_shards();
+  /// Point global()'s table at the shard store, creating shard 0 on the
+  /// first call. Runs before main() and from configure_shards.
+  static void publish_table();
   static Analyzer& shard(int i);
 
   /// Cross-shard report: totals summed; findings visited in shard index
@@ -155,7 +163,9 @@ class Analyzer {
                            const std::string& node_name);
   /// Slot of a spinlock, a happens-before pseudo-lock (semaphore, flag,
   /// barrier) or a Shared object; the kinds share one table.
-  std::uint32_t lock_slot(SlotTag& tag, const std::string& name);
+  std::uint32_t lock_slot(SlotTag& tag, const std::string& name) {
+    return tag.epoch == epoch_ ? tag.id : intern_slot(tag, name);
+  }
 
   // --- event stream ---------------------------------------------------------
 
@@ -234,6 +244,11 @@ class Analyzer {
     std::vector<Access> reads;  ///< one per actor since the last write
   };
 
+  /// The shard store's entries, read inline by every tap through global().
+  static inline constinit Analyzer* const* table_ = nullptr;
+  static inline constinit int table_size_ = 0;
+
+  std::uint32_t intern_slot(SlotTag& tag, const std::string& name);
   static void join(Clock& a, const Clock& b);
   std::uint32_t tick(ActorState& a, std::uint32_t self);
   bool ordered_before(const Access& prev, const ActorState& cur) const;

@@ -60,6 +60,12 @@ class ExecContext {
   /// The active context or nullptr (engine/main context).
   static ExecContext* current_or_null() { return current_; }
 
+  /// Make @p ctx the active context without a scope: a charge handing the
+  /// host thread from one fiber straight to another's resume. The
+  /// Activation that resumed the first fiber restores its own previous
+  /// context when control comes back to it.
+  static void hand_over(ExecContext* ctx) { current_ = ctx; }
+
   /// RAII activation of a context around a stretch of host code.
   class Activation {
    public:

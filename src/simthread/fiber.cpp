@@ -162,6 +162,19 @@ void Fiber::suspend() {
   current_ = this;
 }
 
+void Fiber::switch_to(Fiber& next) {
+  assert(current_ == this && "switch_to() called from outside the fiber");
+  assert(&next != this && next.started_ && !next.finished_ && !next.active_);
+  next.return_sp_ = return_sp_;
+  active_ = false;
+  next.active_ = true;
+  current_ = &next;
+  pm2sim_fiber_switch(&fiber_sp_, next.fiber_sp_);
+  // Resumed again.
+  active_ = true;
+  current_ = this;
+}
+
 #else  // !PM2SIM_FIBER_ASM --------------------------------------------------
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
@@ -189,8 +202,13 @@ void Fiber::resume() {
   }
   active_ = true;
   current_ = this;
+  // Control comes back here from this fiber or from one it handed the host
+  // thread to (switch_to), either way through return_ctx_.
+  ucontext_t resumer_ctx;
+  return_ctx_ = &resumer_ctx;
 #if PM2SIM_FIBER_ASAN
-  __sanitizer_start_switch_fiber(&resumer_fake_, stack_.mem.get(),
+  void* resumer_fake = nullptr;
+  __sanitizer_start_switch_fiber(&resumer_fake, stack_.mem.get(),
                                  stack_.size);
 #endif
 #if PM2SIM_FIBER_TSAN
@@ -198,9 +216,9 @@ void Fiber::resume() {
   tsan_resumer_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_ctx_, &ctx_);
+  swapcontext(&resumer_ctx, &ctx_);
 #if PM2SIM_FIBER_ASAN
-  __sanitizer_finish_switch_fiber(resumer_fake_, nullptr, nullptr);
+  __sanitizer_finish_switch_fiber(resumer_fake, nullptr, nullptr);
 #endif
   // Back from the fiber: it either suspended or finished.
   current_ = nullptr;
@@ -217,12 +235,51 @@ void Fiber::suspend() {
 #if PM2SIM_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  swapcontext(&ctx_, &return_ctx_);
+  swapcontext(&ctx_, return_ctx_);
+  switched_in();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  assert(current_ == this && "switch_to() called from outside the fiber");
+  assert(&next != this && next.started_ && !next.finished_ && !next.active_);
+  // next returns where this fiber would have: the resumer's context, stack
+  // and sanitizer fiber state.
+  next.return_ctx_ = return_ctx_;
 #if PM2SIM_FIBER_ASAN
-  __sanitizer_finish_switch_fiber(fiber_fake_, &return_stack_bottom_,
-                                  &return_stack_size_);
+  next.return_stack_bottom_ = return_stack_bottom_;
+  next.return_stack_size_ = return_stack_size_;
+  next.handed_in_ = true;
 #endif
-  // Resumed again.
+#if PM2SIM_FIBER_TSAN
+  next.tsan_resumer_ = tsan_resumer_;
+#endif
+  active_ = false;
+  next.active_ = true;
+  current_ = &next;
+#if PM2SIM_FIBER_ASAN
+  __sanitizer_start_switch_fiber(&fiber_fake_, next.stack_.mem.get(),
+                                 next.stack_.size);
+#endif
+#if PM2SIM_FIBER_TSAN
+  __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+  swapcontext(&ctx_, &next.ctx_);
+  switched_in();
+}
+
+void Fiber::switched_in() {
+#if PM2SIM_FIBER_ASAN
+  const void* from_bottom = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(fiber_fake_, &from_bottom, &from_size);
+  // Resumed: the stack left is the resumer's. Handed in: it is the other
+  // fiber's, and switch_to() already set the resumer's.
+  if (!handed_in_) {
+    return_stack_bottom_ = from_bottom;
+    return_stack_size_ = from_size;
+  }
+  handed_in_ = false;
+#endif
   active_ = true;
   current_ = this;
 }
@@ -260,7 +317,7 @@ void Fiber::run_body() {
   // one is currently running on is not allowed).
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  swapcontext(&ctx_, &return_ctx_);
+  swapcontext(&ctx_, return_ctx_);
 #endif
   // Unreachable: resume() refuses finished fibers.
   std::abort();

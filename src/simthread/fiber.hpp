@@ -3,9 +3,10 @@
 // Every simulated thread body runs on its own fiber so that benchmark and
 // application code can be written as ordinary sequential C++ (loops, RAII,
 // blocking calls); the scheduler suspends/resumes fibers as virtual time
-// dictates. Only the engine/scheduler context ever resumes a fiber, and a
-// fiber never resumes another fiber, so the switch discipline is strictly
-// two-level.
+// dictates. Only the engine/scheduler context resumes a fiber. A fiber may
+// hand the host thread straight to another, suspended fiber (switch_to);
+// that one returns to the same resumer, so control still comes back to the
+// engine stack that called resume().
 //
 // Two switch backends share one interface:
 //   * x86-64 assembly (default on __x86_64__): saves/restores only the
@@ -116,6 +117,12 @@ class Fiber {
   /// Must be called from inside this fiber.
   void suspend();
 
+  /// Suspend this fiber and continue @p next, a started fiber suspended in
+  /// suspend() or switch_to(), as if the resume() caller had resumed it:
+  /// when @p next suspends or finishes, control returns to that caller.
+  /// Must be called from inside this fiber; @p next is not this fiber.
+  void switch_to(Fiber& next);
+
   /// True once body() has returned or thrown.
   bool finished() const { return finished_; }
 
@@ -143,13 +150,20 @@ class Fiber {
   void* return_sp_ = nullptr;  ///< saved stack pointer of the resumer
 #else
   static void trampoline(unsigned hi, unsigned lo);
+  /// Bookkeeping on the fiber's side of every switch back into it.
+  void switched_in();
   ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+  /// The resumer's context, saved by resume() in its own frame. A
+  /// ucontext_t points into itself, so switch_to() passes the pointer on
+  /// instead of copying the context.
+  ucontext_t* return_ctx_ = nullptr;
 #if PM2SIM_FIBER_ASAN
-  void* resumer_fake_ = nullptr;  ///< ASan fake stack saved by resume()
-  void* fiber_fake_ = nullptr;    ///< ASan fake stack saved by suspend()
+  void* fiber_fake_ = nullptr;  ///< ASan fake stack saved by a switch out
   const void* return_stack_bottom_ = nullptr;  ///< resumer's stack, for
   std::size_t return_stack_size_ = 0;          ///< switching back out
+  /// Entered by switch_to(): ASan reports the other fiber's stack as the
+  /// one left, so the resumer's bounds carried over by switch_to() stand.
+  bool handed_in_ = false;
 #endif
 #if PM2SIM_FIBER_TSAN
   void* tsan_fiber_ = nullptr;    ///< TSan fiber state for this fiber

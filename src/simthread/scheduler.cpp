@@ -24,6 +24,14 @@ const char* to_string(ThreadState s) {
 ExecContext::~ExecContext() = default;
 thread_local constinit ExecContext* ExecContext::current_ = nullptr;
 
+namespace {
+/// The thread whose fiber holds this host thread: set by resume_fiber,
+/// moved by each charge that hands the host thread on, and read when
+/// control is back on the engine stack. See PM2SIM_TLS_FAST in
+/// simcore/partition.hpp: written from fiber stacks.
+PM2SIM_TLS_FAST thread_local constinit Thread* tls_fiber_thread = nullptr;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Thread / ThreadContext
 // ---------------------------------------------------------------------------
@@ -216,22 +224,31 @@ void Scheduler::begin_run(int core, Thread* t) {
   if (!timer_hooks_.empty() && c.next_tick == sim::kTimeInfinity) {
     c.next_tick = engine().now() + costs().timer_tick;
   }
-  resume_fiber(core, t);
+  resume_fiber(t);
 }
 
-void Scheduler::resume_fiber(int core, Thread* t) {
-  Core& c = cores_[static_cast<std::size_t>(core)];
-  assert(c.current == t);
+void Scheduler::enter(Thread* t) {
+  assert(cores_[static_cast<std::size_t>(t->core_)].current == t);
   assert(running_ == nullptr && "nested fiber resume");
   running_ = t;
   t->state_ = ThreadState::kRunning;
   t->suspend_reason_ = SuspendReason::kNone;
+}
+
+void Scheduler::resume_fiber(Thread* t) {
+  enter(t);
+  Thread* back = nullptr;
   {
     ExecContext::Activation act(&t->ctx_);
+    tls_fiber_thread = t;
     t->fiber_.resume();
+    back = tls_fiber_thread;
   }
-  running_ = nullptr;
-  post_resume(core, t);
+  // The fiber that gave the host thread back is t's, or the last one a
+  // charge handed it to, maybe on another node: post-resume that one.
+  Scheduler& s = back->sched_;
+  s.running_ = nullptr;
+  s.post_resume(back->core_, back);
 }
 
 void Scheduler::post_resume(int core, Thread* t) {
@@ -386,7 +403,7 @@ void Scheduler::spin_unpark(Thread* t, sim::Time detect_delay) {
     const sim::Time spent = engine().now() - t->spin_start_;
     c.busy_time += spent;
     t->cpu_time_ += spent;
-    resume_fiber(t->core_, t);
+    resume_fiber(t);
   });
 }
 
@@ -445,10 +462,21 @@ void Scheduler::charge_current(sim::Time dt) {
   t->cpu_time_ += dt;
   // When no event can run before the resume, the clock advances in place.
   if (engine().try_advance(dt)) return;
-  const int core = t->core_;
-  engine().schedule_after(dt, [this, core, t] { resume_fiber(core, t); });
+  engine().schedule_after(dt, ChargeResume{this, t});
   t->suspend_reason_ = SuspendReason::kCharge;
-  t->fiber_.suspend();
+  // When the next event is a charge's resume, this one's included, run it
+  // from here: one fiber switch, with no pass through the engine stack.
+  ChargeResume next{};
+  if (!engine().take_next(next)) {
+    t->fiber_.suspend();
+    return;
+  }
+  running_ = nullptr;
+  next.sched->enter(next.t);
+  if (next.t == t) return;
+  ExecContext::hand_over(&next.t->ctx_);
+  tls_fiber_thread = next.t;
+  t->fiber_.switch_to(next.t->fiber_);
 }
 
 void Scheduler::work(sim::Time total) {

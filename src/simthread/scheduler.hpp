@@ -161,12 +161,23 @@ class Scheduler {
     obs::Counter m_timer_hook_runs;
   };
 
+  /// The event a charge schedules to resume its fiber: a type of its own,
+  /// so charge_current can recognize the next event as one it may run by
+  /// switching fibers directly (Engine::take_next).
+  struct ChargeResume {
+    Scheduler* sched;
+    Thread* t;
+    void operator()() const { sched->resume_fiber(t); }
+  };
+
   void enqueue(int core, Thread* t);
   int choose_core(const Thread* t) const;
   void kick(int core);
   void dispatch(int core);
   void begin_run(int core, Thread* t);
-  void resume_fiber(int core, Thread* t);
+  /// What every resume does before switching in: @p t runs on its core.
+  void enter(Thread* t);
+  void resume_fiber(Thread* t);
   void post_resume(int core, Thread* t);
   void finish_thread(int core, Thread* t);
   void enter_idle(Core& c);

@@ -4,6 +4,8 @@
 // rx_rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "nmad/cluster.hpp"
@@ -241,6 +243,102 @@ TEST(FailureInjection, CtsForNoWaitingSendIsDropped) {
   const Outcome o = inject({cts}, 0);
   EXPECT_TRUE(o.good);
   EXPECT_EQ(o.bad_bytes, 0u);
+}
+
+// --- early RTS stash ------------------------------------------------------------
+
+/// An RTS chunk of @p tag for message @p msg_seq.
+ChunkHeader rts(Tag tag, std::uint32_t msg_seq, std::uint32_t total,
+                std::uint64_t cookie) {
+  ChunkHeader h;
+  h.kind = ChunkKind::kRts;
+  h.tag = tag;
+  h.msg_seq = msg_seq;
+  h.total_len = total;
+  h.cookie = cookie;
+  return h;
+}
+
+/// Node 0 posts @p early in packets of @p per_packet chunks straight into
+/// its NIC, then the eager message 0 of the gate (one byte, 9, on tag 1)
+/// that every chunk of @p early overtook. Node 1 runs @p receiver.
+void inject_early(const std::vector<ChunkHeader>& early,
+                  std::size_t per_packet,
+                  const std::function<void(Cluster&)>& receiver,
+                  Cluster& world) {
+  world.spawn(0, [&] {
+    world.sched(0).work(sim::microseconds(5));  // node 1 posts first
+    net::Nic& nic = world.nic(0, 0);
+    auto post = [&](PacketBuilder& b) {
+      while (!nic.tx_ready()) world.sched(0).work(sim::microseconds(1));
+      nic.post_send(1, 0, b.take().linearize());
+    };
+    for (std::size_t i = 0; i < early.size(); i += per_packet) {
+      PacketBuilder b;
+      for (std::size_t j = i; j < std::min(early.size(), i + per_packet); ++j) {
+        b.add_chunk(early[j], nullptr);
+      }
+      post(b);
+    }
+    ChunkHeader eager;
+    eager.kind = ChunkKind::kEager;
+    eager.tag = 1;
+    eager.msg_seq = 0;
+    eager.chunk_len = 1;
+    eager.total_len = 1;
+    const std::uint8_t v = 9;
+    PacketBuilder b;
+    b.add_chunk(eager, &v);
+    post(b);
+  });
+  world.spawn(1, [&] { receiver(world); });
+  world.run();
+}
+
+// Thousands of RTSes that overtook the gate's first eager wait in its
+// stash, then drain once it lands. The drain is a loop: a recursive one
+// ran off the receiving fiber's 256 KiB stack at a few thousand.
+TEST(FailureInjection, ThousandsOfEarlyRtsDrainOnceTheEagerLands) {
+  RegistryOn registry;
+  Cluster world(ClusterConfig{});
+  constexpr std::uint32_t kEarly = 4096;
+  std::vector<ChunkHeader> early;
+  for (std::uint32_t seq = 1; seq <= kEarly; ++seq) {
+    early.push_back(rts(kBadTag, seq, 1 << 20, seq));
+  }
+  bool good = false;
+  inject_early(early, 64, [&good](Cluster& w) {
+    std::uint8_t v = 0;
+    w.core(1).recv(w.gate(1, 0), 1, &v, 1);
+    good = v == 9;
+  }, world);
+  EXPECT_TRUE(good);
+  EXPECT_EQ(rejected("node1"), 0u);
+  // Every stashed RTS was drained into an unexpected rendezvous message.
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .counter_value("nmad", "node1", "unexpected_chunks")
+                .value_or(0),
+            kEarly);
+}
+
+// A second RTS for a msg_seq already in the stash is rejected; the first
+// one stays and is the one granted, so its sender still gets its CTS.
+TEST(FailureInjection, DuplicateEarlyRtsIsDropped) {
+  RegistryOn registry;
+  Cluster world(ClusterConfig{});
+  std::vector<std::uint8_t> buf(256);
+  Request* bad = nullptr;
+  inject_early({rts(kBadTag, 1, 100, 111), rts(kBadTag, 1, 200, 222)}, 1,
+               [&](Cluster& w) {
+                 bad = w.core(1).irecv(w.gate(1, 0), kBadTag, buf.data(),
+                                       buf.size());
+                 std::uint8_t v = 0;
+                 w.core(1).recv(w.gate(1, 0), 1, &v, 1);
+               },
+               world);
+  EXPECT_EQ(rejected("node1"), 1u);
+  ASSERT_NE(bad, nullptr);
+  EXPECT_EQ(bad->total_length(), 100u);  // bound to the first RTS
 }
 
 }  // namespace

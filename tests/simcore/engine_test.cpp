@@ -160,6 +160,70 @@ TEST(Engine, TryAdvanceRefusesOutsideARun) {
   EXPECT_EQ(e.now(), 0);
 }
 
+/// An event type take_next() can recognize.
+struct Marked {
+  int* ran;
+  void operator()() const { ++*ran; }
+};
+
+TEST(Engine, TakeNextTakesTheNextEventOfItsType) {
+  Engine e;
+  int ran = 0;
+  Marked got{nullptr};
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.take_next(got));  // the cancelled entry is skipped
+    EXPECT_EQ(e.now(), 10);
+    EXPECT_FALSE(e.take_next(got));  // a lambda is next
+    EXPECT_EQ(e.now(), 10);
+  });
+  EventHandle dead = e.schedule_at(5, Marked{&ran});
+  e.cancel(dead);
+  e.schedule_at(10, Marked{&ran});
+  e.schedule_at(20, [] {});
+  e.run();
+  EXPECT_EQ(ran, 0);  // taken, not run
+  EXPECT_EQ(got.ran, &ran);
+  EXPECT_EQ(e.events_executed(), 3u);  // the taken event counts
+}
+
+TEST(Engine, TakeNextStaysWithinRunUntilDeadline) {
+  Engine e;
+  int ran = 0;
+  Marked got{nullptr};
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.take_next(got));  // an event at the deadline runs
+    EXPECT_FALSE(e.take_next(got));
+  });
+  e.schedule_at(20, Marked{&ran});
+  e.schedule_at(21, Marked{&ran});
+  e.run_until(20);
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(e.pending_events(), 1u);
+}
+
+TEST(Engine, TakeNextRefusesWithStopPending) {
+  Engine e;
+  int ran = 0;
+  Marked got{nullptr};
+  e.schedule_at(0, [&] {
+    e.stop();
+    EXPECT_FALSE(e.take_next(got));
+  });
+  e.schedule_at(10, Marked{&ran});
+  e.run();
+  EXPECT_EQ(e.now(), 0);
+  EXPECT_EQ(e.pending_events(), 1u);
+}
+
+TEST(Engine, TakeNextRefusesOutsideARun) {
+  Engine e;
+  int ran = 0;
+  Marked got{nullptr};
+  e.schedule_at(0, Marked{&ran});
+  EXPECT_FALSE(e.take_next(got));
+  EXPECT_EQ(e.pending_events(), 1u);
+}
+
 TEST(Engine, CancelledEventDoesNotRun) {
   Engine e;
   int fired = 0;

@@ -95,12 +95,12 @@ TEST_P(QueueFuzz, MatchesReferenceModel) {
       if (!ref.empty()) {
         auto [when, id] = ref.pop();
         ASSERT_EQ(q.next_time(), when);
-        auto [qt, cb] = q.pop();
+        next_expected = id;
+        Time qt = -1;
+        q.run_next([&qt](Time t) { qt = t; });
         ASSERT_EQ(qt, when);
         ASSERT_GE(when, clock);
         clock = when;
-        next_expected = id;
-        cb();
         EXPECT_EQ(fired[id], 1);
       }
     }
@@ -155,7 +155,8 @@ TEST_P(CancelHeavyFuzz, AdversarialCancelChurn) {
     } else if (!ref.empty()) {
       auto [when, id] = ref.pop();
       ASSERT_EQ(q.next_time(), when);
-      auto [qt, cb] = q.pop();
+      Time qt = -1;
+      q.run_next([&qt](Time t) { qt = t; });
       ASSERT_EQ(qt, when);
       clock = when;
     }
@@ -167,7 +168,8 @@ TEST_P(CancelHeavyFuzz, AdversarialCancelChurn) {
   // Drain and cross-check the survivors' order.
   while (!ref.empty()) {
     auto [when, id] = ref.pop();
-    auto [qt, cb] = q.pop();
+    Time qt = -1;
+    q.run_next([&qt](Time t) { qt = t; });
     ASSERT_EQ(qt, when);
   }
   EXPECT_TRUE(q.empty());

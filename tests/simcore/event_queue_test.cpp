@@ -21,10 +21,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) {
-    auto [t, cb] = q.pop();
-    cb();
-  }
+  while (!q.empty()) q.run_next([](Time) {});
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -34,7 +31,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 16; ++i) {
     q.schedule(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next([](Time) {});
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
@@ -56,7 +53,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   EXPECT_TRUE(q.cancel(h));
   EXPECT_FALSE(h.pending());
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next([](Time) {});
   EXPECT_EQ(fired, 1);
 }
 
@@ -70,7 +67,7 @@ TEST(EventQueue, CancelTwiceIsNoop) {
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
   auto h = q.schedule(10, [] {});
-  q.pop().second();
+  q.run_next([](Time) {});
   EXPECT_FALSE(h.pending());
   EXPECT_FALSE(q.cancel(h));
 }
@@ -89,9 +86,9 @@ TEST(EventQueue, PopSkipsCancelledEntries) {
   int fired = 0;
   q.schedule(20, [&] { fired = 1; });
   q.cancel(h1);
-  auto [t, cb] = q.pop();
+  Time t = -1;
+  q.run_next([&t](Time when) { t = when; });
   EXPECT_EQ(t, 20);
-  cb();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
 }
@@ -110,16 +107,16 @@ TEST(EventQueue, StaleHandleAfterSlotReuse) {
   EXPECT_FALSE(h1.pending());     // ...but the stale handle sees through it
   EXPECT_FALSE(q.cancel(h1));
   EXPECT_TRUE(h2.pending());
-  auto [t, cb] = q.pop();
+  Time t = -1;
+  q.run_next([&t](Time when) { t = when; });
   EXPECT_EQ(t, 20);
-  cb();
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, StaleHandleAfterFireAndSlotReuse) {
   EventQueue q;
   auto h1 = q.schedule(10, [] {});
-  q.pop().second();
+  q.run_next([](Time) {});
   auto h2 = q.schedule(20, [] {});  // reuses h1's slot
   EXPECT_FALSE(h1.pending());
   EXPECT_FALSE(q.cancel(h1));
@@ -164,12 +161,65 @@ TEST(EventQueue, ManyInterleavedSchedulesAndCancels) {
   EXPECT_EQ(q.size(), 500u);
   Time last = -1;
   while (!q.empty()) {
-    auto [t, cb] = q.pop();
-    EXPECT_GE(t, last);
-    last = t;
-    cb();
+    q.run_next([&last](Time t) {
+      EXPECT_GE(t, last);
+      last = t;
+    });
   }
   EXPECT_EQ(fired, 500);
+}
+
+// An event runs in its slot: its handle reads !pending() while it fires,
+// an event it schedules gets another slot, and the slot is freed
+// afterwards, also when the callback throws.
+TEST(EventQueue, RunsInItsSlot) {
+  EventQueue q;
+  EventHandle self;
+  EventHandle inner;
+  bool pending_while_firing = true;
+  self = q.schedule(10, [&] {
+    pending_while_firing = self.pending();
+    EXPECT_FALSE(q.cancel(self));
+    inner = q.schedule(20, [] { throw 7; });
+  });
+  q.run_next([](Time) {});
+  EXPECT_FALSE(pending_while_firing);
+  EXPECT_TRUE(inner.pending());
+  EXPECT_EQ(q.free_slots(), 1u);  // the fired slot, inner holds another
+  EXPECT_THROW(q.run_next([](Time) {}), int);
+  EXPECT_EQ(q.free_slots(), 2u);
+  EXPECT_TRUE(q.empty());
+}
+
+struct Tagged {
+  int id;
+  void operator()() const {}
+};
+
+// take_next_if removes the earliest live event only when it holds the
+// asked-for type and is due by the limit; the callable is not run.
+TEST(EventQueue, TakeNextIfTakesOnlyADueEventOfItsType) {
+  EventQueue q;
+  int fired = 0;
+  auto dead = q.schedule(5, Tagged{0});
+  q.cancel(dead);
+  q.schedule(10, Tagged{1});
+  q.schedule(20, [&fired] { ++fired; });
+  q.schedule(30, Tagged{3});
+  Time when = -1;
+  Tagged out{-1};
+  EXPECT_FALSE(q.take_next_if(9, when, out));  // not due
+  EXPECT_TRUE(q.take_next_if(10, when, out));
+  EXPECT_EQ(when, 10);
+  EXPECT_EQ(out.id, 1);
+  EXPECT_FALSE(q.take_next_if(100, when, out));  // a lambda is next
+  EXPECT_EQ(q.size(), 2u);
+  q.run_next([](Time) {});
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.take_next_if(30, when, out));
+  EXPECT_EQ(out.id, 3);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.take_next_if(100, when, out));
 }
 
 }  // namespace

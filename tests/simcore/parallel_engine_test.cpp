@@ -361,6 +361,60 @@ TEST(ParallelEngine, TryAdvanceIgnoresStopInsideAWindow) {
   EXPECT_EQ(e.partition_now(0), 10);
 }
 
+/// An event type take_next() can recognize.
+struct Marked {
+  void operator()() const {}
+};
+
+// A window's events end below its horizon, T_min + lookahead; take_next()
+// must not reach past it, nor past a backpressure abort, and it ignores
+// stop() inside a window as the window loop does.
+TEST(ParallelEngine, TakeNextStaysBelowTheHorizon) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  Marked got;
+  e.schedule_at(0, [&] {
+    EXPECT_TRUE(e.take_next(got));
+    EXPECT_EQ(e.now(), kLookahead - 1);
+    EXPECT_FALSE(e.take_next(got));  // at the horizon: the next window's
+  });
+  e.schedule_at(kLookahead - 1, Marked{});
+  e.schedule_at(kLookahead, Marked{});
+  e.run();
+  EXPECT_EQ(e.windows_executed(), 2u);
+  EXPECT_EQ(e.events_executed(), 3u);
+}
+
+TEST(ParallelEngine, TakeNextRefusesAfterBackpressureAbort) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  Marked got;
+  e.schedule_at(0, [&] {
+    for (std::size_t i = 0; i < Engine::kMailboxCapacity; ++i) {
+      e.schedule_cross(1, e.now() + kLookahead, [] {});
+    }
+    EXPECT_FALSE(e.take_next(got));  // the window ends after this event
+    EXPECT_EQ(e.now(), 0);
+  });
+  e.schedule_at(10, Marked{});
+  e.run();
+  EXPECT_EQ(e.mailbox_overflows(), 1u);
+}
+
+TEST(ParallelEngine, TakeNextIgnoresStopInsideAWindow) {
+  Engine e;
+  e.configure_partitions(2, kLookahead);
+  Marked got;
+  e.schedule_at(0, [&] {
+    e.stop();
+    EXPECT_TRUE(e.take_next(got));
+  });
+  e.schedule_at(10, Marked{});
+  e.run();
+  EXPECT_TRUE(e.stopped());
+  EXPECT_EQ(e.partition_now(0), 10);
+}
+
 struct RingRun {
   Trace trace;
   std::vector<std::uint64_t> executed;  ///< events per partition

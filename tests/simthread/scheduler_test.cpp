@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -334,6 +338,156 @@ TEST_F(SchedulerTest, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// --- charges across fibers and nodes ------------------------------------------
+
+/// Two nodes of two cores, one fiber per core. Fiber k (node k / 2, core
+/// k % 2) charges kCharge[k] ns kCharges times and logs (time, k) after
+/// each charge, then calls @p after(k, i). Some charges of different
+/// fibers end at the same instant, and with four busy cores most charges
+/// cannot advance in place: their resumes are engine events, which a
+/// charge may run by switching straight to the next fiber, across nodes. Node n lives in
+/// partition n % partitions; log[p] holds partition p's entries in the
+/// order they ran.
+struct ChargeWorld {
+  static constexpr sim::Time kCharge[4] = {20, 35, 70, 80};
+  static constexpr int kCharges = 12;
+  static constexpr sim::Time kLookahead = 100;
+  using Log = std::vector<std::pair<sim::Time, int>>;
+
+  sim::Engine engine;
+  std::vector<std::unique_ptr<mach::Machine>> machines;
+  std::vector<std::unique_ptr<Scheduler>> scheds;
+  Log log[2];
+
+  explicit ChargeWorld(int partitions, int workers = 1,
+                       std::function<void(int k, int i)> after = {}) {
+    if (partitions > 1) engine.configure_partitions(partitions, kLookahead);
+    engine.set_workers(workers);
+    for (int n = 0; n < 2; ++n) {
+      sim::Engine::PartitionScope scope(engine, n % partitions);
+      machines.push_back(std::make_unique<mach::Machine>(
+          engine, "node" + std::to_string(n), mach::CacheTopology::uniform(2, 2),
+          mach::CostBook::xeon_quad()));
+      scheds.push_back(std::make_unique<Scheduler>(*machines.back()));
+    }
+    for (int k = 0; k < 4; ++k) {
+      Scheduler& s = *scheds[static_cast<std::size_t>(k / 2)];
+      Log& out = log[(k / 2) % partitions];
+      ThreadAttrs a;
+      a.bind_core = k % 2;
+      s.spawn([this, &s, &out, k, after] {
+        for (int i = 0; i < kCharges; ++i) {
+          s.charge_current(kCharge[k]);
+          out.emplace_back(engine.now(), k);
+          if (after) after(k, i);
+        }
+      }, a);
+    }
+  }
+};
+
+/// The one-partition log, pinned at the engine-round-trip implementation
+/// (every charge resume run from the engine stack).
+const ChargeWorld::Log& pinned_charge_log() {
+  static const ChargeWorld::Log log{
+      {395, 0}, {410, 1}, {415, 0}, {435, 0}, {445, 2}, {445, 1},
+      {455, 3}, {455, 0}, {475, 0}, {480, 1}, {495, 0}, {515, 2},
+      {515, 1}, {515, 0}, {535, 3}, {535, 0}, {550, 1}, {555, 0},
+      {575, 0}, {585, 2}, {585, 1}, {595, 0}, {615, 3}, {615, 0},
+      {620, 1}, {655, 2}, {655, 1}, {690, 1}, {695, 3}, {725, 2},
+      {725, 1}, {760, 1}, {775, 3}, {795, 2}, {795, 1}, {855, 3},
+      {865, 2}, {935, 3}, {935, 2}, {1005, 2}, {1015, 3}, {1075, 2},
+      {1095, 3}, {1145, 2}, {1175, 3}, {1215, 2}, {1255, 3}, {1335, 3}};
+  return log;
+}
+
+TEST(ChargeHandoff, ResumeLogIsPinned) {
+  ChargeWorld w(1);
+  w.engine.run();
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+  EXPECT_EQ(w.engine.events_executed(), 53u);
+}
+
+// The same nodes in two partitions, at one and two workers: each node's log
+// is its part of the one-partition log, so no charge ran past a window's
+// horizon. Partition 0 also logs a cross-partition marker sent by node 1 at
+// its first charge; fibers that ran past the horizon would log times after
+// it before it arrived (or the marker would arrive in the past).
+TEST(ChargeHandoff, NoHandoffCrossesAWindowHorizon) {
+  for (const int workers : {1, 2}) {
+    ChargeWorld* world = nullptr;
+    ChargeWorld w(2, workers, [&world](int k, int i) {
+      if (k != 2 || i != 0) return;
+      sim::Engine& e = world->engine;
+      e.schedule_cross(0, e.now() + ChargeWorld::kLookahead,
+                       [world] { world->log[0].emplace_back(world->engine.now(), -1); });
+    });
+    world = &w;
+    w.engine.run();
+    for (int p = 0; p < 2; ++p) {
+      ChargeWorld::Log mine;
+      for (const auto& entry : pinned_charge_log()) {
+        if (entry.second / 2 == p) mine.push_back(entry);
+      }
+      ChargeWorld::Log fibers;
+      for (const auto& entry : w.log[p]) {
+        if (entry.second >= 0) fibers.push_back(entry);
+      }
+      EXPECT_EQ(fibers, mine) << "partition " << p << ", workers " << workers;
+    }
+    EXPECT_TRUE(std::is_sorted(
+        w.log[0].begin(), w.log[0].end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }))
+        << "workers " << workers;
+    EXPECT_EQ(w.log[0].size(), pinned_charge_log().size() / 2 + 1);
+  }
+}
+
+TEST(ChargeHandoff, NoHandoffCrossesARunUntilDeadline) {
+  ChargeWorld w(1);
+  constexpr sim::Time kDeadline = 1000;
+  w.engine.run_until(kDeadline);
+  ASSERT_FALSE(w.log[0].empty());
+  for (const auto& entry : w.log[0]) EXPECT_LE(entry.first, kDeadline);
+  w.engine.run();
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+}
+
+TEST(ChargeHandoff, NoHandoffAfterAStop) {
+  ChargeWorld* world = nullptr;
+  ChargeWorld w(1, 1, [&world](int k, int i) {
+    if (k == 1 && i == 3) world->engine.stop();
+  });
+  world = &w;
+  w.engine.run();
+  ASSERT_FALSE(w.log[0].empty());
+  // The stopping fiber's entry is the last: its next charge found the stop
+  // pending and went back to the engine, which returned.
+  EXPECT_EQ(w.log[0].back().second, 1);
+  const std::size_t at_stop = w.log[0].size();
+  w.engine.run();
+  EXPECT_GT(w.log[0].size(), at_stop);
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+}
+
+// A fiber that a charge handed the host thread to, and that throws, ends
+// its thread; the exception leaves through the engine stack's resume event
+// and reaches run()'s caller.
+TEST(ChargeHandoff, ThrowFromAHandedToFiberReachesTheCaller) {
+  for (const int partitions : {1, 2}) {
+    ChargeWorld w(partitions, 1, [](int k, int i) {
+      if (k == 1 && i == 5) throw std::runtime_error("fiber 1");
+    });
+    try {
+      w.engine.run();
+      ADD_FAILURE() << "no exception, partitions " << partitions;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "fiber 1") << "partitions " << partitions;
+    }
+    EXPECT_EQ(w.scheds[0]->live_threads(), 1) << "partitions " << partitions;
+  }
 }
 
 TEST(SchedulerPartition, SpawnPinsToAttrsPartition) {
