@@ -106,6 +106,47 @@ BENCHMARK(BM_ChargeRoundTrip)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
+void BM_WorldConstruction(benchmark::State& state) {
+  // Host cost of building a world, the per-layer probe of perfbench's
+  // setup_s: range(0) 0 is the pingpong shape (two quad-core nodes, one
+  // fiber each), 1 the fanin_endpoints shape (two dual quad-core nodes, 64
+  // endpoints and 64 rx queues each, 64 fibers each). Only the Cluster's
+  // construction and the spawns are timed; the world never runs, and its
+  // teardown is not timed. After the first iteration every instrument is
+  // registered and every stack pooled, as in any sequence of worlds.
+  const bool fanin = state.range(0) == 1;
+  nm::ClusterConfig cfg;
+  cfg.nm.lock = nm::LockMode::kFine;
+  if (fanin) {
+    cfg.topology = mach::CacheTopology::dual_quad_core();
+    cfg.endpoints = 64;
+    cfg.rx_queues = 64;
+  } else {
+    cfg.nm.wait = nm::WaitMode::kBusy;
+    cfg.nm.progress = nm::ProgressMode::kAppDriven;
+  }
+  const int fibers = fanin ? 64 : 1;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    auto world = std::make_unique<nm::Cluster>(cfg);
+    for (int t = 0; t < fibers; ++t) {
+      for (int node = 0; node < 2; ++node) {
+        world->spawn(node, [w = world.get(), node] { w->core(node); });
+      }
+    }
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    benchmark::DoNotOptimize(world.get());
+  }
+  state.SetLabel(fanin ? "fanin_endpoints" : "pingpong");
+}
+BENCHMARK(BM_WorldConstruction)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_CancelledEvents(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

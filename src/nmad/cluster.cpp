@@ -101,6 +101,9 @@ Cluster::~Cluster() {
       an.set_now_fn(nullptr);
     }
   }
+  // Threads a run left suspended mid-body unwind while every node they
+  // refer to is still alive, so what their stacks own is released.
+  for (auto& node : nodes_) node->sched->unwind_threads();
 }
 
 void Cluster::enable_simsan() {

@@ -797,10 +797,10 @@ bool Core::has_submission_work() const {
 }
 
 bool Core::flush_deferred(Endpoint& ep, bool use_try) {
-  // Unpriced peek: the deque is only ever non-empty after a matching-locked
+  // Unpriced peek: the queue is only ever non-empty after a matching-locked
   // section queued protocol work.
   if (ep.deferred_pws_.empty()) return false;
-  std::deque<std::pair<Gate*, PackWrapper>> local;
+  std::vector<std::pair<Gate*, PackWrapper>> local;
   if (use_try) {
     if (!ep.locks_.try_lock(Domain::kMatching)) return false;
   } else {
@@ -866,8 +866,8 @@ bool Core::submit_step(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
   }
   if (locked_collect) {
     // Index-based: arrange() charges and can yield, and a lazy connect on
-    // another fiber may append gates mid-iteration (deque slots are stable,
-    // deque iterators are not).
+    // another fiber may append gates mid-iteration (the Gates stay put, the
+    // vector's iterators do not).
     for (std::size_t i = 0; i < ep.gates_.size(); ++i) {
       Gate& g = *ep.gates_[i];
       if (!g.has_outgoing()) continue;
@@ -1134,7 +1134,7 @@ bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
   } else {
     ep.locks_.lock(Domain::kMatching);
   }
-  std::deque<std::pair<int, net::Packet>> local;
+  std::vector<std::pair<int, net::Packet>> local;
   {
     const bool locked = park_lock_->try_lock();
     if (locked) SIMSAN_ACCESS(san_parked_);

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -98,10 +97,10 @@ class Endpoint {
   std::vector<Driver*> rail_ptrs_;
   std::vector<std::unordered_map<int, Gate*>> src_to_gate_;  // per rail
   /// Per-peer gates, materialized lazily on first use (Core::connect /
-  /// Core::gate_to / first packet from an unknown port). A deque, not a
-  /// vector: progress fibers yield while iterating by index, and a
-  /// concurrent lazy connect must not move existing Gate slots.
-  std::deque<std::unique_ptr<Gate>> gates_;
+  /// Core::gate_to / first packet from an unknown port). Progress fibers
+  /// yield while iterating by index, and a concurrent lazy connect may
+  /// append: the Gates themselves never move.
+  std::vector<std::unique_ptr<Gate>> gates_;
   std::unordered_map<int, Gate*> by_peer_;
 
   Strategy strategy_;
@@ -109,7 +108,7 @@ class Endpoint {
   /// Protocol pack-wrappers produced while holding this endpoint's
   /// matching lock (CTS replies, granted rendezvous data); moved into the
   /// gates' collect lists by the next submission step.
-  std::deque<std::pair<Gate*, PackWrapper>> deferred_pws_;
+  std::vector<std::pair<Gate*, PackWrapper>> deferred_pws_;
   san::Shared san_deferred_{"nm.deferred"};
   bool resubmit_hint_ = false;
 
@@ -118,7 +117,7 @@ class Endpoint {
   /// Packets (rail, packet) polled off a shared NIC by a context that could
   /// not take this endpoint's matching lock; drained by this endpoint's
   /// next visit (N > 1 only). Guarded by the Core's rx park leaf lock.
-  std::deque<std::pair<int, net::Packet>> parked_rx_;
+  std::vector<std::pair<int, net::Packet>> parked_rx_;
 
   mth::Thread* poll_thread_ = nullptr;  ///< kPollThread: this ep's fiber
 

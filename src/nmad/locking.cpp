@@ -50,11 +50,11 @@ LockSet::LockSet(mth::Scheduler& sched, LockMode mode, int num_drivers,
       mode_(mode),
       global_(sched, prefix + "-global"),
       collect_(sched, prefix + "-collect"),
-      matching_(sched, prefix + "-matching") {
-  drivers_.reserve(static_cast<std::size_t>(num_drivers));
+      matching_(sched, prefix + "-matching"),
+      drivers_(static_cast<std::size_t>(num_drivers)) {
   for (int i = 0; i < num_drivers; ++i) {
-    drivers_.push_back(std::make_unique<sync::SpinLock>(
-        sched, prefix + "-driver" + std::to_string(i)));
+    drivers_[static_cast<std::size_t>(i)].emplace(
+        sched, prefix + "-driver" + std::to_string(i));
   }
 }
 
@@ -75,7 +75,7 @@ sync::SpinLock* LockSet::resolve(Domain d) {
   if (d == Domain::kCollect) return &collect_;
   if (d == Domain::kMatching) return &matching_;
   const int rail = static_cast<int>(d) - static_cast<int>(Domain::kDriver0);
-  return drivers_.at(static_cast<std::size_t>(rail)).get();
+  return &*drivers_.at(static_cast<std::size_t>(rail));
 }
 
 void LockSet::lock(Domain d) {

@@ -13,7 +13,7 @@
 //             driver's transfer list, and one for the matching tables.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,7 +81,8 @@ class LockSet {
   sync::SpinLock global_;
   sync::SpinLock collect_;
   sync::SpinLock matching_;
-  std::vector<std::unique_ptr<sync::SpinLock>> drivers_;
+  /// One per rail, built in place in one array.
+  std::vector<std::optional<sync::SpinLock>> drivers_;
   bool library_held_ = false;
   int library_depth_ = 0;
   /// Execution context owning the library lock: domain elision only applies

@@ -11,7 +11,29 @@ namespace pm2::obs {
 
 namespace {
 
-void append_spec(std::string& out, const MetricSpec& spec) {
+/// FNV-1a over the spec's parts as one byte stream; the name's two parts
+/// hash like the name they make up.
+std::uint64_t hash_of(const MetricSpec& spec) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  };
+  mix(spec.component);
+  mix("\x1f");
+  mix(spec.node);
+  mix("\x1f");
+  const auto core = static_cast<std::uint32_t>(spec.core);
+  mix(std::string_view(reinterpret_cast<const char*>(&core), sizeof(core)));
+  mix(spec.name);
+  mix(spec.suffix);
+  return h;
+}
+
+template <typename Id>
+void append_spec(std::string& out, const Id& spec) {
   out += "\"component\":";
   append_json_string(out, spec.component);
   out += ",\"node\":";
@@ -25,7 +47,8 @@ void append_spec(std::string& out, const MetricSpec& spec) {
   append_json_string(out, spec.name);
 }
 
-std::string display_key(const MetricSpec& spec) {
+template <typename Id>
+std::string display_key(const Id& spec) {
   std::string s = spec.component;
   if (!spec.node.empty()) s += "/" + spec.node;
   if (spec.core >= 0) s += "/core" + std::to_string(spec.core);
@@ -35,9 +58,70 @@ std::string display_key(const MetricSpec& spec) {
 
 }  // namespace
 
-MetricsRegistry& MetricsRegistry::global() {
+void MetricsRegistry::publish_global() {
   static MetricsRegistry g;
-  return g;
+  global_ = &g;
+}
+
+namespace {
+// Publish before main(), while the process has one thread, so worker
+// threads never race on the lazy first publication in global().
+[[maybe_unused]] const bool kGlobalPublished =
+    (MetricsRegistry::publish_global(), true);
+}  // namespace
+
+std::size_t MetricsRegistry::Index::probe(const MetricSpec& spec,
+                                          std::uint64_t hash) const {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t entry = table_[i];
+    if (entry == 0) return i;
+    const std::uint32_t slot = entry - 1;
+    if (hashes_[slot] != hash) continue;
+    const Identity& id = ids_[slot];
+    const std::string_view name = id.name;
+    if (id.core == spec.core && id.component == spec.component &&
+        id.node == spec.node &&
+        name.size() == spec.name.size() + spec.suffix.size() &&
+        name.starts_with(spec.name) && name.ends_with(spec.suffix)) {
+      return i;
+    }
+  }
+}
+
+void MetricsRegistry::Index::grow() {
+  table_.assign(std::max<std::size_t>(64, table_.size() * 2), 0);
+  const std::size_t mask = table_.size() - 1;
+  for (std::uint32_t slot = 0; slot < ids_.size(); ++slot) {
+    std::size_t i = hashes_[slot] & mask;
+    while (table_[i] != 0) i = (i + 1) & mask;
+    table_[i] = slot + 1;
+  }
+}
+
+std::uint32_t MetricsRegistry::Index::find(const MetricSpec& spec) const {
+  if (table_.empty()) return kInvalidMetric;
+  const std::uint32_t entry = table_[probe(spec, hash_of(spec))];
+  return entry == 0 ? kInvalidMetric : entry - 1;
+}
+
+std::uint32_t MetricsRegistry::Index::intern(const MetricSpec& spec,
+                                             bool& added) {
+  // At most half full, so every probe ends at an empty position.
+  if (2 * (ids_.size() + 1) > table_.size()) grow();
+  const std::uint64_t hash = hash_of(spec);
+  const std::size_t i = probe(spec, hash);
+  added = table_[i] == 0;
+  if (!added) return table_[i] - 1;
+  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  std::string name;
+  name.reserve(spec.name.size() + spec.suffix.size());
+  name.append(spec.name).append(spec.suffix);
+  ids_.push_back(Identity{std::string(spec.component), std::string(spec.node),
+                          spec.core, std::move(name)});
+  hashes_.push_back(hash);
+  table_[i] = slot + 1;
+  return slot;
 }
 
 void MetricsRegistry::set_shards(int n) {
@@ -69,93 +153,67 @@ MetricsRegistry::HistSlot MetricsRegistry::hist_total(
   return total;
 }
 
-std::string MetricsRegistry::key_of(const std::string& component,
-                                    const std::string& node, int core,
-                                    const std::string& name) {
-  std::string k = component;
-  k += '\x1f';
-  k += node;
-  k += '\x1f';
-  k += std::to_string(core);
-  k += '\x1f';
-  k += name;
-  return k;
-}
-
-std::string MetricsRegistry::key_of(const MetricSpec& spec) {
-  return key_of(spec.component, spec.node, spec.core, spec.name);
-}
-
 Counter MetricsRegistry::counter(const MetricSpec& spec) {
-  const std::string key = key_of(spec);
-  auto it = counter_keys_.find(key);
-  if (it != counter_keys_.end()) {
-    counters_[it->second] = 0;  // fresh instance, fresh count
-    for (auto& sh : shards_) {
-      if (it->second < sh->counters.size()) sh->counters[it->second] = 0;
-    }
-    return Counter(it->second);
+  bool added = false;
+  const std::uint32_t idx = counter_index_.intern(spec, added);
+  if (added) {
+    counters_.push_back(0);
+    return Counter(idx);
   }
-  const auto idx = static_cast<std::uint32_t>(counters_.size());
-  counters_.push_back(0);
-  counter_specs_.push_back(spec);
-  counter_keys_.emplace(key, idx);
+  counters_[idx] = 0;  // fresh instance, fresh count
+  for (auto& sh : shards_) {
+    if (idx < sh->counters.size()) sh->counters[idx] = 0;
+  }
   return Counter(idx);
 }
 
 Gauge MetricsRegistry::gauge(const MetricSpec& spec) {
-  const std::string key = key_of(spec);
-  auto it = gauge_keys_.find(key);
-  if (it != gauge_keys_.end()) {
-    gauges_[it->second] = GaugeSlot{};
-    return Gauge(it->second);
+  bool added = false;
+  const std::uint32_t idx = gauge_index_.intern(spec, added);
+  if (added) {
+    gauges_.push_back(GaugeSlot{});
+  } else {
+    gauges_[idx] = GaugeSlot{};
   }
-  const auto idx = static_cast<std::uint32_t>(gauges_.size());
-  gauges_.push_back(GaugeSlot{});
-  gauge_specs_.push_back(spec);
-  gauge_keys_.emplace(key, idx);
   return Gauge(idx);
 }
 
 HistogramMetric MetricsRegistry::histogram(const MetricSpec& spec) {
-  const std::string key = key_of(spec);
-  auto it = hist_keys_.find(key);
-  if (it != hist_keys_.end()) {
-    hists_[it->second] = HistSlot{};
-    for (auto& sh : shards_) {
-      if (it->second < sh->hists.size()) sh->hists[it->second] = HistSlot{};
-    }
-    return HistogramMetric(it->second);
+  bool added = false;
+  const std::uint32_t idx = hist_index_.intern(spec, added);
+  if (added) {
+    hists_.push_back(HistSlot{});
+    return HistogramMetric(idx);
   }
-  const auto idx = static_cast<std::uint32_t>(hists_.size());
-  hists_.push_back(HistSlot{});
-  hist_specs_.push_back(spec);
-  hist_keys_.emplace(key, idx);
+  hists_[idx] = HistSlot{};
+  for (auto& sh : shards_) {
+    if (idx < sh->hists.size()) sh->hists[idx] = HistSlot{};
+  }
   return HistogramMetric(idx);
 }
 
 std::optional<std::uint64_t> MetricsRegistry::counter_value(
-    const std::string& component, const std::string& node,
-    const std::string& name, int core) const {
-  auto it = counter_keys_.find(key_of(component, node, core, name));
-  if (it == counter_keys_.end()) return std::nullopt;
-  return counter_total(it->second);
+    std::string_view component, std::string_view node, std::string_view name,
+    int core) const {
+  const std::uint32_t idx = counter_index_.find({component, node, core, name});
+  if (idx == kInvalidMetric) return std::nullopt;
+  return counter_total(idx);
 }
 
 std::optional<std::int64_t> MetricsRegistry::gauge_value(
-    const std::string& component, const std::string& node,
-    const std::string& name, int core) const {
-  auto it = gauge_keys_.find(key_of(component, node, core, name));
-  if (it == gauge_keys_.end()) return std::nullopt;
-  return gauges_[it->second].value;
+    std::string_view component, std::string_view node, std::string_view name,
+    int core) const {
+  const std::uint32_t idx = gauge_index_.find({component, node, core, name});
+  if (idx == kInvalidMetric) return std::nullopt;
+  return gauges_[idx].value;
 }
 
 std::optional<std::uint64_t> MetricsRegistry::histogram_count(
-    const std::string& component, const std::string& node,
-    const std::string& name, int core) const {
-  auto it = hist_keys_.find(key_of(component, node, core, name));
-  if (it == hist_keys_.end()) return std::nullopt;
-  return hist_total(it->second).count;
+    std::string_view component, std::string_view node, std::string_view name,
+    int core) const {
+  const std::uint32_t idx = hist_index_.find({component, node, core, name});
+  if (idx == kInvalidMetric) return std::nullopt;
+  return hist_total(idx).count;
 }
 
 void MetricsRegistry::reset_values() {
@@ -176,7 +234,7 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "\n{";
-    append_spec(out, counter_specs_[i]);
+    append_spec(out, counter_index_.ids()[i]);
     std::snprintf(
         buf, sizeof(buf), ",\"value\":%llu}",
         static_cast<unsigned long long>(
@@ -189,7 +247,7 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "\n{";
-    append_spec(out, gauge_specs_[i]);
+    append_spec(out, gauge_index_.ids()[i]);
     std::snprintf(buf, sizeof(buf), ",\"value\":%lld,\"max\":%lld}",
                   static_cast<long long>(gauges_[i].value),
                   static_cast<long long>(gauges_[i].max));
@@ -201,7 +259,7 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "\n{";
-    append_spec(out, hist_specs_[i]);
+    append_spec(out, hist_index_.ids()[i]);
     const HistSlot h = hist_total(static_cast<std::uint32_t>(i));
     std::snprintf(buf, sizeof(buf),
                   ",\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu",
@@ -230,15 +288,17 @@ std::string MetricsRegistry::to_json() const {
 
 std::string MetricsRegistry::to_table() const {
   std::size_t width = 0;
-  for (const auto& s : counter_specs_) width = std::max(width, display_key(s).size());
-  for (const auto& s : gauge_specs_) width = std::max(width, display_key(s).size());
-  for (const auto& s : hist_specs_) width = std::max(width, display_key(s).size());
+  for (const Index* index : {&counter_index_, &gauge_index_, &hist_index_}) {
+    for (const Identity& id : index->ids()) {
+      width = std::max(width, display_key(id).size());
+    }
+  }
 
   std::string out;
   char buf[160];
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%-*s %20llu\n", static_cast<int>(width),
-                  display_key(counter_specs_[i]).c_str(),
+                  display_key(counter_index_.ids()[i]).c_str(),
                   static_cast<unsigned long long>(
                       counter_total(static_cast<std::uint32_t>(i))));
     out += buf;
@@ -246,7 +306,7 @@ std::string MetricsRegistry::to_table() const {
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%-*s %20lld  (max %lld)\n",
                   static_cast<int>(width),
-                  display_key(gauge_specs_[i]).c_str(),
+                  display_key(gauge_index_.ids()[i]).c_str(),
                   static_cast<long long>(gauges_[i].value),
                   static_cast<long long>(gauges_[i].max));
     out += buf;
@@ -259,7 +319,7 @@ std::string MetricsRegistry::to_table() const {
     std::snprintf(buf, sizeof(buf),
                   "%-*s %20llu  (mean %.1f, min %llu, max %llu)\n",
                   static_cast<int>(width),
-                  display_key(hist_specs_[i]).c_str(),
+                  display_key(hist_index_.ids()[i]).c_str(),
                   static_cast<unsigned long long>(h.count), mean,
                   static_cast<unsigned long long>(h.min),
                   static_cast<unsigned long long>(h.max));

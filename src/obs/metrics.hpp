@@ -13,6 +13,9 @@
 // (component, node, core, name); re-registering an existing key returns the
 // same slot *zeroed*, so sequentially-constructed worlds (one Cluster per
 // benchmark rep) each start from a clean count without growing the store.
+// A registration passes its key as views, the name in two parts, and the
+// registry finds the slot through a flat hash index that compares the parts
+// in place: re-registering a world's instruments builds no string.
 //
 // The registry is never consulted for simulation decisions and instruments
 // are host-side only (no virtual-time charges), so enabling it cannot
@@ -33,20 +36,26 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "simcore/partition.hpp"
 
 namespace pm2::obs {
 
-/// Identity of one instrument. `node` is the machine name ("node0"); empty
-/// means process-wide. `core` is -1 unless the instrument is core-scoped.
+/// Identity of one instrument, as a registration or lookup names it. `node`
+/// is the machine name ("node0"); empty means process-wide. `core` is -1
+/// unless the instrument is core-scoped. The name is `name` followed by
+/// `suffix`, so a component that registers a family of instruments under
+/// one prefix (a lock's "<lock>.acquisitions", "<lock>.contentions", ...)
+/// passes the parts instead of composing each name. The views need only
+/// outlive the call.
 struct MetricSpec {
-  std::string component;
-  std::string node;
+  std::string_view component;
+  std::string_view node;
   int core = -1;
-  std::string name;
+  std::string_view name;
+  std::string_view suffix = {};
 };
 
 class Counter;
@@ -55,8 +64,16 @@ class HistogramMetric;
 
 class MetricsRegistry {
  public:
-  /// The process-global instance (the simulator is single-threaded).
-  static MetricsRegistry& global();
+  /// The process-global instance, read inline by every instrument update:
+  /// it is published before main() (or by the first call, from a static
+  /// initializer that runs earlier), so the hot path pays one load.
+  static MetricsRegistry& global() {
+    if (global_ == nullptr) [[unlikely]] publish_global();
+    return *global_;
+  }
+  /// Create the global instance and publish it to global(). Runs before
+  /// main().
+  static void publish_global();
 
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -79,18 +96,18 @@ class MetricsRegistry {
 
   // --- lookups (tests, reports) -------------------------------------------
 
-  std::optional<std::uint64_t> counter_value(const std::string& component,
-                                             const std::string& node,
-                                             const std::string& name,
+  std::optional<std::uint64_t> counter_value(std::string_view component,
+                                             std::string_view node,
+                                             std::string_view name,
                                              int core = -1) const;
-  std::optional<std::int64_t> gauge_value(const std::string& component,
-                                          const std::string& node,
-                                          const std::string& name,
+  std::optional<std::int64_t> gauge_value(std::string_view component,
+                                          std::string_view node,
+                                          std::string_view name,
                                           int core = -1) const;
   /// Sample count of a histogram (nullopt if not registered).
-  std::optional<std::uint64_t> histogram_count(const std::string& component,
-                                               const std::string& node,
-                                               const std::string& name,
+  std::optional<std::uint64_t> histogram_count(std::string_view component,
+                                               std::string_view node,
+                                               std::string_view name,
                                                int core = -1) const;
 
   std::size_t num_counters() const { return counters_.size(); }
@@ -162,25 +179,50 @@ class MetricsRegistry {
   std::uint64_t counter_total(std::uint32_t idx) const;
   HistSlot hist_total(std::uint32_t idx) const;
 
-  static std::string key_of(const MetricSpec& spec);
-  static std::string key_of(const std::string& component,
-                            const std::string& node, int core,
-                            const std::string& name);
+  /// A registered instrument's identity, as the reports print it.
+  struct Identity {
+    std::string component;
+    std::string node;
+    int core = -1;
+    std::string name;
+  };
+
+  /// One instrument kind's identities in registration order, with an
+  /// open-addressing hash index over them. A lookup hashes the spec's parts
+  /// as one byte stream and compares the stored identities' parts in place.
+  class Index {
+   public:
+    /// Slot of @p spec, or kInvalidMetric.
+    std::uint32_t find(const MetricSpec& spec) const;
+    /// Slot of @p spec, recorded as the next slot if it is new, which
+    /// @p added reports.
+    std::uint32_t intern(const MetricSpec& spec, bool& added);
+    const std::vector<Identity>& ids() const { return ids_; }
+
+   private:
+    /// Table position holding @p spec's slot, or the empty one it would
+    /// take. Pre: the table has an empty position.
+    std::size_t probe(const MetricSpec& spec, std::uint64_t hash) const;
+    void grow();
+
+    std::vector<Identity> ids_;
+    std::vector<std::uint64_t> hashes_;  ///< per slot
+    std::vector<std::uint32_t> table_;   ///< slot + 1, 0 = empty; size 2^k
+  };
+
+  static inline constinit MetricsRegistry* global_ = nullptr;
 
   bool enabled_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< partitions 1..n-1
 
   std::vector<std::uint64_t> counters_;
-  std::vector<MetricSpec> counter_specs_;
-  std::unordered_map<std::string, std::uint32_t> counter_keys_;
+  Index counter_index_;
 
   std::vector<GaugeSlot> gauges_;
-  std::vector<MetricSpec> gauge_specs_;
-  std::unordered_map<std::string, std::uint32_t> gauge_keys_;
+  Index gauge_index_;
 
   std::vector<HistSlot> hists_;
-  std::vector<MetricSpec> hist_specs_;
-  std::unordered_map<std::string, std::uint32_t> hist_keys_;
+  Index hist_index_;
 };
 
 inline constexpr std::uint32_t kInvalidMetric = 0xffffffffu;

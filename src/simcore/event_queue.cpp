@@ -8,8 +8,14 @@ namespace {
 constexpr std::size_t kArity = 4;
 }
 
+EventQueue::~EventQueue() {
+  for (std::size_t i = 0; i < num_slots_; ++i) {
+    slot(static_cast<std::uint32_t>(i)).~Slot();
+  }
+}
+
 void EventQueue::grow_slots() {
-  chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
+  chunks_.push_back(std::make_unique_for_overwrite<SlotStorage[]>(kSlotChunk));
 }
 
 void EventQueue::heap_push(HeapEntry e) {

@@ -21,7 +21,9 @@
 //    InplaceFunction objects (no std::function heap traffic), built in
 //    their slot by schedule() and invoked there by run_next(), so an event
 //    never moves its callback; slots are recycled through an intrusive free
-//    list threaded through their keys;
+//    list threaded through their keys, and each is constructed the first
+//    time acquire_slot() reaches it, so a queue that never held more than k
+//    events has built k slots, not a whole chunk;
 //  * handles carry the event's 64-bit key -- no shared_ptr control block
 //    per event; a released slot can never match a stale key, so handles to
 //    fired/cancelled events are detected in O(1) even after slot reuse;
@@ -39,6 +41,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -93,6 +96,7 @@ class EventQueue {
   using Callback = InplaceFunction<kEventCallbackCapacity>;
 
   EventQueue() = default;
+  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -214,6 +218,10 @@ class EventQueue {
   /// Event slots currently pooled for reuse (diagnostics).
   std::size_t free_slots() const { return num_free_; }
 
+  /// Event slots constructed so far: the most events ever pending at once,
+  /// counting any whose callback was running (diagnostics).
+  std::size_t slots_built() const { return num_slots_; }
+
   /// Dead entries below this floor never trigger compaction (avoids O(n)
   /// rebuilds over tiny heaps where lazy dropping is cheaper).
   static constexpr std::size_t kCompactFloor = 64;
@@ -258,14 +266,21 @@ class EventQueue {
   }
 
   /// Slots live in fixed chunks so growth never moves a pending callback.
+  /// A chunk is raw storage; slots [0, num_slots_) are constructed.
   static constexpr std::size_t kSlotChunkShift = 10;
   static constexpr std::size_t kSlotChunk = std::size_t{1} << kSlotChunkShift;
+  struct alignas(Slot) SlotStorage {
+    unsigned char bytes[sizeof(Slot)];
+  };
 
+  void* slot_storage(std::uint32_t i) const {
+    return &chunks_[i >> kSlotChunkShift][i & (kSlotChunk - 1)];
+  }
   Slot& slot(std::uint32_t i) {
-    return chunks_[i >> kSlotChunkShift][i & (kSlotChunk - 1)];
+    return *std::launder(static_cast<Slot*>(slot_storage(i)));
   }
   const Slot& slot(std::uint32_t i) const {
-    return chunks_[i >> kSlotChunkShift][i & (kSlotChunk - 1)];
+    return *std::launder(static_cast<const Slot*>(slot_storage(i)));
   }
   bool key_pending(std::uint64_t key) const {
     const std::uint32_t s = slot_of(key);
@@ -284,7 +299,9 @@ class EventQueue {
     }
     if (num_slots_ == chunks_.size() * kSlotChunk) grow_slots();
     assert(num_slots_ <= kSlotMask && "too many concurrent events");
-    return static_cast<std::uint32_t>(num_slots_++);
+    const auto s = static_cast<std::uint32_t>(num_slots_++);
+    ::new (slot_storage(s)) Slot();
+    return s;
   }
 
   /// Destroy the slot's capture, mark it free, link it for reuse.
@@ -338,12 +355,14 @@ class EventQueue {
 
   /// Reset an emptied lane, or reclaim the processed prefix of one that
   /// has not drained for a while (a stream that always has an entry queued
-  /// would otherwise keep every popped entry).
+  /// would otherwise keep every popped entry). Reclaiming after a few
+  /// hundred pops keeps such a lane at a few KiB, so a world's run does not
+  /// grow it into fresh pages (at 128 KiB the allocator maps new memory).
   void lane_trim() {
     if (lane_empty()) {
       lane_.clear();
       lane_head_ = 0;
-    } else if (lane_head_ > 4096 && lane_head_ > lane_.size() / 2) {
+    } else if (lane_head_ > 256 && lane_head_ > lane_.size() / 2) {
       lane_.erase(lane_.begin(),
                   lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
       lane_head_ = 0;
@@ -361,7 +380,7 @@ class EventQueue {
   /// Sorted by key; entries before lane_head_ already popped.
   std::vector<HeapEntry> lane_;
   std::size_t lane_head_ = 0;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::unique_ptr<SlotStorage[]>> chunks_;
   std::size_t num_slots_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t num_free_ = 0;

@@ -76,13 +76,13 @@ Nic::Nic(mach::Machine& machine, Fabric& fabric, NicParams params)
   auto& reg = obs::MetricsRegistry::global();
   const std::string& node = machine_.name();
   const std::string& rail = fabric_.name();
-  m_tx_packets_ = reg.counter({"nic", node, -1, rail + ".tx_packets"});
-  m_tx_bytes_ = reg.counter({"nic", node, -1, rail + ".tx_bytes"});
-  m_rx_packets_ = reg.counter({"nic", node, -1, rail + ".rx_packets"});
-  m_rx_bytes_ = reg.counter({"nic", node, -1, rail + ".rx_bytes"});
-  m_polls_hit_ = reg.counter({"nic", node, -1, rail + ".polls_hit"});
-  m_polls_empty_ = reg.counter({"nic", node, -1, rail + ".polls_empty"});
-  m_rx_queue_depth_ = reg.gauge({"nic", node, -1, rail + ".rx_queue_depth"});
+  m_tx_packets_ = reg.counter({"nic", node, -1, rail, ".tx_packets"});
+  m_tx_bytes_ = reg.counter({"nic", node, -1, rail, ".tx_bytes"});
+  m_rx_packets_ = reg.counter({"nic", node, -1, rail, ".rx_packets"});
+  m_rx_bytes_ = reg.counter({"nic", node, -1, rail, ".rx_bytes"});
+  m_polls_hit_ = reg.counter({"nic", node, -1, rail, ".polls_hit"});
+  m_polls_empty_ = reg.counter({"nic", node, -1, rail, ".polls_empty"});
+  m_rx_queue_depth_ = reg.gauge({"nic", node, -1, rail, ".rx_queue_depth"});
 }
 
 void Nic::post_send(int dst_port, Channel channel, Payload payload,
@@ -180,8 +180,8 @@ void Nic::configure_rx_queues(int n) {
     const std::string& rail = fabric_.name();
     m_rxq_depth_.reserve(static_cast<std::size_t>(n));
     for (int q = 0; q < n; ++q) {
-      m_rxq_depth_.push_back(reg.gauge(
-          {"nic", node, -1, rail + ".rxq" + std::to_string(q) + ".depth"}));
+      const std::string ring = ".rxq" + std::to_string(q) + ".depth";
+      m_rxq_depth_.push_back(reg.gauge({"nic", node, -1, rail, ring}));
     }
   }
 }

@@ -26,11 +26,10 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_size)
           stack_size < kMinStack ? kMinStack : stack_size)) {}
 
 Fiber::~Fiber() {
-  // Destroying a live suspended fiber leaks whatever its stack owned; the
-  // scheduler keeps threads alive until the whole world is torn down, so
-  // this only happens for programs abandoned mid-run (e.g. deadlock tests).
-  // The stack memory itself is recycled either way: once the fiber is gone
-  // it can never be resumed, so its frames are unreachable.
+  // Destroying a live suspended fiber leaks whatever its stack owned unless
+  // it was unwound first (a Cluster unwinds its abandoned threads when it is
+  // torn down). The stack memory itself is recycled either way: once the
+  // fiber is gone it can never be resumed, so its frames are unreachable.
 #if !PM2SIM_FIBER_ASM && PM2SIM_FIBER_TSAN
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
@@ -160,6 +159,7 @@ void Fiber::suspend() {
   // Resumed again.
   active_ = true;
   current_ = this;
+  check_unwind();
 }
 
 void Fiber::switch_to(Fiber& next) {
@@ -173,6 +173,7 @@ void Fiber::switch_to(Fiber& next) {
   // Resumed again.
   active_ = true;
   current_ = this;
+  check_unwind();
 }
 
 #else  // !PM2SIM_FIBER_ASM --------------------------------------------------
@@ -282,9 +283,16 @@ void Fiber::switched_in() {
 #endif
   active_ = true;
   current_ = this;
+  check_unwind();
 }
 
 #endif  // PM2SIM_FIBER_ASM
+
+void Fiber::unwind() {
+  assert(started_ && !active_ && "unwind() of a fiber that is not suspended");
+  unwinding_ = true;
+  while (!finished_) resume();
+}
 
 void Fiber::run_body() {
 #if !PM2SIM_FIBER_ASM && PM2SIM_FIBER_ASAN
@@ -295,6 +303,8 @@ void Fiber::run_body() {
 #endif
   try {
     body_();
+  } catch (const Unwind&) {
+    // Unwound (see unwind()): there is no error to report.
   } catch (...) {
     // The fiber finishes; its resumer rethrows (see take_error()).
     error_ = std::current_exception();

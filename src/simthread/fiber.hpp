@@ -123,6 +123,16 @@ class Fiber {
   /// Must be called from inside this fiber; @p next is not this fiber.
   void switch_to(Fiber& next);
 
+  /// Unwind a started fiber that has not finished: resume it with its
+  /// pending suspend() or switch_to() throwing, so the destructors of every
+  /// frame on its stack run, until its body has left. A destructor that
+  /// suspends on the way is resumed where it suspended. Must not be called
+  /// from inside any fiber; code on the fiber must not swallow the throw.
+  void unwind();
+
+  /// True once resume() has entered the body.
+  bool started() const { return started_; }
+
   /// True once body() has returned or thrown.
   bool finished() const { return finished_; }
 
@@ -138,7 +148,15 @@ class Fiber {
   static Fiber* current() { return current_; }
 
  private:
+  /// What a suspended fiber's switch back in throws when it is unwound.
+  struct Unwind {};
+
   void run_body();
+  /// On the fiber's side of every switch back into it: throw Unwind when
+  /// unwinding, unless a destructor of the unwinding is the one running.
+  void check_unwind() const {
+    if (unwinding_ && std::uncaught_exceptions() == 0) throw Unwind{};
+  }
 
   std::function<void()> body_;
   std::exception_ptr error_;
@@ -173,6 +191,7 @@ class Fiber {
   bool started_ = false;
   bool finished_ = false;
   bool active_ = false;
+  bool unwinding_ = false;
 
   // See PM2SIM_TLS_FAST in simcore/partition.hpp: read from fiber stacks.
   PM2SIM_TLS_FAST static thread_local constinit Fiber* current_;

@@ -112,6 +112,20 @@ Thread* Scheduler::spawn(ThreadFunc body, ThreadAttrs attrs) {
   return t;
 }
 
+void Scheduler::unwind_threads() {
+  for (const auto& owned : threads_) {
+    Thread* t = owned.get();
+    if (!t->fiber_.started() || t->fiber_.finished()) continue;
+    // A destructor on the way may charge or take a lock: it runs as t.
+    running_ = t;
+    {
+      ExecContext::Activation act(&t->ctx_);
+      t->fiber_.unwind();
+    }
+    running_ = nullptr;
+  }
+}
+
 void Scheduler::enqueue(int core, Thread* t) {
   assert(core >= 0 && core < num_cores());
   Core& c = cores_[static_cast<std::size_t>(core)];
@@ -586,8 +600,16 @@ void Scheduler::enter_idle(Core& c) {
 }
 
 void Scheduler::arm_idle(Core& c, sim::Time delay) {
-  const int core = c.id;
-  c.idle_event = engine().schedule_after(delay, [this, core] { idle_tick(core); });
+  c.idle_event = engine().schedule_after(delay, IdleTick{this, c.id});
+}
+
+void Scheduler::IdleTick::operator()() const {
+  // The same passes at the same (time, seq) as one event each: take_next
+  // pops the next one only where the loop would run it next.
+  IdleTick tick = *this;
+  do {
+    tick.sched->idle_tick(tick.core);
+  } while (tick.sched->engine().take_next(tick));
 }
 
 void Scheduler::idle_tick(int core) {

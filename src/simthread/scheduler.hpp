@@ -82,6 +82,14 @@ class Scheduler {
   /// Number of threads spawned and not yet finished.
   int live_threads() const { return live_threads_; }
 
+  /// Unwind every thread whose body started and never finished, as a world
+  /// torn down mid-run leaves them (a deadlock, a run cut at a deadline, an
+  /// event that threw), so the destructors of their frames release what
+  /// the frames own. For a world's owner, after its last run and while
+  /// everything the threads refer to is alive; the threads take no further
+  /// part in the simulation.
+  void unwind_threads();
+
   // --- thread-facing (must run inside a simulated thread) ------------------
 
   /// The running thread of the active context (nullptr in engine context).
@@ -168,6 +176,16 @@ class Scheduler {
     Scheduler* sched;
     Thread* t;
     void operator()() const { sched->resume_fiber(t); }
+  };
+
+  /// The event an idle core's re-arm schedules: a type of its own, so an
+  /// idle pass can run the next event in place when that is another idle
+  /// pass of the partition (Engine::take_next), and an idle stretch never
+  /// returns to the engine loop.
+  struct IdleTick {
+    Scheduler* sched;
+    int core;
+    void operator()() const;
   };
 
   void enqueue(int core, Thread* t);

@@ -18,7 +18,10 @@ StackPool::Stack StackPool::acquire(std::size_t size) {
     return s;
   }
   ++fresh_allocs_;
-  return Stack{std::make_unique<std::uint8_t[]>(cls), cls};
+  // Left uninitialized: a fiber writes its frames before it reads them, and
+  // the pages it never reaches are never touched, so a fresh stack commits
+  // only what its fiber uses instead of all of it.
+  return Stack{std::make_unique_for_overwrite<std::uint8_t[]>(cls), cls};
 }
 
 void StackPool::release(Stack s) {

@@ -6,7 +6,9 @@
 // iteration -- would otherwise pay a large allocation plus first-touch page
 // faults per spawn. The pool keeps released stacks keyed by size class and
 // hands them back on the next acquire, so steady-state thread churn performs
-// no stack allocations at all.
+// no stack allocations at all. A fresh stack is not zero-filled: its pages
+// are committed when its fiber first touches them, and a fiber touches a
+// few pages at the top of its 256 KB.
 //
 // The pool is process-wide and, with the partitioned engine, partitions on
 // different host threads spawn/retire fibers concurrently -- so the pool is
@@ -37,7 +39,8 @@ class StackPool {
   static StackPool& instance();
 
   /// Get a stack of at least @p size bytes; the actual size is @p size
-  /// rounded up to the 64 KB size-class granule.
+  /// rounded up to the 64 KB size-class granule. The memory is
+  /// uninitialized.
   Stack acquire(std::size_t size);
 
   /// Return a stack for reuse. Classes cache at most kMaxPooledPerClass

@@ -12,8 +12,8 @@
 // re-check period plus the cache-line transfer between the two cores.
 #pragma once
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "simmachine/machine.hpp"
@@ -71,7 +71,11 @@ class SpinLock {
   mach::CacheLine line_;
   bool held_ = false;
   mth::Thread* granted_ = nullptr;  ///< direct-handoff recipient
-  std::deque<Waiter> spinners_;
+  /// Parked spinners, oldest first, from spin_head_ on. A vector allocates
+  /// nothing until the first spinner parks; it is emptied whenever the last
+  /// one leaves, and its consumed prefix is reclaimed under long contention.
+  std::vector<Waiter> spinners_;
+  std::size_t spin_head_ = 0;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contentions_ = 0;
   // Registry instruments, labeled (sync, <machine>, <lock name>.*).

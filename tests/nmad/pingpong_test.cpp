@@ -2,6 +2,7 @@
 // locking x waiting x progression configuration matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -45,6 +46,57 @@ TEST(Pingpong, BasicEagerRoundtrip) {
   EXPECT_TRUE(ok);
   EXPECT_EQ(world.core(0).active_requests(), 0);
   EXPECT_EQ(world.core(1).active_requests(), 0);
+}
+
+// A 2-node pingpong on PIOMan's idle hooks with passive waits, so cores
+// poll from their idle loops between messages. A second idle hook on every
+// node, which charges nothing and never asks to run, logs each idle pass as
+// (time, node, core). Pinned at the implementation that ran every idle pass
+// from the engine loop: passes that now run one after another without a
+// return to the loop must keep their times, order and event count.
+TEST(Pingpong, PiomanIdlePassLogIsPinned) {
+  ClusterConfig cfg;
+  cfg.nm.lock = LockMode::kFine;
+  cfg.nm.wait = WaitMode::kPassive;
+  cfg.nm.progress = ProgressMode::kPiomanHooks;
+  Cluster world(cfg);
+  std::uint64_t hash = 14695981039346656037ull;
+  std::size_t passes = 0;
+  for (int n = 0; n < 2; ++n) {
+    world.sched(n).add_idle_hook(mth::Hook{
+        [&world, &hash, &passes, n](mth::HookContext& h) {
+          const std::int64_t entry[] = {world.engine().now(), n, h.core()};
+          for (const std::int64_t v : entry) {
+            hash ^= static_cast<std::uint64_t>(v);
+            hash *= 1099511628211ull;
+          }
+          ++passes;
+        },
+        nullptr});
+  }
+  constexpr std::size_t kSizes[] = {8, 4096, 65536};
+  for (int side = 0; side < 2; ++side) {
+    world.spawn(side, [&world, side, &kSizes] {
+      Core& c = world.core(side);
+      Gate* g = world.gate(side, 1 - side);
+      std::vector<std::uint8_t> buf(65536);
+      for (int round = 0; round < 6; ++round) {
+        const std::size_t n = kSizes[round % 3];
+        if (side == 0) {
+          c.send(g, 1, buf.data(), n);
+          c.recv(g, 2, buf.data(), n);
+        } else {
+          c.recv(g, 1, buf.data(), n);
+          c.send(g, 2, buf.data(), n);
+        }
+      }
+    });
+  }
+  world.run();
+  EXPECT_EQ(passes, 5020u);
+  EXPECT_EQ(hash, 8794658153861720080ull);
+  EXPECT_EQ(world.engine().events_executed(), 5240u);
+  EXPECT_EQ(world.engine().now(), 297694);
 }
 
 struct MatrixParam {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace pm2::obs {
 namespace {
 
@@ -68,6 +71,60 @@ TEST_F(MetricsTest, CoreScopedKeysAreDistinct) {
   c1.inc(9);
   EXPECT_EQ(reg.counter_value("testm", "nodeA", "per_core", 0), 2u);
   EXPECT_EQ(reg.counter_value("testm", "nodeA", "per_core", 1), 9u);
+}
+
+TEST_F(MetricsTest, NameInTwoPartsIsTheWholeName) {
+  auto& reg = MetricsRegistry::global();
+  Counter whole = reg.counter({"testm", "nodeA", -1, "lock7.acquisitions"});
+  reg.set_enabled(true);
+  whole.inc(3);
+  const std::size_t n = reg.num_counters();
+  // The same identity given as prefix and suffix: the same slot, zeroed.
+  Counter parts = reg.counter({"testm", "nodeA", -1, "lock7", ".acquisitions"});
+  EXPECT_EQ(reg.num_counters(), n);
+  EXPECT_EQ(whole.value(), 0u);
+  parts.inc();
+  EXPECT_EQ(reg.counter_value("testm", "nodeA", "lock7.acquisitions"), 1u);
+  // Another name that shares the prefix is another instrument.
+  Counter other = reg.counter({"testm", "nodeA", -1, "lock7", ".acq"});
+  EXPECT_EQ(reg.num_counters(), n + 1);
+  EXPECT_NE(reg.to_json().find("\"name\":\"lock7.acq\""), std::string::npos);
+  other.inc(2);
+  EXPECT_EQ(parts.value(), 1u);
+}
+
+TEST_F(MetricsTest, ManyInstrumentsKeepRegistrationOrder) {
+  auto& reg = MetricsRegistry::global();
+  constexpr int kCount = 3000;
+  std::vector<Counter> counters;
+  const std::size_t before = reg.num_counters();
+  for (int i = 0; i < kCount; ++i) {
+    counters.push_back(reg.counter({"testbulk", "nodeA", i % 7,
+                                    "c" + std::to_string(i)}));
+  }
+  EXPECT_EQ(reg.num_counters(), before + kCount);
+  reg.set_enabled(true);
+  for (int i = 0; i < kCount; ++i) counters[static_cast<std::size_t>(i)].inc(i);
+  for (int i = 0; i < kCount; ++i) {
+    const std::string name = "c" + std::to_string(i);
+    EXPECT_EQ(reg.counter_value("testbulk", "nodeA", name, i % 7),
+              static_cast<std::uint64_t>(i));
+  }
+  // Re-registering finds every slot, zeroes it and adds none.
+  for (int i = 0; i < kCount; ++i) {
+    const Counter again = reg.counter({"testbulk", "nodeA", i % 7,
+                                       "c" + std::to_string(i)});
+    EXPECT_EQ(again.value(), 0u);
+  }
+  EXPECT_EQ(reg.num_counters(), before + kCount);
+  const std::string json = reg.to_json();
+  std::size_t at = 0;
+  for (int i = 0; i < kCount; i += 499) {
+    const std::size_t pos =
+        json.find("\"name\":\"c" + std::to_string(i) + "\"", at);
+    ASSERT_NE(pos, std::string::npos) << i;
+    at = pos;
+  }
 }
 
 TEST_F(MetricsTest, LookupMissingReturnsNullopt) {

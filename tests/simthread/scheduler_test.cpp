@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -487,6 +488,158 @@ TEST(ChargeHandoff, ThrowFromAHandedToFiberReachesTheCaller) {
       EXPECT_STREQ(e.what(), "fiber 1") << "partitions " << partitions;
     }
     EXPECT_EQ(w.scheds[0]->live_threads(), 1) << "partitions " << partitions;
+  }
+}
+
+// --- idle passes --------------------------------------------------------------
+
+/// Two nodes of two cores. Each node has an idle hook that always wants to
+/// run, charges kHookCost[k] and logs (time, k) for core k = 2 * node +
+/// core, then calls @p after(k, pass); one fiber per node sleeps kSleep, so
+/// the idle loops keep polling until it finishes. An idle pass re-arms
+/// itself, and most passes are due before any other event of their
+/// partition, so they run one after another without a return to the engine
+/// loop. Node n lives in partition n % partitions; log[p] holds partition
+/// p's entries in the order they ran.
+struct IdleWorld {
+  static constexpr sim::Time kHookCost[4] = {0, 150, 400, 900};
+  static constexpr sim::Time kSleep = 5000;
+  static constexpr sim::Time kLookahead = 100;
+  using Log = std::vector<std::pair<sim::Time, int>>;
+
+  sim::Engine engine;
+  std::vector<std::unique_ptr<mach::Machine>> machines;
+  std::vector<std::unique_ptr<Scheduler>> scheds;
+  Log log[2];
+
+  explicit IdleWorld(int partitions, int workers = 1,
+                     std::function<void(int k, int pass)> after = {}) {
+    if (partitions > 1) engine.configure_partitions(partitions, kLookahead);
+    engine.set_workers(workers);
+    for (int n = 0; n < 2; ++n) {
+      sim::Engine::PartitionScope scope(engine, n % partitions);
+      machines.push_back(std::make_unique<mach::Machine>(
+          engine, "node" + std::to_string(n),
+          mach::CacheTopology::uniform(2, 2), mach::CostBook::xeon_quad()));
+      scheds.push_back(std::make_unique<Scheduler>(*machines.back()));
+      Scheduler& s = *scheds.back();
+      Log& out = log[n % partitions];
+      s.add_idle_hook(Hook{
+          [this, &out, n, after, passes = std::vector<int>(2)](
+              HookContext& h) mutable {
+            const int k = 2 * n + h.core();
+            h.charge(kHookCost[k]);
+            out.emplace_back(engine.now(), k);
+            if (after) after(k, passes[static_cast<std::size_t>(h.core())]++);
+          },
+          [](int) { return true; }});
+      s.spawn([&s] { s.sleep_for(kSleep); });
+    }
+  }
+};
+
+std::uint64_t fnv_of(const IdleWorld::Log& log) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& [t, k] : log) {
+    for (const std::uint64_t v : {static_cast<std::uint64_t>(t),
+                                  static_cast<std::uint64_t>(k)}) {
+      h ^= v;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// The one-partition pass log, pinned at the implementation that ran every
+/// idle pass from the engine loop.
+constexpr std::size_t kIdleLogSize = 159;
+constexpr std::uint64_t kIdleLogHash = 2594275859413298360ull;
+constexpr std::uint64_t kIdleWorldEvents = 174;
+
+IdleWorld::Log one_partition_idle_log() {
+  IdleWorld w(1);
+  w.engine.run();
+  return w.log[0];
+}
+
+TEST(IdleTicks, PassLogIsPinned) {
+  IdleWorld w(1);
+  w.engine.run();
+  EXPECT_EQ(w.log[0].size(), kIdleLogSize);
+  EXPECT_EQ(fnv_of(w.log[0]), kIdleLogHash);
+  EXPECT_EQ(w.engine.events_executed(), kIdleWorldEvents);
+  EXPECT_EQ(w.log[0].front(), std::make_pair(sim::Time{0}, 1));
+}
+
+TEST(IdleTicks, NoFusedPassCrossesARunUntilDeadline) {
+  const IdleWorld::Log full = one_partition_idle_log();
+  IdleWorld w(1);
+  constexpr sim::Time kDeadline = 1234;
+  w.engine.run_until(kDeadline);
+  ASSERT_FALSE(w.log[0].empty());
+  for (const auto& entry : w.log[0]) EXPECT_LE(entry.first, kDeadline);
+  const IdleWorld::Log prefix(full.begin(),
+                              full.begin() + static_cast<std::ptrdiff_t>(
+                                                 w.log[0].size()));
+  EXPECT_EQ(w.log[0], prefix);
+  EXPECT_GT(full[w.log[0].size()].first, kDeadline);
+  w.engine.run();
+  EXPECT_EQ(w.log[0], full);
+}
+
+TEST(IdleTicks, NoFusedPassAfterAStop) {
+  const IdleWorld::Log full = one_partition_idle_log();
+  IdleWorld* world = nullptr;
+  std::size_t at_stop = 0;
+  IdleWorld w(1, 1, [&world, &at_stop](int k, int pass) {
+    if (k != 0 || pass != 20) return;
+    world->engine.stop();
+    at_stop = world->log[0].size();
+  });
+  world = &w;
+  w.engine.run();
+  // The stopping pass is the last: the next pass, due right after it on
+  // the same core, found the stop pending.
+  ASSERT_GT(at_stop, 0u);
+  EXPECT_EQ(w.log[0].size(), at_stop);
+  w.engine.run();
+  EXPECT_GT(w.log[0].size(), at_stop);
+  EXPECT_EQ(w.log[0], full);
+}
+
+// The same nodes in two partitions, at one and two workers: each node's log
+// is its part of the one-partition log. Partition 0 also logs a
+// cross-partition marker sent by node 1's first pass on core 3; passes that
+// ran past a window's horizon would log times after it before it arrived
+// (or the marker would arrive in the past).
+TEST(IdleTicks, NoFusedPassCrossesAWindowHorizon) {
+  const IdleWorld::Log full = one_partition_idle_log();
+  for (const int workers : {1, 2}) {
+    IdleWorld* world = nullptr;
+    IdleWorld w(2, workers, [&world](int k, int pass) {
+      if (k != 3 || pass != 0) return;
+      sim::Engine& e = world->engine;
+      e.schedule_cross(0, e.now() + IdleWorld::kLookahead, [world] {
+        world->log[0].emplace_back(world->engine.now(), -1);
+      });
+    });
+    world = &w;
+    w.engine.run();
+    for (int p = 0; p < 2; ++p) {
+      IdleWorld::Log mine;
+      for (const auto& entry : full) {
+        if (entry.second / 2 == p) mine.push_back(entry);
+      }
+      IdleWorld::Log passes;
+      for (const auto& entry : w.log[p]) {
+        if (entry.second >= 0) passes.push_back(entry);
+      }
+      EXPECT_EQ(passes, mine) << "partition " << p << ", workers " << workers;
+    }
+    EXPECT_TRUE(std::is_sorted(
+        w.log[0].begin(), w.log[0].end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }))
+        << "workers " << workers;
   }
 }
 
