@@ -11,9 +11,11 @@ namespace pm2::obs {
 
 namespace {
 
-/// FNV-1a over the spec's parts as one byte stream; the name's two parts
-/// hash like the name they make up.
-std::uint64_t hash_of(const MetricSpec& spec) {
+/// FNV-1a over an identity's parts as one byte stream; a name given in two
+/// parts hashes like the name they make up.
+std::size_t hash_parts(std::string_view component, std::string_view node,
+                       int core, std::string_view name,
+                       std::string_view suffix = {}) {
   std::uint64_t h = 14695981039346656037ull;
   auto mix = [&h](std::string_view bytes) {
     for (const char c : bytes) {
@@ -21,15 +23,15 @@ std::uint64_t hash_of(const MetricSpec& spec) {
       h *= 1099511628211ull;
     }
   };
-  mix(spec.component);
+  mix(component);
   mix("\x1f");
-  mix(spec.node);
+  mix(node);
   mix("\x1f");
-  const auto core = static_cast<std::uint32_t>(spec.core);
-  mix(std::string_view(reinterpret_cast<const char*>(&core), sizeof(core)));
-  mix(spec.name);
-  mix(spec.suffix);
-  return h;
+  const auto c = static_cast<std::uint32_t>(core);
+  mix(std::string_view(reinterpret_cast<const char*>(&c), sizeof(c)));
+  mix(name);
+  mix(suffix);
+  return static_cast<std::size_t>(h);
 }
 
 template <typename Id>
@@ -70,57 +72,45 @@ namespace {
     (MetricsRegistry::publish_global(), true);
 }  // namespace
 
-std::size_t MetricsRegistry::Index::probe(const MetricSpec& spec,
-                                          std::uint64_t hash) const {
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const std::uint32_t entry = table_[i];
-    if (entry == 0) return i;
-    const std::uint32_t slot = entry - 1;
-    if (hashes_[slot] != hash) continue;
-    const Identity& id = ids_[slot];
-    const std::string_view name = id.name;
-    if (id.core == spec.core && id.component == spec.component &&
-        id.node == spec.node &&
-        name.size() == spec.name.size() + spec.suffix.size() &&
-        name.starts_with(spec.name) && name.ends_with(spec.suffix)) {
-      return i;
-    }
-  }
+std::size_t MetricsRegistry::Index::Keys::operator()(
+    std::uint32_t slot) const {
+  const Identity& id = (*ids)[slot];
+  return hash_parts(id.component, id.node, id.core, id.name);
 }
 
-void MetricsRegistry::Index::grow() {
-  table_.assign(std::max<std::size_t>(64, table_.size() * 2), 0);
-  const std::size_t mask = table_.size() - 1;
-  for (std::uint32_t slot = 0; slot < ids_.size(); ++slot) {
-    std::size_t i = hashes_[slot] & mask;
-    while (table_[i] != 0) i = (i + 1) & mask;
-    table_[i] = slot + 1;
-  }
+std::size_t MetricsRegistry::Index::Keys::operator()(
+    const MetricSpec& spec) const {
+  return hash_parts(spec.component, spec.node, spec.core, spec.name,
+                    spec.suffix);
+}
+
+bool MetricsRegistry::Index::Keys::operator()(const MetricSpec& spec,
+                                              std::uint32_t slot) const {
+  const Identity& id = (*ids)[slot];
+  const std::string_view name = id.name;
+  return id.core == spec.core && id.component == spec.component &&
+         id.node == spec.node &&
+         name.size() == spec.name.size() + spec.suffix.size() &&
+         name.starts_with(spec.name) && name.ends_with(spec.suffix);
 }
 
 std::uint32_t MetricsRegistry::Index::find(const MetricSpec& spec) const {
-  if (table_.empty()) return kInvalidMetric;
-  const std::uint32_t entry = table_[probe(spec, hash_of(spec))];
-  return entry == 0 ? kInvalidMetric : entry - 1;
+  const auto it = slots_.find(spec);
+  return it == slots_.end() ? kInvalidMetric : *it;
 }
 
 std::uint32_t MetricsRegistry::Index::intern(const MetricSpec& spec,
                                              bool& added) {
-  // At most half full, so every probe ends at an empty position.
-  if (2 * (ids_.size() + 1) > table_.size()) grow();
-  const std::uint64_t hash = hash_of(spec);
-  const std::size_t i = probe(spec, hash);
-  added = table_[i] == 0;
-  if (!added) return table_[i] - 1;
+  const auto it = slots_.find(spec);
+  added = it == slots_.end();
+  if (!added) return *it;
   const auto slot = static_cast<std::uint32_t>(ids_.size());
   std::string name;
   name.reserve(spec.name.size() + spec.suffix.size());
   name.append(spec.name).append(spec.suffix);
   ids_.push_back(Identity{std::string(spec.component), std::string(spec.node),
                           spec.core, std::move(name)});
-  hashes_.push_back(hash);
-  table_[i] = slot + 1;
+  slots_.insert(slot);
   return slot;
 }
 

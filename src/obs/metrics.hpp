@@ -14,8 +14,8 @@
 // same slot *zeroed*, so sequentially-constructed worlds (one Cluster per
 // benchmark rep) each start from a clean count without growing the store.
 // A registration passes its key as views, the name in two parts, and the
-// registry finds the slot through a flat hash index that compares the parts
-// in place: re-registering a world's instruments builds no string.
+// registry looks the slot up with a hash and an equality that take the parts
+// as they are: re-registering a world's instruments builds no string.
 //
 // The registry is never consulted for simulation decisions and instruments
 // are host-side only (no virtual-time charges), so enabling it cannot
@@ -37,6 +37,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "simcore/partition.hpp"
@@ -187,11 +188,16 @@ class MetricsRegistry {
     std::string name;
   };
 
-  /// One instrument kind's identities in registration order, with an
-  /// open-addressing hash index over them. A lookup hashes the spec's parts
-  /// as one byte stream and compares the stored identities' parts in place.
+  /// One instrument kind's identities in registration order, and the set
+  /// of their slots, which a spec looks up without being composed: the set
+  /// hashes a slot through its identity, and a spec's parts as the same
+  /// byte stream, and compares the parts with the identity in place.
   class Index {
    public:
+    Index() : slots_(0, Keys{&ids_}, Keys{&ids_}) {}
+    Index(const Index&) = delete;
+    Index& operator=(const Index&) = delete;
+
     /// Slot of @p spec, or kInvalidMetric.
     std::uint32_t find(const MetricSpec& spec) const;
     /// Slot of @p spec, recorded as the next slot if it is new, which
@@ -200,14 +206,21 @@ class MetricsRegistry {
     const std::vector<Identity>& ids() const { return ids_; }
 
    private:
-    /// Table position holding @p spec's slot, or the empty one it would
-    /// take. Pre: the table has an empty position.
-    std::size_t probe(const MetricSpec& spec, std::uint64_t hash) const;
-    void grow();
+    /// The set's hash (one argument) and equality (two).
+    struct Keys {
+      using is_transparent = void;
+      const std::vector<Identity>* ids;
+      std::size_t operator()(std::uint32_t slot) const;
+      std::size_t operator()(const MetricSpec& spec) const;
+      bool operator()(std::uint32_t a, std::uint32_t b) const { return a == b; }
+      bool operator()(const MetricSpec& spec, std::uint32_t slot) const;
+      bool operator()(std::uint32_t slot, const MetricSpec& spec) const {
+        return (*this)(spec, slot);
+      }
+    };
 
     std::vector<Identity> ids_;
-    std::vector<std::uint64_t> hashes_;  ///< per slot
-    std::vector<std::uint32_t> table_;   ///< slot + 1, 0 = empty; size 2^k
+    std::unordered_set<std::uint32_t, Keys, Keys> slots_;
   };
 
   static inline constinit MetricsRegistry* global_ = nullptr;

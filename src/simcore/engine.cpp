@@ -72,6 +72,20 @@ class WindowBarrier {
   alignas(64) std::atomic<std::uint32_t> phase_{0};
 };
 
+/// The limit of a single-partition run's loop, shared with try_advance and
+/// take_next, for as long as the loop runs: closed again however it ends,
+/// an event's throw included, so nothing advances in place after the run.
+class RunLimit {
+ public:
+  RunLimit(Time& limit, Time deadline) : limit_(limit) { limit_ = deadline; }
+  ~RunLimit() { limit_ = -1; }
+  RunLimit(const RunLimit&) = delete;
+  RunLimit& operator=(const RunLimit&) = delete;
+
+ private:
+  Time& limit_;
+};
+
 }  // namespace
 
 Engine::Engine() {
@@ -152,10 +166,9 @@ void Engine::run() {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
-    p.advance_limit = kTimeInfinity;
+    const RunLimit limit(p.advance_limit, kTimeInfinity);
     while (!stopped() && step_partition(p)) {
     }
-    p.advance_limit = -1;
     return;
   }
   run_windows(kTimeInfinity);
@@ -172,11 +185,12 @@ void Engine::run_until(Time deadline) {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
-    p.advance_limit = deadline;
-    while (!stopped() && p.queue.next_time() <= deadline &&
-           step_partition(p)) {
+    {
+      const RunLimit limit(p.advance_limit, deadline);
+      while (!stopped() && p.queue.next_time() <= deadline &&
+             step_partition(p)) {
+      }
     }
-    p.advance_limit = -1;
     if (!stopped() && p.now < deadline) p.now = deadline;
     return;
   }

@@ -290,7 +290,7 @@ void Fiber::switched_in() {
 
 void Fiber::unwind() {
   assert(started_ && !active_ && "unwind() of a fiber that is not suspended");
-  unwinding_ = true;
+  unwind_base_ = std::uncaught_exceptions();
   while (!finished_) resume();
 }
 

@@ -126,8 +126,14 @@ class Fiber {
   /// Unwind a started fiber that has not finished: resume it with its
   /// pending suspend() or switch_to() throwing, so the destructors of every
   /// frame on its stack run, until its body has left. A destructor that
-  /// suspends on the way is resumed where it suspended. Must not be called
-  /// from inside any fiber; code on the fiber must not swallow the throw.
+  /// suspends on the way is resumed where it suspended, without a throw;
+  /// every other switch back in throws again, so code that catches the
+  /// throw does not carry on past its next wait, and code on the fiber
+  /// must not catch it for good. Must not be called from inside any fiber.
+  /// Works whether or not an exception is propagating through the caller
+  /// (a world destroyed by a throw out of its run); a fiber left suspended
+  /// while its own exception propagated, in a destructor on the way out of
+  /// its body, cannot be unwound (the throw would leave that destructor).
   void unwind();
 
   /// True once resume() has entered the body.
@@ -154,8 +160,13 @@ class Fiber {
   void run_body();
   /// On the fiber's side of every switch back into it: throw Unwind when
   /// unwinding, unless a destructor of the unwinding is the one running.
+  /// The count of uncaught exceptions is the host thread's, shared by
+  /// every fiber on it, so the test is against what it read when unwind()
+  /// began: one more is this fiber's own Unwind in flight.
   void check_unwind() const {
-    if (unwinding_ && std::uncaught_exceptions() == 0) throw Unwind{};
+    if (unwind_base_ >= 0 && std::uncaught_exceptions() == unwind_base_) {
+      throw Unwind{};
+    }
   }
 
   std::function<void()> body_;
@@ -191,7 +202,8 @@ class Fiber {
   bool started_ = false;
   bool finished_ = false;
   bool active_ = false;
-  bool unwinding_ = false;
+  /// std::uncaught_exceptions() when unwind() began; -1 until then.
+  int unwind_base_ = -1;
 
   // See PM2SIM_TLS_FAST in simcore/partition.hpp: read from fiber stacks.
   PM2SIM_TLS_FAST static thread_local constinit Fiber* current_;

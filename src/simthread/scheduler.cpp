@@ -600,16 +600,8 @@ void Scheduler::enter_idle(Core& c) {
 }
 
 void Scheduler::arm_idle(Core& c, sim::Time delay) {
-  c.idle_event = engine().schedule_after(delay, IdleTick{this, c.id});
-}
-
-void Scheduler::IdleTick::operator()() const {
-  // The same passes at the same (time, seq) as one event each: take_next
-  // pops the next one only where the loop would run it next.
-  IdleTick tick = *this;
-  do {
-    tick.sched->idle_tick(tick.core);
-  } while (tick.sched->engine().take_next(tick));
+  const int core = c.id;
+  c.idle_event = engine().schedule_after(delay, [this, core] { idle_tick(core); });
 }
 
 void Scheduler::idle_tick(int core) {

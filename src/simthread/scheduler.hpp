@@ -87,7 +87,9 @@ class Scheduler {
   /// event that threw), so the destructors of their frames release what
   /// the frames own. For a world's owner, after its last run and while
   /// everything the threads refer to is alive; the threads take no further
-  /// part in the simulation.
+  /// part in the simulation. Nothing else runs meanwhile: a destructor may
+  /// charge or release a lock, but one that waits for another thread or an
+  /// event never returns.
   void unwind_threads();
 
   // --- thread-facing (must run inside a simulated thread) ------------------
@@ -176,16 +178,6 @@ class Scheduler {
     Scheduler* sched;
     Thread* t;
     void operator()() const { sched->resume_fiber(t); }
-  };
-
-  /// The event an idle core's re-arm schedules: a type of its own, so an
-  /// idle pass can run the next event in place when that is another idle
-  /// pass of the partition (Engine::take_next), and an idle stretch never
-  /// returns to the engine loop.
-  struct IdleTick {
-    Scheduler* sched;
-    int core;
-    void operator()() const;
   };
 
   void enqueue(int core, Thread* t);

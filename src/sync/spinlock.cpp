@@ -131,26 +131,23 @@ void SpinLock::unlock() {
     acquired_at_ = -1;
   }
   mth::charge_if_ctx(sched_.costs().spin_release);
-  if (spin_head_ < spinners_.size()) {
-    const auto b = spinners_.begin() + static_cast<std::ptrdiff_t>(spin_head_);
-    const auto parked = static_cast<int>(spinners_.size() - spin_head_);
+  if (!spinners_.empty()) {
     // Schedule-exploration choice point: which parked spinner this release
     // wakes (or hands off to). Default 0 keeps the FIFO order.
-    if (xpl::on() && parked > 1) {
+    if (xpl::on() && spinners_.size() > 1) {
       xpl::Fingerprint fp;
       fp.mix_str(name_);
-      for (auto it = b; it != spinners_.end(); ++it) fp.mix(it->t->id());
-      const int i = xpl::pick(xpl::SiteKind::kSpinHandoff, parked, fp.value());
-      if (i > 0) std::rotate(b, b + i, b + i + 1);
+      for (const Waiter& s : spinners_) fp.mix(s.t->id());
+      const int i =
+          xpl::pick(xpl::SiteKind::kSpinHandoff,
+                    static_cast<int>(spinners_.size()), fp.value());
+      if (i > 0) {
+        const auto b = spinners_.begin();
+        std::rotate(b, b + i, b + i + 1);
+      }
     }
-    const Waiter w = *b;
-    if (++spin_head_ == spinners_.size()) {
-      spinners_.clear();
-      spin_head_ = 0;
-    } else if (spin_head_ >= 64 && 2 * spin_head_ >= spinners_.size()) {
-      spinners_.erase(spinners_.begin(), b + 1);
-      spin_head_ = 0;
-    }
+    const Waiter w = spinners_.front();
+    spinners_.erase(spinners_.begin());
     const sim::Time waited = sched_.engine().now() - w.park_start;
     if (waited >= sched_.costs().spin_fair_threshold) {
       // Starved long enough: direct handoff, lock stays held on its behalf.

@@ -71,11 +71,10 @@ class SpinLock {
   mach::CacheLine line_;
   bool held_ = false;
   mth::Thread* granted_ = nullptr;  ///< direct-handoff recipient
-  /// Parked spinners, oldest first, from spin_head_ on. A vector allocates
-  /// nothing until the first spinner parks; it is emptied whenever the last
-  /// one leaves, and its consumed prefix is reclaimed under long contention.
+  /// Parked spinners, oldest first. A spinner parks only on a core with
+  /// nothing else to run and keeps that core, so there are never more than
+  /// the node has cores; a vector allocates nothing until the first parks.
   std::vector<Waiter> spinners_;
-  std::size_t spin_head_ = 0;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contentions_ = 0;
   // Registry instruments, labeled (sync, <machine>, <lock name>.*).

@@ -51,9 +51,8 @@ TEST(Pingpong, BasicEagerRoundtrip) {
 // A 2-node pingpong on PIOMan's idle hooks with passive waits, so cores
 // poll from their idle loops between messages. A second idle hook on every
 // node, which charges nothing and never asks to run, logs each idle pass as
-// (time, node, core). Pinned at the implementation that ran every idle pass
-// from the engine loop: passes that now run one after another without a
-// return to the loop must keep their times, order and event count.
+// (time, node, core). Pinned: a change to how idle passes are scheduled
+// must keep their times, order and event count.
 TEST(Pingpong, PiomanIdlePassLogIsPinned) {
   ClusterConfig cfg;
   cfg.nm.lock = LockMode::kFine;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace pm2::sim {
@@ -222,6 +223,28 @@ TEST(Engine, TakeNextRefusesOutsideARun) {
   e.schedule_at(0, Marked{&ran});
   EXPECT_FALSE(e.take_next(got));
   EXPECT_EQ(e.pending_events(), 1u);
+}
+
+TEST(Engine, RunThatThrowsLeavesNothingToAdvanceOrTake) {
+  // A world torn down after its run threw unwinds suspended threads; a
+  // charge on the way must not advance the clock or run a pending event.
+  for (const bool until : {false, true}) {
+    Engine e;
+    int ran = 0;
+    Marked got{nullptr};
+    e.schedule_at(5, [] { throw std::runtime_error("event failed"); });
+    e.schedule_at(10, Marked{&ran});
+    if (until) {
+      EXPECT_THROW(e.run_until(100), std::runtime_error);
+    } else {
+      EXPECT_THROW(e.run(), std::runtime_error);
+    }
+    EXPECT_FALSE(e.try_advance(1));
+    EXPECT_FALSE(e.take_next(got));
+    EXPECT_EQ(e.now(), 5);
+    EXPECT_EQ(e.pending_events(), 1u);
+    EXPECT_EQ(ran, 0);
+  }
 }
 
 TEST(Engine, CancelledEventDoesNotRun) {

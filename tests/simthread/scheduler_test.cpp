@@ -498,9 +498,8 @@ TEST(ChargeHandoff, ThrowFromAHandedToFiberReachesTheCaller) {
 /// core, then calls @p after(k, pass); one fiber per node sleeps kSleep, so
 /// the idle loops keep polling until it finishes. An idle pass re-arms
 /// itself, and most passes are due before any other event of their
-/// partition, so they run one after another without a return to the engine
-/// loop. Node n lives in partition n % partitions; log[p] holds partition
-/// p's entries in the order they ran.
+/// partition. Node n lives in partition n % partitions; log[p] holds
+/// partition p's entries in the order they ran.
 struct IdleWorld {
   static constexpr sim::Time kHookCost[4] = {0, 150, 400, 900};
   static constexpr sim::Time kSleep = 5000;
@@ -550,8 +549,8 @@ std::uint64_t fnv_of(const IdleWorld::Log& log) {
   return h;
 }
 
-/// The one-partition pass log, pinned at the implementation that ran every
-/// idle pass from the engine loop.
+/// The one-partition pass log, pinned: every idle pass runs as an engine
+/// event of its own.
 constexpr std::size_t kIdleLogSize = 159;
 constexpr std::uint64_t kIdleLogHash = 2594275859413298360ull;
 constexpr std::uint64_t kIdleWorldEvents = 174;
@@ -571,7 +570,7 @@ TEST(IdleTicks, PassLogIsPinned) {
   EXPECT_EQ(w.log[0].front(), std::make_pair(sim::Time{0}, 1));
 }
 
-TEST(IdleTicks, NoFusedPassCrossesARunUntilDeadline) {
+TEST(IdleTicks, PassesStopAtARunUntilDeadline) {
   const IdleWorld::Log full = one_partition_idle_log();
   IdleWorld w(1);
   constexpr sim::Time kDeadline = 1234;
@@ -587,7 +586,7 @@ TEST(IdleTicks, NoFusedPassCrossesARunUntilDeadline) {
   EXPECT_EQ(w.log[0], full);
 }
 
-TEST(IdleTicks, NoFusedPassAfterAStop) {
+TEST(IdleTicks, PassesStopAtAStop) {
   const IdleWorld::Log full = one_partition_idle_log();
   IdleWorld* world = nullptr;
   std::size_t at_stop = 0;
@@ -612,7 +611,7 @@ TEST(IdleTicks, NoFusedPassAfterAStop) {
 // cross-partition marker sent by node 1's first pass on core 3; passes that
 // ran past a window's horizon would log times after it before it arrived
 // (or the marker would arrive in the past).
-TEST(IdleTicks, NoFusedPassCrossesAWindowHorizon) {
+TEST(IdleTicks, PassesStayWithinAWindowHorizon) {
   const IdleWorld::Log full = one_partition_idle_log();
   for (const int workers : {1, 2}) {
     IdleWorld* world = nullptr;
