@@ -8,7 +8,9 @@
 // hands them back on the next acquire, so steady-state thread churn performs
 // no stack allocations at all. A fresh stack is not zero-filled: its pages
 // are committed when its fiber first touches them, and a fiber touches a
-// few pages at the top of its 256 KB.
+// few pages at the top of its 256 KB. So a cached stack holds only those
+// pages, and the pool caches a whole world's stacks: a world built again
+// finds every stack it needs and commits no page it did not have before.
 //
 // The pool is process-wide and, with the partitioned engine, partitions on
 // different host threads spawn/retire fibers concurrently -- so the pool is
@@ -67,7 +69,12 @@ class StackPool {
   }
 
   static constexpr std::size_t kGranule = 64 * 1024;
-  static constexpr std::size_t kMaxPooledPerClass = 64;
+  /// Twice the fibers of a fanin world (128), the most any perfbench
+  /// workload runs at once. With fewer, each teardown freed the surplus,
+  /// and the next build's fresh stacks came back from the heap at shifted
+  /// offsets: their top pages landed on pages no stack had touched, so the
+  /// resident set grew with every world built.
+  static constexpr std::size_t kMaxPooledPerClass = 256;
 
  private:
   mutable std::mutex mu_;

@@ -18,6 +18,7 @@
 
 #include "nmad/cluster.hpp"
 #include "simcore/event_queue.hpp"
+#include "simthread/stack_pool.hpp"
 #include "sync/spinlock.hpp"
 
 namespace {
@@ -46,9 +47,10 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 namespace pm2::nm {
 namespace {
 
-/// Second-build budgets, with headroom over what libstdc++ 12 counts: 128
-/// and 2,258 (405 and 11,896 when instruments were keyed by composed
-/// strings and every lock and endpoint queue was a std::deque).
+/// Second-build budgets, with headroom over what libstdc++ 12 counts: 127
+/// and 2,194 (405 and 11,896 when instruments were keyed by composed
+/// strings, every lock and endpoint queue was a std::deque and the stack
+/// pool kept only half of a fanin world's 128 stacks).
 constexpr std::uint64_t kPingpongBudget = 160;
 constexpr std::uint64_t kFaninEndpointsBudget = 2500;
 
@@ -93,6 +95,19 @@ TEST(ConstructionAlloc, FaninEndpointsShapedWorldStaysUnderBudget) {
   build_allocations(fanin_endpoints_shape(), 64);
   const std::uint64_t second = build_allocations(fanin_endpoints_shape(), 64);
   EXPECT_LE(second, kFaninEndpointsBudget);
+}
+
+TEST(ConstructionAlloc, SecondFaninBuildTakesEveryStackFromThePool) {
+  // A build that allocates fresh stacks grows the resident set world after
+  // world: the heap hands a freed stack's memory back at shifted offsets,
+  // and a fiber commits the pages it touches wherever its stack lands.
+  auto& pool = mth::StackPool::instance();
+  build_allocations(fanin_endpoints_shape(), 64);
+  const std::uint64_t fresh = pool.fresh_allocs();
+  const std::uint64_t reuses = pool.reuses();
+  build_allocations(fanin_endpoints_shape(), 64);
+  EXPECT_EQ(pool.fresh_allocs(), fresh);
+  EXPECT_EQ(pool.reuses(), reuses + 128);
 }
 
 TEST(ConstructionAlloc, UncontendedSpinLockAllocatesNothingButItsName) {
