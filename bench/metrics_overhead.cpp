@@ -1,12 +1,15 @@
 // Guard: the metrics registry's hot-path cost stays negligible.
 //
 // Runs the BM_PingpongEndToEnd workload with the registry alternately
-// disabled and enabled, compares the best-of-N host times, and fails when
-// the enabled runs are more than 3% slower. Alternating the order and
-// taking the minimum makes the comparison robust against host-side noise
-// (frequency scaling, cache warm-up, other processes).
+// disabled and enabled, in back-to-back pairs, and fails when the median
+// of the pairs' enabled/disabled ratios is more than 3% above 1. Each run
+// is a whole world (construction, run and teardown) timed on the thread's
+// CPU clock, which leaves out the time a busy host spends running other
+// processes; alternating the order within pairs and taking the median of
+// their ratios cancels drift and one-sided spikes, as trace_overhead does.
+#include <ctime>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -19,11 +22,11 @@ using namespace pm2;
 namespace {
 
 constexpr std::size_t kPingpongIters = 192;
-constexpr int kReps = 16;
+constexpr int kPairs = 16;
 constexpr double kMaxRatio = 1.03;
-// A noisy host can push a single best-of-N comparison past the limit even
-// with alternation; a genuine hot-path regression fails every attempt, so
-// retry the whole measurement before declaring failure.
+// A noisy host can push one measurement past the limit even with paired
+// runs; a genuine hot-path regression fails every attempt, so retry the
+// whole measurement before declaring failure.
 constexpr int kAttempts = 3;
 
 /// One full pingpong world: the BM_PingpongEndToEnd body.
@@ -51,11 +54,16 @@ void run_workload() {
   world.run();
 }
 
-double timed_run() {
-  const auto t0 = std::chrono::steady_clock::now();
+/// Thread CPU seconds of one whole world with the registry @p enabled.
+double timed_run(bool enabled) {
+  obs::MetricsRegistry::global().set_enabled(enabled);
+  timespec t0{};
+  timespec t1{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
   run_workload();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+  return static_cast<double>(t1.tv_sec - t0.tv_sec) +
+         static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
 }
 
 }  // namespace
@@ -73,27 +81,32 @@ int main() {
 
   double ratio = 1e30;
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    std::vector<double> ratios;
+    ratios.reserve(kPairs);
     double best_off = 1e30;
     double best_on = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      // Alternate the order within each rep so drift hits both variants.
+    for (int r = 0; r < kPairs; ++r) {
+      double off;
+      double on;
+      // Alternate the order within each pair so drift hits both variants.
       if (r % 2 == 0) {
-        reg.set_enabled(false);
-        best_off = std::min(best_off, timed_run());
-        reg.set_enabled(true);
-        best_on = std::min(best_on, timed_run());
+        off = timed_run(false);
+        on = timed_run(true);
       } else {
-        reg.set_enabled(true);
-        best_on = std::min(best_on, timed_run());
-        reg.set_enabled(false);
-        best_off = std::min(best_off, timed_run());
+        on = timed_run(true);
+        off = timed_run(false);
       }
+      best_off = std::min(best_off, off);
+      best_on = std::min(best_on, on);
+      ratios.push_back(on / off);
     }
     reg.set_enabled(false);
+    std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2,
+                     ratios.end());
+    ratio = ratios[kPairs / 2];
 
-    ratio = best_on / best_off;
-    std::printf("metrics off: %.3f ms   metrics on: %.3f ms   ratio: %.4f "
-                "(limit %.2f, attempt %d/%d)\n",
+    std::printf("metrics off: %.3f ms   metrics on: %.3f ms   median pair "
+                "ratio: %.4f (limit %.2f, attempt %d/%d)\n",
                 best_off * 1e3, best_on * 1e3, ratio, kMaxRatio, attempt,
                 kAttempts);
     if (ratio <= kMaxRatio) break;

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "simcore/engine.hpp"
 #include "simmachine/machine.hpp"
+#include "simthread/exec_context.hpp"
 #include "simthread/fiber.hpp"
 #include "simthread/scheduler.hpp"
 
@@ -105,6 +106,57 @@ BENCHMARK(BM_ChargeRoundTrip)
     ->Arg(16)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
+
+void BM_BusyWaitSteps(benchmark::State& state) {
+  // Host cost of an empty iteration of a busy wait, the path Core::wait
+  // hands to the scheduler as steps (Scheduler::spin): a flag test, a
+  // progress pass that finds nothing, one empty NIC poll. Two quad-core
+  // nodes; on each, a waiter on core 0 busy-waits for kRounds messages
+  // that a fiber on the other node's core 1 sends kGap apart, so both
+  // waiters spin at once and their charges interleave. Only run() is
+  // timed; ns_per_empty_iteration is its host time per empty NIC poll of
+  // both nodes, this path's probe as BM_ChargeRoundTrip is for charges.
+  constexpr int kRounds = 4;
+  constexpr sim::Time kGap = sim::microseconds(50);
+  double run_s = 0;
+  double empty = 0;
+  for (auto _ : state) {
+    nm::ClusterConfig cfg;
+    cfg.nm.lock = nm::LockMode::kFine;
+    cfg.nm.wait = nm::WaitMode::kBusy;
+    cfg.nm.progress = nm::ProgressMode::kAppDriven;
+    nm::Cluster world(cfg);
+    for (int node = 0; node < 2; ++node) {
+      world.spawn(node, [&world, node] {
+        std::vector<std::uint8_t> b(64);
+        for (int r = 0; r < kRounds; ++r) {
+          world.core(node).recv(world.gate(node, 1 - node), 1, b.data(),
+                                b.size());
+        }
+      }, "waiter", 0);
+      world.spawn(node, [&world, node] {
+        std::vector<std::uint8_t> m(64);
+        for (int r = 0; r < kRounds; ++r) {
+          mth::ExecContext::current().charge(kGap);
+          world.core(node).send(world.gate(node, 1 - node), 1, m.data(),
+                                m.size());
+        }
+      }, "sender", 1);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    world.run();
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    state.SetIterationTime(elapsed);
+    run_s += elapsed;
+    empty += static_cast<double>(world.nic(0, 0).polls_empty() +
+                                 world.nic(1, 0).polls_empty());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(empty));
+  state.counters["ns_per_empty_iteration"] = run_s * 1e9 / empty;
+}
+BENCHMARK(BM_BusyWaitSteps)->UseManualTime()->Unit(benchmark::kMicrosecond);
 
 void BM_WorldConstruction(benchmark::State& state) {
   // Host cost of building a world, the per-layer probe of perfbench's

@@ -4,11 +4,13 @@
 // analysis must stay under 10% host overhead versus the disabled taps
 // (which are each one branch on a global flag -- the disabled workload IS
 // the plain-build hot path, so the baseline side of this ratio doubles as
-// the "0 when disabled" claim). Alternating the order and taking best-of-N
-// makes the comparison robust against host-side noise (frequency scaling,
-// cache warm-up).
+// the "0 when disabled" claim). Each run is a whole world timed on the
+// thread's CPU clock; runs alternate in back-to-back pairs, and the median
+// of the pairs' ratios is compared, as trace_overhead does, so neither a
+// busy host nor a slow phase that covers one side only fails the gate.
+#include <ctime>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -21,11 +23,11 @@ using namespace pm2;
 namespace {
 
 constexpr std::size_t kPingpongIters = 192;
-constexpr int kReps = 16;
+constexpr int kPairs = 16;
 constexpr double kMaxRatioEnabled = 1.10;
-// A noisy host can push a single best-of-N comparison past the limit even
-// with alternation; a genuine analyzer regression fails every attempt, so
-// retry the whole measurement before declaring failure.
+// A noisy host can push one measurement past the limit even with paired
+// runs; a genuine analyzer regression fails every attempt, so retry the
+// whole measurement before declaring failure.
 constexpr int kAttempts = 3;
 
 /// One full pingpong world: the BM_PingpongEndToEnd body. @p analyze
@@ -55,11 +57,15 @@ void run_workload(bool analyze) {
   world.run();
 }
 
+/// Thread CPU seconds of one whole world.
 double timed_run(bool analyze) {
-  const auto t0 = std::chrono::steady_clock::now();
+  timespec t0{};
+  timespec t1{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
   run_workload(analyze);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+  return static_cast<double>(t1.tv_sec - t0.tv_sec) +
+         static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
 }
 
 }  // namespace
@@ -73,22 +79,31 @@ int main() {
 
   double ratio = 1e30;
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    std::vector<double> ratios;
+    ratios.reserve(kPairs);
     double best_off = 1e30;
     double best_on = 1e30;
-    for (int r = 0; r < kReps; ++r) {
-      // Alternate the order within each rep so drift hits both variants.
+    for (int r = 0; r < kPairs; ++r) {
+      double off;
+      double on;
+      // Alternate the order within each pair so drift hits both variants.
       if (r % 2 == 0) {
-        best_off = std::min(best_off, timed_run(false));
-        best_on = std::min(best_on, timed_run(true));
+        off = timed_run(false);
+        on = timed_run(true);
       } else {
-        best_on = std::min(best_on, timed_run(true));
-        best_off = std::min(best_off, timed_run(false));
+        on = timed_run(true);
+        off = timed_run(false);
       }
+      best_off = std::min(best_off, off);
+      best_on = std::min(best_on, on);
+      ratios.push_back(on / off);
     }
+    std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2,
+                     ratios.end());
+    ratio = ratios[kPairs / 2];
 
-    ratio = best_on / best_off;
-    std::printf("simsan off: %.3f ms   simsan on: %.3f ms   ratio: %.4f "
-                "(limit %.2f, attempt %d/%d)\n",
+    std::printf("simsan off: %.3f ms   simsan on: %.3f ms   median pair "
+                "ratio: %.4f (limit %.2f, attempt %d/%d)\n",
                 best_off * 1e3, best_on * 1e3, ratio, kMaxRatioEnabled,
                 attempt, kAttempts);
     if (ratio <= kMaxRatioEnabled) break;

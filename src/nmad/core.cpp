@@ -1,6 +1,7 @@
 #include "nmad/core.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -428,7 +429,7 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
   }
   req->filled_ += um.filled;
   if (req->filled_ == req->total_len_) {
-    gate.bound_recvs_.erase(req->msg_seq_);
+    gate.unbind_recv(req->msg_seq_);
     complete_request(req);
   }
   return true;
@@ -463,7 +464,7 @@ void Core::bind_locked(Gate& gate, Request* req, Tag tag,
                             std::to_string(total_len) + " > " +
                             std::to_string(req->capacity_) + ")");
   }
-  gate.bound_recvs_[msg_seq] = req;
+  gate.bind_recv(msg_seq, req);
 }
 
 void Core::grant_rdv_locked(Endpoint& ep, Gate& gate, Request* req,
@@ -599,6 +600,69 @@ bool Core::test(Request* req) {
   return req->flag_.test();
 }
 
+/// Core::wait's busy loop from the end of a pass that found nothing, as
+/// scheduler steps (Scheduler::spin). Each step does what the waiting fiber
+/// would do at one instant and returns what it would charge next:
+///   after the pass's poll: the runqueue check, the deadline check at the
+///     loop top, then CompletionFlag::test()'s line touch (its price);
+///   then test()'s spin_retry;
+///   at the flag read: the pass's unpriced peeks; an empty pass is recorded
+///     and its poll priced.
+/// The steps hand back where the fiber would do anything else: at the flag
+/// read (flag set, or the pass would find work), at the runqueue check
+/// (kCoarse drops and re-takes the library lock; under kFine and kNone a
+/// finished timeslice preempts) and at the loop top (deadline passed).
+class Core::BusySteps final : public mth::SpinSteps {
+ public:
+  enum class At { kFlagRead, kRunqueue, kLoopTop };
+
+  BusySteps(Core& core, Request& req, int own_ep, sim::Time deadline)
+      : core_(core), req_(req), own_ep_(own_ep), deadline_(deadline) {}
+
+  /// Where the fiber resumes the loop after the last hand-back.
+  At resume_at() const { return at_; }
+
+  sim::Time step() override {
+    mth::Scheduler& sched = core_.sched_;
+    switch (next_) {
+      case Next::kAfterPoll:
+        if (sched.runqueue_length(sched.current_thread()->core()) > 0 &&
+            (core_.cfg_.lock == LockMode::kCoarse || sched.timeslice_over())) {
+          return hand_back(At::kRunqueue);
+        }
+        if (sched.engine().now() >= deadline_) return hand_back(At::kLoopTop);
+        next_ = Next::kSpinRetry;
+        return req_.flag_.touch_for_test();
+      case Next::kSpinRetry:
+        next_ = Next::kFlagRead;
+        return sched.costs().spin_retry;
+      case Next::kFlagRead:
+        if (req_.flag_.is_set() || !core_.pass_is_empty(own_ep_)) {
+          return hand_back(At::kFlagRead);
+        }
+        next_ = Next::kAfterPoll;
+        return core_.record_empty_pass();
+    }
+    return kHandBack;
+  }
+
+ private:
+  enum class Next { kAfterPoll, kSpinRetry, kFlagRead };
+
+  sim::Time hand_back(At at) {
+    at_ = at;
+    next_ = Next::kAfterPoll;  // the next stretch starts after a pass
+    return kHandBack;
+  }
+
+  Core& core_;
+  Request& req_;
+  int own_ep_;
+  sim::Time deadline_;
+  Next next_ = Next::kAfterPoll;
+  At at_ = At::kFlagRead;
+};
+
 void Core::wait(Request* req) {
   auto& ctx = mth::ExecContext::current();
   ctx.charge(kApiCost);
@@ -634,17 +698,27 @@ void Core::wait(Request* req) {
     const sim::Time deadline = cfg_.wait == WaitMode::kBusy
                                    ? sim::kTimeInfinity
                                    : engine().now() + cfg_.fixed_spin_budget;
+    const bool hooks =
+        pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks;
+    BusySteps steps(*this, *req, own.id_, deadline);
     own.locks_.lock_library();
-    while (engine().now() < deadline) {
-      if (req->flag_.test()) {
+    bool tested = false;  // the steps paid the flag test read below
+    while (tested || engine().now() < deadline) {
+      const bool set = tested ? req->flag_.is_set() : req->flag_.test();
+      tested = false;
+      if (set) {
         own.locks_.unlock_library();
         return;
       }
-      if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
+      if (hooks) {
         // Polling goes through PIOMan (Fig. 6 configuration).
         pioman_->poll_once(ctx);
-      } else {
-        progress_pass(ctx, own.id_, /*use_try=*/true);
+      } else if (!progress_pass(ctx, own.id_, /*use_try=*/true)) {
+        // The scheduler runs the iterations that follow while they would
+        // find nothing, and hands back where this loop resumes.
+        sched_.spin(steps);
+        tested = steps.resume_at() == BusySteps::At::kFlagRead;
+        if (steps.resume_at() != BusySteps::At::kRunqueue) continue;
       }
       if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
         const int depth = own.locks_.release_library_all();
@@ -688,8 +762,47 @@ std::size_t Core::recv(Gate* gate, Tag tag, void* buf, std::size_t capacity) {
 // Progression
 // --------------------------------------------------------------------------
 
+bool Core::pass_is_empty(int own_ep) const {
+  if (nics_.size() != 1) return false;
+  const net::Nic& nic = *nics_[0];
+  if (num_eps_ == 1) {
+    // The visit re-enters a library lock its context holds for free; it
+    // takes or try-locks one it does not hold, priced.
+    if (cfg_.lock == LockMode::kCoarse &&
+        (own_ep != 0 || !eps_[0]->locks_.library_locked_by_me())) {
+      return false;
+    }
+    // pump_step's doorbell peek: a packet another fiber has claimed and is
+    // mid-charge on still counts.
+    return eps_[0]->idle() && !nic.rx_pending();
+  }
+  // kCoarse try-locks every foreign library; otherwise no endpoint is
+  // visited without its active bit, and drain_rails peeks the doorbells.
+  if (cfg_.lock == LockMode::kCoarse || active_eps_.next(0) >= 0) return false;
+  return rx_rings_ == 1 ? !nic.rx_pending() : nic.next_raised(0) < 0;
+}
+
+sim::Time Core::record_empty_pass() {
+  m_progress_passes_.add_always();
+  if (num_eps_ > 1) {
+    const int start = rr_;
+    rr_ = (rr_ + 1) % num_eps_;
+    // The pass's walk from the cursor finds no active bit; under simsan it
+    // checks that every endpoint it skips is idle.
+    if (san::on()) {
+      next_visit(start, num_eps_);
+      if (start > 0) next_visit(0, start);
+    }
+  }
+  return nics_[0]->count_empty_poll();
+}
+
 bool Core::progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
                          bool submission_only) {
+  if (use_try && !submission_only && pass_is_empty(own_ep)) {
+    ctx.charge(record_empty_pass());
+    return false;
+  }
   m_progress_passes_.add_always();
   bool any = false;
   // Deterministic round-robin start so no endpoint is structurally starved
@@ -959,8 +1072,11 @@ bool Core::pump_step(mth::ExecContext& ctx, bool use_try) {
     on_chunks_wire_done(reqs);
   };
   if (!use_try) {
-    // Blocking path: never hold two domains at once.
-    std::vector<std::pair<int, net::Packet>> received;
+    // Blocking path: never hold two domains at once. Up to four packets per
+    // rail wait here between the two: on this fiber's stack, since a charge
+    // in the pass can switch to another fiber running the same pass.
+    std::array<std::pair<int, net::Packet>, 4 * kMaxRails> received;
+    std::size_t count = 0;
     for (int r = 0; r < num_rails(); ++r) {
       Driver& d = *ep.drivers_[static_cast<std::size_t>(r)];
       if (!d.has_pending() && !d.nic().rx_pending()) {
@@ -976,14 +1092,16 @@ bool Core::pump_step(mth::ExecContext& ctx, bool use_try) {
       for (int k = 0; k < 4; ++k) {
         auto pkt = d.nic().poll();
         if (!pkt) break;
-        received.emplace_back(r, std::move(*pkt));
+        received[count++] = {r, std::move(*pkt)};
       }
       ep.locks_.unlock(ep.locks_.driver_domain(r));
     }
-    if (!received.empty()) {
+    if (count > 0) {
       any = true;
       ep.locks_.lock(Domain::kMatching);
-      for (auto& [r, pkt] : received) process_packet_locked(ctx, ep, r, pkt);
+      for (std::size_t i = 0; i < count; ++i) {
+        process_packet_locked(ctx, ep, received[i].first, received[i].second);
+      }
       ep.locks_.unlock(Domain::kMatching);
     }
     return any;
@@ -1249,10 +1367,8 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
         m_rx_rejected_.inc();
         return;
       }
-      Request* req = nullptr;
-      auto bound = gate.bound_recvs_.find(h.msg_seq);
-      if (bound != gate.bound_recvs_.end()) {
-        req = bound->second;
+      Request* req = gate.bound_recv(h.msg_seq);
+      if (req != nullptr) {
         if (h.total_len != req->total_len_ ||
             h.chunk_len > req->total_len_ - req->filled_) {
           m_rx_rejected_.inc();
@@ -1410,7 +1526,7 @@ void Core::deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
   req->filled_ += h.chunk_len;
   assert(req->filled_ <= req->total_len_);
   if (req->filled_ == req->total_len_) {
-    gate.bound_recvs_.erase(h.msg_seq);
+    gate.unbind_recv(h.msg_seq);
     complete_request(req);
   }
 }

@@ -203,6 +203,19 @@ class Core final : public piom::PollSource {
   /// submit but drain nothing.
   bool progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,
                      bool submission_only = false);
+  /// The one definition of an empty pass: true if a try pass by a context
+  /// owning @p own_ep (-1 = none) would find nothing. Its unpriced peeks
+  /// see no queued work and no packet, so all it would price is one empty
+  /// NIC poll. Never true with more than one rail (the pass peeks rail r + 1
+  /// after rail r's priced poll) or where the pass would lock or try-lock a
+  /// library lock (kCoarse, unless N = 1 and this context holds it).
+  bool pass_is_empty(int own_ep) const;
+  /// Record what an empty try pass records (progress_passes; at N > 1 the
+  /// round-robin cursor and next_visit's walk, with its simsan check; the
+  /// NIC's empty poll, whichever ring it polls) and return its price.
+  sim::Time record_empty_pass();
+  /// Core::wait's busy loop between two non-empty iterations, as steps.
+  class BusySteps;
   /// Single-endpoint rail drain, run inside the library visit.
   bool pump_step(mth::ExecContext& ctx, bool use_try);
   /// Multi-endpoint rail drain: tx completions of the active endpoints,

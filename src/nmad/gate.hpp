@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nmad/request.hpp"
@@ -101,6 +101,29 @@ class Gate {
   friend class Core;
   friend class Strategy;  // arrange() manipulates the collect lists
 
+  /// The receive bound to @p msg_seq, or null.
+  Request* bound_recv(std::uint32_t msg_seq) const {
+    for (const auto& [seq, req] : bound_recvs_) {
+      if (seq == msg_seq) return req;
+    }
+    return nullptr;
+  }
+  /// @p msg_seq has no bound receive: a chunk of a bound message finds its
+  /// receive, and an adopted unexpected message is one whose chunks found
+  /// none.
+  void bind_recv(std::uint32_t msg_seq, Request* req) {
+    bound_recvs_.emplace_back(msg_seq, req);
+  }
+  void unbind_recv(std::uint32_t msg_seq) {
+    for (auto& entry : bound_recvs_) {
+      if (entry.first == msg_seq) {
+        entry = bound_recvs_.back();
+        bound_recvs_.pop_back();
+        return;
+      }
+    }
+  }
+
   int peer_node_;
   std::vector<int> peer_ports_;
   int endpoint_ = 0;  ///< owning endpoint index (set by Core::connect)
@@ -116,7 +139,10 @@ class Gate {
 
   // --- receive matching (protected by the matching lock) ------------------
   std::deque<Request*> posted_recvs_;                    ///< unmatched, FIFO
-  std::unordered_map<std::uint32_t, Request*> bound_recvs_;  ///< msg_seq ->
+  /// Receives bound to a wire message still arriving, keyed by msg_seq. A
+  /// gate has few messages in flight, so the table is flat: binding
+  /// allocates only when it outgrows its largest size so far.
+  std::vector<std::pair<std::uint32_t, Request*>> bound_recvs_;
   std::deque<UnexpectedMsg> unexpected_;                 ///< arrival order
   san::Shared san_matching_{"gate.matching"};  ///< covers the tables above
 

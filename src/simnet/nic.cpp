@@ -225,9 +225,7 @@ std::int64_t Nic::total_rx_depth() const {
 std::optional<Packet> Nic::poll(int q) {
   auto& ring = rx_rings_[static_cast<std::size_t>(q)];
   if (ring.empty()) {
-    ++polls_empty_;
-    m_polls_empty_.inc();
-    mth::charge_if_ctx(params_.poll_empty_cost);
+    mth::charge_if_ctx(count_empty_poll());
     return std::nullopt;
   }
   ++polls_hit_;

@@ -166,6 +166,15 @@ class Nic {
   /// pollers can never both commit to the same doorbell observation.
   std::optional<Packet> poll(int q = 0);
 
+  /// poll() of a ring the caller's unpriced peeks found empty, without the
+  /// charge: count the empty poll and return its price for the caller to
+  /// charge.
+  sim::Time count_empty_poll() {
+    ++polls_empty_;
+    m_polls_empty_.inc();
+    return params_.poll_empty_cost;
+  }
+
   /// Attach a timeline: tx spans and rx instants recorded into @p timeline
   /// under (pid=@p pid, tid=@p tid). nullptr detaches.
   void set_timeline(obs::TraceLog* timeline, int pid, int tid);

@@ -476,21 +476,71 @@ void Scheduler::charge_current(sim::Time dt) {
   t->cpu_time_ += dt;
   // When no event can run before the resume, the clock advances in place.
   if (engine().try_advance(dt)) return;
-  engine().schedule_after(dt, ChargeResume{this, t});
+  engine().schedule_after(dt, Resume{this, t, nullptr});
   t->suspend_reason_ = SuspendReason::kCharge;
-  // When the next event is a charge's resume, this one's included, run it
-  // from here: one fiber switch, with no pass through the engine stack.
-  ChargeResume next{};
-  if (!engine().take_next(next)) {
-    t->fiber_.suspend();
-    return;
+  run_ahead(t);
+}
+
+void Scheduler::spin(SpinSteps& steps) {
+  Thread* t = running_;
+  assert(t != nullptr && "spin outside a thread");
+  if (run_steps(t, steps)) return;
+  t->suspend_reason_ = SuspendReason::kCharge;
+  // A world torn down mid-spin unwinds the fiber from here: its next step
+  // must not run against the frames and the thread it steps.
+  struct CancelOnUnwind {
+    sim::Engine& engine;
+    sim::EventHandle& next;
+    ~CancelOnUnwind() { engine.cancel(next); }
+  } cancel{engine(), steps.pending_};
+  run_ahead(t);
+}
+
+void Scheduler::run_ahead(Thread* t) {
+  // Run from here what the engine loop would run next, for as long as it
+  // is a charge's resume or a spinning thread's step: a step in place, a
+  // resume by one fiber switch (none for t's own), with no pass through
+  // the engine stack. Anything else runs there, once t gives its fiber up.
+  Resume next{};
+  while (engine().take_next(next)) {
+    running_ = nullptr;
+    if (next.steps == nullptr ||
+        next.sched->steps_hand_back(next.t, *next.steps)) {
+      next.sched->enter(next.t);
+      if (next.t == t) return;
+      ExecContext::hand_over(&next.t->ctx_);
+      tls_fiber_thread = next.t;
+      t->fiber_.switch_to(next.t->fiber_);
+      return;
+    }
+    running_ = t;
   }
+  t->fiber_.suspend();
+}
+
+bool Scheduler::run_steps(Thread* t, SpinSteps& steps) {
+  Core& c = cores_[static_cast<std::size_t>(t->core_)];
+  for (;;) {
+    const sim::Time dt = steps.step();
+    if (dt == SpinSteps::kHandBack) return true;
+    assert(dt >= 0);
+    if (dt == 0) continue;
+    // charge_current's accounting, with the step's own resume event.
+    c.busy_time += dt;
+    t->cpu_time_ += dt;
+    if (engine().try_advance(dt)) continue;
+    steps.pending_ = engine().schedule_after(dt, Resume{this, t, &steps});
+    return false;
+  }
+}
+
+bool Scheduler::steps_hand_back(Thread* t, SpinSteps& steps) {
+  // The steps see what the fiber would: t running, its context active.
+  const ExecContext::Activation act(&t->ctx_);
+  running_ = t;
+  const bool back = run_steps(t, steps);
   running_ = nullptr;
-  next.sched->enter(next.t);
-  if (next.t == t) return;
-  ExecContext::hand_over(&next.t->ctx_);
-  tls_fiber_thread = next.t;
-  t->fiber_.switch_to(next.t->fiber_);
+  return back;
 }
 
 void Scheduler::work(sim::Time total) {

@@ -44,6 +44,27 @@ struct Hook {
   std::function<bool(int core)> want;  ///< may be null => "never pending"
 };
 
+/// The rest of a spin loop, which a thread hands to Scheduler::spin() so its
+/// fiber is not resumed for every iteration.
+class SpinSteps {
+ public:
+  /// What step() returns to resume the thread.
+  static constexpr sim::Time kHandBack = -1;
+
+  /// Do what the thread would do at the current instant, with its context
+  /// active, and return the time it would charge next (0: none), or
+  /// kHandBack. A step must not charge, block, yield or throw: it may run
+  /// on another thread's fiber stack.
+  virtual sim::Time step() = 0;
+
+ protected:
+  ~SpinSteps() = default;
+
+ private:
+  friend class Scheduler;
+  sim::EventHandle pending_;  ///< the scheduled next step, if any
+};
+
 class Scheduler {
  public:
   explicit Scheduler(mach::Machine& machine);
@@ -105,6 +126,14 @@ class Scheduler {
   /// other short critical-path charges).
   void charge_current(sim::Time t);
 
+  /// Hand the rest of a spin to the scheduler: run @p steps for the current
+  /// thread until one hands back, then return. Each step's time is charged
+  /// exactly as charge_current() would charge it (core busy and thread CPU
+  /// time, in place when Engine::try_advance allows, otherwise as one event
+  /// in the slot the charge's resume would take), while the thread keeps
+  /// its core and its fiber stays suspended. @p steps must outlive the call.
+  void spin(SpinSteps& steps);
+
   void yield();
   void sleep_for(sim::Time t);
   void join(Thread* t);
@@ -115,6 +144,10 @@ class Scheduler {
   /// checkpoints a busy-waiting thread could starve the very thread it
   /// waits on when threads outnumber cores.
   bool maybe_preempt();
+
+  /// True if the running thread's timeslice has ended: maybe_preempt()
+  /// would yield to a queued thread now.
+  bool timeslice_over() const { return engine().now() >= running_->slice_end_; }
 
   /// Number of threads queued on @p core (excluding the running one).
   std::size_t runqueue_length(int core) const {
@@ -171,13 +204,19 @@ class Scheduler {
     obs::Counter m_timer_hook_runs;
   };
 
-  /// The event a charge schedules to resume its fiber: a type of its own,
-  /// so charge_current can recognize the next event as one it may run by
-  /// switching fibers directly (Engine::take_next).
-  struct ChargeResume {
+  /// The event that resumes a thread whose charge or spin step could not
+  /// advance the clock in place: its fiber after a charge, its next step in
+  /// a spin. A type of its own, so a charge can recognize the next event as
+  /// one it may run from its own fiber (Engine::take_next, run_ahead()).
+  struct Resume {
     Scheduler* sched;
     Thread* t;
-    void operator()() const { sched->resume_fiber(t); }
+    SpinSteps* steps;  ///< the spin's steps; null after a charge
+    void operator()() const {
+      if (steps == nullptr || sched->steps_hand_back(t, *steps)) {
+        sched->resume_fiber(t);
+      }
+    }
   };
 
   void enqueue(int core, Thread* t);
@@ -188,6 +227,15 @@ class Scheduler {
   /// What every resume does before switching in: @p t runs on its core.
   void enter(Thread* t);
   void resume_fiber(Thread* t);
+  /// After @p t, the running thread, scheduled its resume: run what comes
+  /// next from its stack while that can be done there, and return once t
+  /// continues.
+  void run_ahead(Thread* t);
+  /// Run @p steps for @p t, charging each; true once one hands back, false
+  /// with the next step scheduled.
+  bool run_steps(Thread* t, SpinSteps& steps);
+  /// run_steps() for a suspended spinner @p t, as it would run them.
+  bool steps_hand_back(Thread* t, SpinSteps& steps);
   void post_resume(int core, Thread* t);
   void finish_thread(int core, Thread* t);
   void enter_idle(Core& c);

@@ -11,9 +11,14 @@ CompletionFlag::CompletionFlag(mth::Scheduler& sched, std::string name)
 
 bool CompletionFlag::test() {
   auto& ctx = mth::ExecContext::current();
-  ctx.touch(line_);
+  ctx.charge(touch_for_test());
   ctx.charge(sched_.costs().spin_retry);
   return done_;
+}
+
+sim::Time CompletionFlag::touch_for_test() {
+  auto& ctx = mth::ExecContext::current();
+  return ctx.machine().touch_line(line_, ctx.core());
 }
 
 void CompletionFlag::set() {

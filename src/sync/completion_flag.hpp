@@ -40,6 +40,12 @@ class CompletionFlag {
   /// Priced check from the active context (one flag read).
   bool test();
 
+  /// test()'s first half: touch the flag's line from the active context and
+  /// return the transfer price for the caller to charge. test() charges it,
+  /// then spin_retry, then reads the flag (is_set()); a spin loop's steps
+  /// (mth::SpinSteps) replay it in those pieces.
+  sim::Time touch_for_test();
+
   /// Mark complete and release every waiter. Any context, including hooks
   /// (never blocks; wakes issued from a hook are deferred by the
   /// scheduler); idempotent.

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "nmad/cluster.hpp"
 #include "simcore/event_queue.hpp"
@@ -53,6 +54,10 @@ namespace {
 /// pool kept only half of a fanin world's 128 stacks).
 constexpr std::uint64_t kPingpongBudget = 160;
 constexpr std::uint64_t kFaninEndpointsBudget = 2500;
+/// Allocations per message inside run() of the pingpong shape: 6.5 when
+/// every gate bound its receives in a hash map and every pass collected its
+/// received packets in a fresh vector.
+constexpr double kPingpongRunBudgetPerMessage = 4.6;
 
 ClusterConfig pingpong_shape() {
   ClusterConfig cfg;
@@ -108,6 +113,41 @@ TEST(ConstructionAlloc, SecondFaninBuildTakesEveryStackFromThePool) {
   build_allocations(fanin_endpoints_shape(), 64);
   EXPECT_EQ(pool.fresh_allocs(), fresh);
   EXPECT_EQ(pool.reuses(), reuses + 128);
+}
+
+/// Allocations per message inside run() of the pingpong-shaped world the
+/// overhead gates time: 192 round trips of 64 B, 384 messages.
+double run_allocations_per_message() {
+  constexpr int kRoundTrips = 192;
+  Cluster world(pingpong_shape());
+  for (int side = 0; side < 2; ++side) {
+    world.spawn(side, [&world, side] {
+      Core& c = world.core(side);
+      Gate* g = world.gate(side, 1 - side);
+      std::vector<std::uint8_t> b(64);
+      for (int i = 0; i < kRoundTrips; ++i) {
+        if (side == 0) {
+          c.send(g, 1, b.data(), b.size());
+          c.recv(g, 2, b.data(), b.size());
+        } else {
+          c.recv(g, 1, b.data(), b.size());
+          c.send(g, 2, b.data(), b.size());
+        }
+      }
+    });
+  }
+  const std::uint64_t before = g_news;
+  world.run();
+  return static_cast<double>(g_news - before) / (2 * kRoundTrips);
+}
+
+// What a message still allocates: its packet's payload representation and
+// the vectors the strategy and the packet builder make for it. A gate's
+// bound receives and the pass's received packets allocate nothing per
+// message.
+TEST(ConstructionAlloc, PingpongRunStaysUnderItsPerMessageBudget) {
+  run_allocations_per_message();
+  EXPECT_LE(run_allocations_per_message(), kPingpongRunBudgetPerMessage);
 }
 
 TEST(ConstructionAlloc, UncontendedSpinLockAllocatesNothingButItsName) {

@@ -350,20 +350,43 @@ TEST_F(SchedulerTest, DeterministicAcrossRuns) {
 /// cannot advance in place: their resumes are engine events, which a
 /// charge may run by switching straight to the next fiber, across nodes. Node n lives in
 /// partition n % partitions; log[p] holds partition p's entries in the
-/// order they ran.
+/// order they ran. With @p steps, each fiber hands the same charges, logs
+/// and calls to Scheduler::spin as steps instead.
 struct ChargeWorld {
   static constexpr sim::Time kCharge[4] = {20, 35, 70, 80};
   static constexpr int kCharges = 12;
   static constexpr sim::Time kLookahead = 100;
   using Log = std::vector<std::pair<sim::Time, int>>;
+  using After = std::function<void(int k, int i)>;
+
+  /// Fiber k's loop as steps: log and call after() at each charge's end,
+  /// then charge the next.
+  struct Steps final : SpinSteps {
+    sim::Engine& engine;
+    Log& out;
+    int k;
+    After after;
+    int i = 0;
+    Steps(sim::Engine& e, Log& o, int fiber, After a)
+        : engine(e), out(o), k(fiber), after(std::move(a)) {}
+    sim::Time step() override {
+      if (i > 0) {
+        out.emplace_back(engine.now(), k);
+        if (after) after(k, i - 1);
+      }
+      if (i == kCharges) return kHandBack;
+      ++i;
+      return kCharge[k];
+    }
+  };
 
   sim::Engine engine;
   std::vector<std::unique_ptr<mach::Machine>> machines;
   std::vector<std::unique_ptr<Scheduler>> scheds;
   Log log[2];
 
-  explicit ChargeWorld(int partitions, int workers = 1,
-                       std::function<void(int k, int i)> after = {}) {
+  explicit ChargeWorld(int partitions, int workers = 1, After after = {},
+                       bool steps = false) {
     if (partitions > 1) engine.configure_partitions(partitions, kLookahead);
     engine.set_workers(workers);
     for (int n = 0; n < 2; ++n) {
@@ -378,7 +401,12 @@ struct ChargeWorld {
       Log& out = log[(k / 2) % partitions];
       ThreadAttrs a;
       a.bind_core = k % 2;
-      s.spawn([this, &s, &out, k, after] {
+      s.spawn([this, &s, &out, k, after, steps] {
+        if (steps) {
+          Steps st(engine, out, k, after);
+          s.spin(st);
+          return;
+        }
         for (int i = 0; i < kCharges; ++i) {
           s.charge_current(kCharge[k]);
           out.emplace_back(engine.now(), k);
@@ -489,6 +517,123 @@ TEST(ChargeHandoff, ThrowFromAHandedToFiberReachesTheCaller) {
     }
     EXPECT_EQ(w.scheds[0]->live_threads(), 1) << "partitions " << partitions;
   }
+}
+
+// --- spin steps ----------------------------------------------------------------
+
+// The charge world's fibers hand their loops to Scheduler::spin: each step
+// is charged as the fiber's charge was, in place or as an event in the
+// slot of the charge's resume, so the log and the event count are the
+// pinned ones.
+TEST(SpinSteps, StepsChargeAsTheFiberWould) {
+  ChargeWorld w(1, 1, {}, /*steps=*/true);
+  w.engine.run();
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+  EXPECT_EQ(w.engine.events_executed(), 53u);
+  ChargeWorld fibers(1);
+  fibers.engine.run();
+  for (std::size_t n = 0; n < 2; ++n) {
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(w.scheds[n]->core_busy_time(c),
+                fibers.scheds[n]->core_busy_time(c));
+    }
+  }
+}
+
+TEST(SpinSteps, StepsStayWithinAWindowHorizon) {
+  for (const int workers : {1, 2}) {
+    ChargeWorld* world = nullptr;
+    ChargeWorld w(2, workers, [&world](int k, int i) {
+      if (k != 2 || i != 0) return;
+      sim::Engine& e = world->engine;
+      e.schedule_cross(0, e.now() + ChargeWorld::kLookahead,
+                       [world] { world->log[0].emplace_back(world->engine.now(), -1); });
+    }, /*steps=*/true);
+    world = &w;
+    w.engine.run();
+    for (int p = 0; p < 2; ++p) {
+      ChargeWorld::Log mine;
+      for (const auto& entry : pinned_charge_log()) {
+        if (entry.second / 2 == p) mine.push_back(entry);
+      }
+      ChargeWorld::Log fibers;
+      for (const auto& entry : w.log[p]) {
+        if (entry.second >= 0) fibers.push_back(entry);
+      }
+      EXPECT_EQ(fibers, mine) << "partition " << p << ", workers " << workers;
+    }
+    EXPECT_TRUE(std::is_sorted(
+        w.log[0].begin(), w.log[0].end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }))
+        << "workers " << workers;
+  }
+}
+
+TEST(SpinSteps, StepsStopAtARunUntilDeadline) {
+  ChargeWorld w(1, 1, {}, /*steps=*/true);
+  constexpr sim::Time kDeadline = 1000;
+  w.engine.run_until(kDeadline);
+  ASSERT_FALSE(w.log[0].empty());
+  for (const auto& entry : w.log[0]) EXPECT_LE(entry.first, kDeadline);
+  w.engine.run();
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+}
+
+TEST(SpinSteps, StepsStopAtAStop) {
+  ChargeWorld* world = nullptr;
+  ChargeWorld w(1, 1, [&world](int k, int i) {
+    if (k == 1 && i == 3) world->engine.stop();
+  }, /*steps=*/true);
+  world = &w;
+  w.engine.run();
+  ASSERT_FALSE(w.log[0].empty());
+  EXPECT_EQ(w.log[0].back().second, 1);
+  const std::size_t at_stop = w.log[0].size();
+  w.engine.run();
+  EXPECT_GT(w.log[0].size(), at_stop);
+  EXPECT_EQ(w.log[0], pinned_charge_log());
+}
+
+/// Charges 20 ns per step, forever, and counts its steps.
+struct Forever final : SpinSteps {
+  int* steps;
+  explicit Forever(int* s) : steps(s) {}
+  sim::Time step() override {
+    ++*steps;
+    return 20;
+  }
+};
+
+// A thread unwound mid-spin leaves no step behind: the engine, which
+// outlives the scheduler here, runs nothing of it afterwards.
+TEST(SpinSteps, UnwoundThreadLeavesNoStepPending) {
+  sim::Engine engine;
+  mach::Machine machine(engine, "node0", mach::CacheTopology::quad_core(),
+                        mach::CostBook::xeon_quad());
+  int steps = 0;
+  {
+    Scheduler sched(machine);
+    sched.spawn([&] {
+      Forever f(&steps);
+      sched.spin(f);
+    });
+    // A second spinner keeps an event due before each step's end, so
+    // steps cannot advance in place and one is always pending.
+    sched.spawn([&] {
+      Forever f(&steps);
+      sched.spin(f);
+    });
+    engine.run_until(1000);
+    ASSERT_GT(steps, 0);
+    EXPECT_GT(engine.pending_events(), 0u);
+    sched.unwind_threads();
+    EXPECT_EQ(engine.pending_events(), 0u);
+  }
+  const int before = steps;
+  const std::uint64_t events = engine.events_executed();
+  engine.run();
+  EXPECT_EQ(steps, before);
+  EXPECT_EQ(engine.events_executed(), events);
 }
 
 // --- idle passes --------------------------------------------------------------
