@@ -56,7 +56,7 @@ void injected_race(const xpl::RunHandle&) {
                         mach::CostBook::xeon_quad());
   mth::Scheduler sched(machine);
   auto& an = san::Analyzer::global();
-  an.set_now_fn([&engine] { return static_cast<std::uint64_t>(engine.now()); });
+  an.set_clock(&engine);
   an.set_enabled(true);
 
   san::Shared counter("selfcheck.counter");
@@ -79,7 +79,7 @@ void injected_race(const xpl::RunHandle&) {
 
   engine.run();
   an.set_enabled(false);
-  an.set_now_fn(nullptr);
+  an.set_clock(nullptr);
 }
 
 /// EXPERIMENTS.md "Progress collapse": blocking sends, no pre-posted

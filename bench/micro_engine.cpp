@@ -116,23 +116,34 @@ void BM_BusyWaitSteps(benchmark::State& state) {
   // waiters spin at once and their charges interleave. Only run() is
   // timed; ns_per_empty_iteration is its host time per empty NIC poll of
   // both nodes, this path's probe as BM_ChargeRoundTrip is for charges.
+  // With range(0) = 0 nearly every iteration falls in a stretch with
+  // nothing else due, so whole periods are skipped (skipped_share of the
+  // empty polls): the skip's probe. Otherwise a ticker on each node's core
+  // 2 charges range(0) ns at a time while the waiter spins; at 200 ns, two
+  // 100 ns periods, no stretch is long enough to verify a period and skip
+  // one, so every iteration runs as a step: the replayed step's probe (its
+  // time includes one ticker charge per two iterations).
   constexpr int kRounds = 4;
   constexpr sim::Time kGap = sim::microseconds(50);
+  const sim::Time tick = state.range(0);
   double run_s = 0;
   double empty = 0;
+  double skipped = 0;
   for (auto _ : state) {
     nm::ClusterConfig cfg;
     cfg.nm.lock = nm::LockMode::kFine;
     cfg.nm.wait = nm::WaitMode::kBusy;
     cfg.nm.progress = nm::ProgressMode::kAppDriven;
     nm::Cluster world(cfg);
+    bool done[2] = {false, false};
     for (int node = 0; node < 2; ++node) {
-      world.spawn(node, [&world, node] {
+      world.spawn(node, [&world, &done, node] {
         std::vector<std::uint8_t> b(64);
         for (int r = 0; r < kRounds; ++r) {
           world.core(node).recv(world.gate(node, 1 - node), 1, b.data(),
                                 b.size());
         }
+        done[node] = true;
       }, "waiter", 0);
       world.spawn(node, [&world, node] {
         std::vector<std::uint8_t> m(64);
@@ -142,6 +153,11 @@ void BM_BusyWaitSteps(benchmark::State& state) {
                                 m.size());
         }
       }, "sender", 1);
+      if (tick > 0) {
+        world.spawn(node, [&done, node, tick] {
+          while (!done[node]) mth::ExecContext::current().charge(tick);
+        }, "ticker", 2);
+      }
     }
     const auto start = std::chrono::steady_clock::now();
     world.run();
@@ -150,13 +166,20 @@ void BM_BusyWaitSteps(benchmark::State& state) {
                                .count();
     state.SetIterationTime(elapsed);
     run_s += elapsed;
-    empty += static_cast<double>(world.nic(0, 0).polls_empty() +
-                                 world.nic(1, 0).polls_empty());
+    for (int node = 0; node < 2; ++node) {
+      empty += static_cast<double>(world.nic(node, 0).polls_empty());
+      skipped += static_cast<double>(world.sched(node).skipped_spin_cycles());
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(empty));
   state.counters["ns_per_empty_iteration"] = run_s * 1e9 / empty;
+  state.counters["skipped_share"] = skipped / empty;
 }
-BENCHMARK(BM_BusyWaitSteps)->UseManualTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BusyWaitSteps)
+    ->Arg(0)
+    ->Arg(200)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WorldConstruction(benchmark::State& state) {
   // Host cost of building a world, the per-layer probe of perfbench's

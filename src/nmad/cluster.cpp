@@ -93,12 +93,12 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
 
 Cluster::~Cluster() {
   if (simsan_owner_) {
-    // The now-fns capture this cluster's engine; detach before they
-    // dangle. Findings stay readable (set_enabled(false) does not clear).
+    // The shards read this cluster's engine clock; detach before it
+    // dangles. Findings stay readable (set_enabled(false) does not clear).
     for (int i = 0; i < san::Analyzer::num_shards(); ++i) {
       auto& an = san::Analyzer::shard(i);
       an.set_enabled(false);
-      an.set_now_fn(nullptr);
+      an.set_clock(nullptr);
     }
   }
   // Threads a run left suspended mid-body unwind while every node they
@@ -115,8 +115,7 @@ void Cluster::enable_simsan() {
   for (int i = 0; i < san::Analyzer::num_shards(); ++i) {
     auto& an = san::Analyzer::shard(i);
     an.reset();
-    an.set_now_fn(
-        [this] { return static_cast<std::uint64_t>(engine_.now()); });
+    an.set_clock(&engine_);
     an.set_enabled(true);
   }
   simsan_owner_ = true;

@@ -617,30 +617,50 @@ class Core::BusySteps final : public mth::SpinSteps {
   enum class At { kFlagRead, kRunqueue, kLoopTop };
 
   BusySteps(Core& core, Request& req, int own_ep, sim::Time deadline)
-      : core_(core), req_(req), own_ep_(own_ep), deadline_(deadline) {}
+      : core_(core),
+        req_(req),
+        self_(*core.sched_.current_thread()),
+        own_ep_(own_ep),
+        deadline_(deadline) {}
 
   /// Where the fiber resumes the loop after the last hand-back.
   At resume_at() const { return at_; }
 
+  // A cycle is a loop iteration from any step to the same step of the
+  // next (phase_ numbers them as Next); it ends where it started once the
+  // flag's line stays on this core, which the scheduler checks.
+  sim::Time hand_back_time() const override {
+    if (core_.sched_.runqueue_length(self_.core()) == 0) return deadline_;
+    // kCoarse hands back at the next runqueue check.
+    if (core_.cfg_.lock == LockMode::kCoarse) return 0;
+    return std::min(deadline_, self_.slice_end());
+  }
+
+  void skip_cycles(std::uint64_t k) override {
+    core_.record_empty_pass(k);
+    cycles_ += k;
+  }
+
   sim::Time step() override {
     mth::Scheduler& sched = core_.sched_;
-    switch (next_) {
+    switch (static_cast<Next>(phase_)) {
       case Next::kAfterPoll:
         if (sched.runqueue_length(sched.current_thread()->core()) > 0 &&
             (core_.cfg_.lock == LockMode::kCoarse || sched.timeslice_over())) {
           return hand_back(At::kRunqueue);
         }
         if (sched.engine().now() >= deadline_) return hand_back(At::kLoopTop);
-        next_ = Next::kSpinRetry;
+        next(Next::kSpinRetry);
         return req_.flag_.touch_for_test();
       case Next::kSpinRetry:
-        next_ = Next::kFlagRead;
+        next(Next::kFlagRead);
         return sched.costs().spin_retry;
       case Next::kFlagRead:
         if (req_.flag_.is_set() || !core_.pass_is_empty(own_ep_)) {
           return hand_back(At::kFlagRead);
         }
-        next_ = Next::kAfterPoll;
+        next(Next::kAfterPoll);
+        ++cycles_;
         return core_.record_empty_pass();
     }
     return kHandBack;
@@ -649,17 +669,19 @@ class Core::BusySteps final : public mth::SpinSteps {
  private:
   enum class Next { kAfterPoll, kSpinRetry, kFlagRead };
 
+  void next(Next n) { phase_ = static_cast<int>(n); }
+
   sim::Time hand_back(At at) {
     at_ = at;
-    next_ = Next::kAfterPoll;  // the next stretch starts after a pass
+    next(Next::kAfterPoll);  // the next stretch starts after a pass
     return kHandBack;
   }
 
   Core& core_;
   Request& req_;
+  const mth::Thread& self_;  ///< the waiting thread
   int own_ep_;
   sim::Time deadline_;
-  Next next_ = Next::kAfterPoll;
   At at_ = At::kFlagRead;
 };
 
@@ -782,19 +804,21 @@ bool Core::pass_is_empty(int own_ep) const {
   return rx_rings_ == 1 ? !nic.rx_pending() : nic.next_raised(0) < 0;
 }
 
-sim::Time Core::record_empty_pass() {
-  m_progress_passes_.add_always();
+sim::Time Core::record_empty_pass(std::uint64_t k) {
+  m_progress_passes_.add_always(k);
   if (num_eps_ > 1) {
     const int start = rr_;
-    rr_ = (rr_ + 1) % num_eps_;
+    rr_ = static_cast<int>((static_cast<std::uint64_t>(rr_) + k) %
+                           static_cast<std::uint64_t>(num_eps_));
     // The pass's walk from the cursor finds no active bit; under simsan it
-    // checks that every endpoint it skips is idle.
+    // checks that every endpoint it skips is idle (once for k passes: no
+    // pass changes what it reads).
     if (san::on()) {
       next_visit(start, num_eps_);
       if (start > 0) next_visit(0, start);
     }
   }
-  return nics_[0]->count_empty_poll();
+  return nics_[0]->count_empty_poll(k);
 }
 
 bool Core::progress_pass(mth::ExecContext& ctx, int own_ep, bool use_try,

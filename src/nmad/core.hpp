@@ -210,10 +210,10 @@ class Core final : public piom::PollSource {
   /// after rail r's priced poll) or where the pass would lock or try-lock a
   /// library lock (kCoarse, unless N = 1 and this context holds it).
   bool pass_is_empty(int own_ep) const;
-  /// Record what an empty try pass records (progress_passes; at N > 1 the
-  /// round-robin cursor and next_visit's walk, with its simsan check; the
-  /// NIC's empty poll, whichever ring it polls) and return its price.
-  sim::Time record_empty_pass();
+  /// Record what @p k empty try passes record (progress_passes; at N > 1
+  /// the round-robin cursor and next_visit's walk, with its simsan check;
+  /// the NIC's empty poll, whichever ring it polls) and return one's price.
+  sim::Time record_empty_pass(std::uint64_t k = 1);
   /// Core::wait's busy loop between two non-empty iterations, as steps.
   class BusySteps;
   /// Single-endpoint rail drain, run inside the library visit.

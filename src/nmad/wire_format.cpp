@@ -42,9 +42,12 @@ bool get(const std::uint8_t* buf, std::size_t size, std::size_t& pos, T* out) {
 // PacketBuilder
 // --------------------------------------------------------------------------
 
-PacketBuilder::PacketBuilder() {
-  // Reserve the chunk-count slot.
-  put<std::uint16_t>(hdr_, 0);
+PacketBuilder::PacketBuilder() = default;
+
+void PacketBuilder::open_header() {
+  // The chunk-count slot, written by take(); it comes first, so the header
+  // region allocates with the first chunk, not when the builder is built.
+  if (hdr_.empty()) put<std::uint16_t>(hdr_, 0);
 }
 
 void PacketBuilder::reserve(std::size_t chunks, std::size_t data_bytes) {
@@ -57,6 +60,7 @@ void PacketBuilder::reserve(std::size_t chunks, std::size_t data_bytes) {
 
 void PacketBuilder::put_header(const ChunkHeader& h) {
   assert(h.msg_seq < ChunkHeader::kMaxSeq && "msg_seq overflows the seq word");
+  open_header();
   put<std::uint8_t>(hdr_, static_cast<std::uint8_t>(h.kind));
   put<std::uint64_t>(hdr_, h.tag);
   put<std::uint32_t>(hdr_, (static_cast<std::uint32_t>(h.ep) << 24) |
@@ -107,6 +111,7 @@ void PacketBuilder::annotate_last(void* note) {
 net::Payload PacketBuilder::take() {
   assert(segs_.size() <= 0xFFFF);
   const std::size_t count = segs_.size();
+  open_header();
   hdr_[0] = static_cast<std::uint8_t>(count & 0xFF);
   hdr_[1] = static_cast<std::uint8_t>(count >> 8);
   net::SlabRef hdr = net::BufferPool::global().acquire(hdr_.size());
@@ -130,7 +135,6 @@ net::Payload PacketBuilder::take() {
       std::move(data_), std::move(views));
 
   hdr_.clear();
-  put<std::uint16_t>(hdr_, 0);
   segs_.clear();
   data_used_ = 0;
   wire_size_ = 2;

@@ -104,6 +104,7 @@ class PacketBuilder {
   net::Payload take();
 
  private:
+  void open_header();
   void put_header(const ChunkHeader& h);
   void grow_data(std::size_t need);
 
@@ -115,7 +116,7 @@ class PacketBuilder {
     void* note = nullptr;
   };
 
-  std::vector<std::uint8_t> hdr_;  ///< count slot + serialized headers
+  std::vector<std::uint8_t> hdr_;  ///< count slot + serialized headers, or empty
   std::vector<Seg> segs_;
   net::SlabRef data_;
   std::size_t data_used_ = 0;

@@ -78,15 +78,9 @@ class FlowTracer {
   /// one thread, and call find() again after further stamps.
   void stamp(std::uint64_t id, FlowStage stage, sim::Time t, int node,
              int core) {
-    TraceRecord r;
-    r.ts = t;
-    r.emit = t;  // stamp sites pass the partition clock as @p t
-    r.dur = static_cast<std::int64_t>(stage);
-    r.id = id;
-    r.pid = node;
-    r.tid = core;
-    r.phase = kFlowStampPhase;
-    log_.push_prestamped(r);
+    // Stamp sites pass the partition clock as @p t: it is the emit time.
+    TraceLog::fill(log_.append(), t, t, static_cast<std::int64_t>(stage), id,
+                   node, core, 0, 0, kFlowStampPhase);
   }
 
   struct Flow {

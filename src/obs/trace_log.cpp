@@ -190,12 +190,14 @@ std::uint16_t TraceLog::intern(std::string_view s) {
 
 void TraceLog::complete_event(std::uint16_t name, std::uint16_t cat, int pid,
                               int tid, sim::Time start, sim::Time duration) {
-  push(make_record('X', name, cat, pid, tid, start, duration));
+  fill(append(), start, engine_ != nullptr ? engine_->now() : 0, duration, 0,
+       pid, tid, name, cat, 'X');
 }
 
 void TraceLog::instant_event(std::uint16_t name, std::uint16_t cat, int pid,
                              int tid, sim::Time t) {
-  push(make_record('i', name, cat, pid, tid, t, 0));
+  fill(append(), t, engine_ != nullptr ? engine_->now() : 0, 0, 0, pid, tid,
+       name, cat, 'i');
 }
 
 // The kind is interned before the name: that is the string-table order

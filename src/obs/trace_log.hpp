@@ -122,19 +122,40 @@ class TraceLog {
   /// partition, append.
   void push(TraceRecord r) {
     r.emit = engine_ != nullptr ? engine_->now() : 0;
-    push_prestamped(r);
+    append() = r;
   }
 
-  /// push() for producers that already hold the partition clock: @p r.emit
-  /// must be set to the partition's current virtual time. Skips the
-  /// engine->now() lookup (flow stamps pass their stamp time, which *is*
-  /// the partition clock at the stamp site).
-  void push_prestamped(const TraceRecord& r) {
+  /// The calling partition's next record, for a producer to fill every
+  /// field of in place (chunks are recycled; fill() writes them all).
+  /// Storing the fields straight into the slot, rather than copying a
+  /// record just built on the stack, keeps an append to plain stores, and
+  /// the line a few appends ahead is fetched for writing meanwhile.
+  TraceRecord& append() {
     auto p = static_cast<std::size_t>(sim::tls_partition);
     if (p >= parts_.size()) p = 0;
     Partition& part = parts_[p];
     if (part.next == part.end) add_chunk(part);
-    *part.next++ = r;
+    // An address, not a pointer into the chunk: near its end the line
+    // fetched lies past it, which a prefetch tolerates.
+    __builtin_prefetch(reinterpret_cast<const void*>(
+                           reinterpret_cast<std::uintptr_t>(part.next) +
+                           kPrefetchRecords * sizeof(TraceRecord)),
+                       1);
+    return *part.next++;
+  }
+  static void fill(TraceRecord& r, sim::Time ts, sim::Time emit,
+                   std::int64_t dur, std::uint64_t id, int pid, int tid,
+                   std::uint16_t name, std::uint16_t cat, std::uint8_t phase) {
+    r.ts = ts;
+    r.emit = emit;
+    r.dur = dur;
+    r.id = id;
+    r.pid = pid;
+    r.tid = tid;
+    r.name = name;
+    r.cat = cat;
+    r.phase = phase;
+    r.pad[0] = r.pad[1] = r.pad[2] = 0;
   }
 
   // --- results (after the run) ----------------------------------------------
@@ -185,6 +206,7 @@ class TraceLog {
 
  private:
   static constexpr std::size_t kChunkRecords = 1024;  // 48 KiB
+  static constexpr std::size_t kPrefetchRecords = 16;  ///< append()'s prefetch distance
   using Chunk = std::unique_ptr<TraceRecord[]>;
 
   /// One partition's records in push order, on its own cache line so two

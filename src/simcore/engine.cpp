@@ -77,7 +77,10 @@ class WindowBarrier {
 /// an event's throw included, so nothing advances in place after the run.
 class RunLimit {
  public:
-  RunLimit(Time& limit, Time deadline) : limit_(limit) { limit_ = deadline; }
+  RunLimit(Time& limit, std::uint64_t& loops, Time deadline) : limit_(limit) {
+    limit_ = deadline;
+    ++loops;
+  }
   ~RunLimit() { limit_ = -1; }
   RunLimit(const RunLimit&) = delete;
   RunLimit& operator=(const RunLimit&) = delete;
@@ -166,7 +169,7 @@ void Engine::run() {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
-    const RunLimit limit(p.advance_limit, kTimeInfinity);
+    const RunLimit limit(p.advance_limit, p.loops, kTimeInfinity);
     while (!stopped() && step_partition(p)) {
     }
     return;
@@ -186,7 +189,7 @@ void Engine::run_until(Time deadline) {
   if (num_partitions() == 1) {
     Partition& p = part(0);
     {
-      const RunLimit limit(p.advance_limit, deadline);
+      const RunLimit limit(p.advance_limit, p.loops, deadline);
       while (!stopped() && p.queue.next_time() <= deadline &&
              step_partition(p)) {
       }
@@ -263,6 +266,7 @@ bool Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   p.window_abort = false;
   // The window's last executable time, shared with try_advance.
   p.advance_limit = std::min(horizon - 1, deadline);
+  ++p.loops;
   const int prev = tls_partition;
   tls_partition = idx;
   try {

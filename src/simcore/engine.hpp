@@ -37,6 +37,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,8 @@ namespace pm2::sim {
 /// Components never busy-wait on the host: "waiting" is always expressed as
 /// a scheduled wake-up event or by simply not being scheduled at all.
 class Engine {
+  struct Partition;
+
  public:
   Engine();
   ~Engine();
@@ -197,14 +200,97 @@ class Engine {
   /// entries, otherwise and outside a run.
   template <typename F>
   bool take_next(F& out) {
+    return Taker(*this).take(out);
+  }
+
+  /// take_next() for one caller's loop of takes, within one run loop or
+  /// window of the calling partition: the partition, the loop's limit and
+  /// whether a stop() can end it are looked up once, not per take.
+  class Taker {
+   public:
+    explicit Taker(Engine& engine)
+        : engine_(engine),
+          p_(*engine.parts_[static_cast<std::size_t>(
+              engine.active_partition())]),
+          limit_(p_.advance_limit),
+          stops_(engine.parts_.size() == 1) {}
+
+    template <typename F>
+    bool take(F& out) {
+      // loop_goes_on(), with the partition count known.
+      if (p_.window_abort || (stops_ && engine_.stopped())) return false;
+      Time when = 0;
+      if (!p_.queue.take_next_if(limit_, when, out)) return false;
+      assert(when >= p_.now && "event queue went backwards");
+      p_.now = when;
+      ++p_.executed;
+      return true;
+    }
+
+   private:
+    const Engine& engine_;
+    Partition& p_;
+    const Time limit_;
+    const bool stops_;  ///< single-partition: a pending stop() ends the loop
+  };
+
+  // --- periodic runs --------------------------------------------------------
+  //
+  // A layer that proves the calling partition's next events repeat with a
+  // period (simthread's spinning threads, whose pending steps recur until
+  // something else is due) applies whole periods at once instead of
+  // running them.
+
+  /// Changes whenever @p partition's queue may have changed other
+  /// than by running events: a run loop or window started (a new limit,
+  /// cross-partition events delivered, events scheduled between runs) or a
+  /// cancelled entry left the queue. Between two equal readings, with
+  /// events_executed() up by the events the layer saw run, nothing else
+  /// ran, and the entries other than the layer's are the same.
+  std::uint64_t queue_epoch(int partition) const {
+    const Partition& p = *parts_[static_cast<std::size_t>(partition)];
+    return p.loops + p.queue.drops();
+  }
+
+  /// The latest time a periodic run of @p steps (live events of the calling
+  /// partition) may reach and still run as the loop now running would run
+  /// it with nothing else: one before the earliest queued entry, live or
+  /// cancelled, that is not one of @p steps, capped at the loop's limit (the
+  /// run_until deadline; a window's horizon and deadline). -1 when the loop
+  /// stops at its next event (a backpressure abort; in single-partition
+  /// runs, a pending stop()) and outside a run.
+  Time repeat_limit(std::span<const EventHandle> steps) const {
+    const Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
+    if (!loop_goes_on(p)) return -1;
+    const Time other = p.queue.earliest_other(steps);
+    return other == kTimeInfinity ? p.advance_limit
+                                  : std::min(p.advance_limit, other - 1);
+  }
+
+  /// Skip @p d of such a run: move the calling partition's clock and each
+  /// of @p steps @p d later, and count the @p events the skipped periods
+  /// would have executed. Pre: the steps, moved, stay within
+  /// repeat_limit().
+  void skip_ahead(std::span<const EventHandle> steps, Time d,
+                  std::uint64_t events) {
     Partition& p = *parts_[static_cast<std::size_t>(active_partition())];
-    if (!loop_goes_on(p)) return false;
-    Time when = 0;
-    if (!p.queue.take_next_if(p.advance_limit, when, out)) return false;
-    assert(when >= p.now && "event queue went backwards");
-    p.now = when;
-    ++p.executed;
-    return true;
+    assert(d >= 0);
+    p.queue.delay(steps, d);
+    p.now += d;
+    p.executed += events;
+  }
+
+  /// State a layer above keeps per partition (simthread's spinning
+  /// threads): built by that layer on first use, destroyed with the
+  /// engine, touched only by the host thread that runs the partition.
+  class PartitionLocal {
+   public:
+    virtual ~PartitionLocal() = default;
+  };
+
+  /// The calling partition's PartitionLocal slot.
+  std::unique_ptr<PartitionLocal>& partition_local() {
+    return parts_[static_cast<std::size_t>(active_partition())]->local;
   }
 
   // --- introspection --------------------------------------------------------
@@ -216,9 +302,9 @@ class Engine {
   /// Total events executed since construction (all partitions).
   std::uint64_t events_executed() const;
 
-  /// Events executed by one partition (load-balance diagnostics).
+  /// Events executed by one partition.
   std::uint64_t partition_events_executed(int p) const {
-    return part(p).executed;
+    return parts_[static_cast<std::size_t>(p)]->executed;
   }
 
   /// Synchronization windows executed by partitioned runs.
@@ -264,6 +350,8 @@ class Engine {
     Time advance_limit = -1;
     std::exception_ptr failure;    ///< what an event of this window threw
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
+    std::uint64_t loops = 0;       ///< run loops and windows started
+    std::unique_ptr<PartitionLocal> local;
   };
 
   int active_partition() const {

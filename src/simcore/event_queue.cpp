@@ -54,7 +54,50 @@ void EventQueue::remove_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
+Time EventQueue::earliest_other(std::span<const EventHandle> steps) const {
+  Time t = heap_earliest_other(steps, 0);
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    if (!is_step(steps, lane_[i].key)) return std::min(t, lane_[i].when);
+  }
+  return t;
+}
+
+Time EventQueue::heap_earliest_other(std::span<const EventHandle> steps,
+                                     std::size_t i) const {
+  if (i >= heap_.size()) return kTimeInfinity;
+  if (!is_step(steps, heap_[i].key)) return heap_[i].when;
+  // A step: the earliest other entry below it is below one of its children.
+  Time t = kTimeInfinity;
+  for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity; ++c) {
+    t = std::min(t, heap_earliest_other(steps, c));
+  }
+  return t;
+}
+
+void EventQueue::delay(std::span<const EventHandle> steps, Time d) {
+  std::size_t moved = heap_delay(steps, 0, d);
+  for (std::size_t i = lane_head_;
+       i < lane_.size() && is_step(steps, lane_[i].key); ++i) {
+    lane_[i].when += d;
+    ++moved;
+  }
+  assert(moved == steps.size() && "a step is not due before the rest");
+  (void)moved;
+}
+
+std::size_t EventQueue::heap_delay(std::span<const EventHandle> steps,
+                                   std::size_t i, Time d) {
+  if (i >= heap_.size() || !is_step(steps, heap_[i].key)) return 0;
+  heap_[i].when += d;
+  std::size_t moved = 1;
+  for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity; ++c) {
+    moved += heap_delay(steps, c, d);
+  }
+  return moved;
+}
+
 void EventQueue::compact() {
+  drops_ += dead_entries();
   std::erase_if(heap_, [this](const HeapEntry& e) { return entry_dead(e); });
   // Floyd heap construction: sift down every internal node, bottom up.
   const std::size_t n = heap_.size();

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -75,6 +76,12 @@ class EventHandle {
 
   /// True if this handle refers to some event (even one that already fired).
   bool valid() const { return queue_ != nullptr; }
+
+  /// True if this event was scheduled before @p other, of the same queue:
+  /// of two events due at one time, it runs first.
+  bool scheduled_before(const EventHandle& other) const {
+    return key_ < other.key_;
+  }
 
  private:
   friend class EventQueue;
@@ -205,6 +212,26 @@ class EventQueue {
     release_slot(slot_of(e.key));
     return true;
   }
+
+  // A periodic run of @p steps, pending events that recur until something
+  // else is due (simthread's spinning threads), skipped whole: what the
+  // entries that are not steps allow, and the move of the steps past the
+  // skipped periods.
+
+  /// Time of the earliest entry, live or cancelled, that is not one of the
+  /// live events @p steps; kTimeInfinity if there is none. Reads only the
+  /// steps due before it and their successors: the lane's prefix of steps
+  /// and the top of the heap down to its first entries that are not steps.
+  Time earliest_other(std::span<const EventHandle> steps) const;
+
+  /// Move each of @p steps, live and due before every other entry, @p d
+  /// later, keeping its key. Pre: they stay before every other entry, so
+  /// neither the lane's order nor the heap's changes.
+  void delay(std::span<const EventHandle> steps, Time d);
+
+  /// Cancelled entries removed so far, by reaching the front or by
+  /// compaction: what leaves the queue without running.
+  std::uint64_t drops() const { return drops_; }
 
   /// Total number of events ever scheduled (diagnostics).
   std::uint64_t total_scheduled() const { return seq_; }
@@ -339,10 +366,12 @@ class EventQueue {
   void drop_dead() {
     while (lane_head_ < lane_.size() && entry_dead(lane_[lane_head_])) {
       ++lane_head_;
+      ++drops_;
     }
     lane_trim();
     while (!heap_.empty() && entry_dead(heap_[0])) {
       remove_top();
+      ++drops_;
     }
   }
 
@@ -369,6 +398,18 @@ class EventQueue {
     }
   }
 
+  static bool is_step(std::span<const EventHandle> steps, std::uint64_t key) {
+    for (const EventHandle& h : steps) {
+      if (h.key_ == key) return true;
+    }
+    return false;
+  }
+  /// earliest_other() and delay() in the heap's subtree at @p i.
+  Time heap_earliest_other(std::span<const EventHandle> steps,
+                           std::size_t i) const;
+  std::size_t heap_delay(std::span<const EventHandle> steps, std::size_t i,
+                         Time d);
+
   void grow_slots();
   void heap_push(HeapEntry e);
   /// Remove heap_[0], restoring the heap property.
@@ -386,6 +427,7 @@ class EventQueue {
   std::size_t num_free_ = 0;
   std::size_t live_ = 0;
   std::uint64_t seq_ = 0;
+  std::uint64_t drops_ = 0;
 };
 
 inline bool EventHandle::pending() const {

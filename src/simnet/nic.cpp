@@ -222,6 +222,19 @@ std::int64_t Nic::total_rx_depth() const {
   return d;
 }
 
+Packet Nic::RxRing::take_front() {
+  Packet pkt = std::move(items_[head_++]);
+  if (empty()) {
+    items_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+    items_.erase(items_.begin(),
+                 items_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return pkt;
+}
+
 std::optional<Packet> Nic::poll(int q) {
   auto& ring = rx_rings_[static_cast<std::size_t>(q)];
   if (ring.empty()) {
@@ -235,8 +248,7 @@ std::optional<Packet> Nic::poll(int q) {
   // same slot. The claim stays visible to unpriced full-NIC peeks (and the
   // total depth gauge) until the charge completes, so single-queue
   // schedules keep the historical observable timing byte for byte.
-  Packet pkt = std::move(ring.front());
-  ring.pop_front();
+  Packet pkt = ring.take_front();
   if (ring.empty()) rx_doorbells_.reset(q);
   ++rx_claimed_[static_cast<std::size_t>(q)];
   mth::charge_if_ctx(params_.poll_hit_cost);

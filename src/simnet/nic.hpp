@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -167,11 +166,11 @@ class Nic {
   std::optional<Packet> poll(int q = 0);
 
   /// poll() of a ring the caller's unpriced peeks found empty, without the
-  /// charge: count the empty poll and return its price for the caller to
-  /// charge.
-  sim::Time count_empty_poll() {
-    ++polls_empty_;
-    m_polls_empty_.inc();
+  /// charge: count @p k such empty polls and return one's price for the
+  /// caller to charge.
+  sim::Time count_empty_poll(std::uint64_t k = 1) {
+    polls_empty_ += k;
+    m_polls_empty_.inc(k);
     return params_.poll_empty_cost;
   }
 
@@ -203,9 +202,25 @@ class Nic {
   std::uint64_t tx_seq_ = 0;
   std::function<void()> tx_notifier_;
 
+  /// A FIFO of delivered packets that allocates with its first packet (a
+  /// std::deque allocates when it is built, and a 64-queue NIC builds 64
+  /// rings). Popped slots are reclaimed when it drains, or once they are
+  /// most of it.
+  class RxRing {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    void push_back(Packet pkt) { items_.push_back(std::move(pkt)); }
+    Packet take_front();
+
+   private:
+    std::vector<Packet> items_;
+    std::size_t head_ = 0;
+  };
+
   /// One SPSC ring per RX queue (size 1 unless configure_rx_queues ran).
   /// Ring 0 with no steering is byte-for-byte the legacy rx_queue_.
-  std::vector<std::deque<Packet>> rx_rings_{1};
+  std::vector<RxRing> rx_rings_{1};
   /// Doorbell mask, one bit per ring: set on enqueue, cleared when the
   /// ring drains.
   sim::Bitmap rx_doorbells_{1};

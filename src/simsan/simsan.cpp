@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "obs/report.hpp"
+#include "simcore/engine.hpp"
 
 namespace pm2::san {
 
@@ -243,7 +244,6 @@ void Analyzer::reset() {
   locks_.clear();
   objects_.clear();
   order_adj_.clear();
-  order_edges_.clear();
   reported_cycles_.clear();
   reported_races_.clear();
   reported_ctx_.clear();
@@ -298,6 +298,27 @@ void Analyzer::join(Clock& a, const Clock& b) {
   for (std::size_t i = 0; i < b.size(); ++i) a[i] = std::max(a[i], b[i]);
 }
 
+std::uint64_t Analyzer::now() const {
+  return clock_ != nullptr ? static_cast<std::uint64_t>(clock_->now()) : 0;
+}
+
+void Analyzer::publish(LockState& l, std::uint32_t actor) {
+  const Clock& c = actors_[actor].clock;
+  // The slot held nothing the actor lacks iff its clock covers the join.
+  bool covered = l.clock.size() <= c.size();
+  if (l.clock.size() < c.size()) l.clock.resize(c.size(), 0);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    covered = covered && l.clock[i] <= c[i];
+    l.clock[i] = std::max(l.clock[i], c[i]);
+  }
+  // Clocks only grow, so the cover lasts until the next publish.
+  l.covered_by = covered ? actor : kNoActor;
+}
+
+void Analyzer::observe(std::uint32_t actor, const LockState& l) {
+  if (l.covered_by != actor) join(actors_[actor].clock, l.clock);
+}
+
 std::uint32_t Analyzer::tick(ActorState& a, std::uint32_t self) {
   if (a.clock.size() <= self) a.clock.resize(self + 1, 0);
   return ++a.clock[self];
@@ -326,8 +347,8 @@ void Analyzer::on_acquire(std::uint32_t actor, std::uint32_t lock,
   if (!enabled_ || actor == kNoActor) return;
   ActorState& a = actors_[actor];
   LockState& l = locks_[lock];
-  join(a.clock, l.clock);
-  if (blocking) {
+  observe(actor, l);
+  if (blocking && !a.held.empty()) {
     const bool reentrant =
         std::find(a.held.begin(), a.held.end(), lock) != a.held.end();
     if (reentrant) {
@@ -350,25 +371,27 @@ void Analyzer::on_acquire(std::uint32_t actor, std::uint32_t lock,
 void Analyzer::on_release(std::uint32_t actor, std::uint32_t lock) {
   if (!enabled_ || actor == kNoActor) return;
   ActorState& a = actors_[actor];
-  LockState& l = locks_[lock];
   // Join (not assign): conservative, extra ordering never creates a false
   // positive.
-  join(l.clock, a.clock);
+  publish(locks_[lock], actor);
   tick(a, actor);
+  if (!a.held.empty() && a.held.back() == lock) {
+    a.held.pop_back();  // the common, nested release
+    return;
+  }
   auto it = std::find(a.held.rbegin(), a.held.rend(), lock);
   if (it != a.held.rend()) a.held.erase(std::next(it).base());
 }
 
 void Analyzer::hb_release(std::uint32_t actor, std::uint32_t slot) {
   if (!enabled_ || actor == kNoActor) return;
-  ActorState& a = actors_[actor];
-  join(locks_[slot].clock, a.clock);
-  tick(a, actor);
+  publish(locks_[slot], actor);
+  tick(actors_[actor], actor);
 }
 
 void Analyzer::hb_acquire(std::uint32_t actor, std::uint32_t slot) {
   if (!enabled_ || actor == kNoActor) return;
-  join(actors_[actor].clock, locks_[slot].clock);
+  observe(actor, locks_[slot]);
 }
 
 void Analyzer::on_wake(std::uint32_t src, std::uint32_t dst) {
@@ -399,7 +422,6 @@ void Analyzer::on_access(std::uint32_t actor, Shared& obj, bool is_write) {
   // between locks and objects; an id is only ever used as one or the other).
   if (objects_.size() <= obj_id) objects_.resize(obj_id + 1);
   ObjState& o = objects_[obj_id];
-  o.name = obj.name_;
   ActorState& a = actors_[actor];
   const std::uint32_t at = a.clock.size() > actor ? a.clock[actor] : 0;
   const std::uint64_t time_ns = now();
@@ -408,14 +430,14 @@ void Analyzer::on_access(std::uint32_t actor, Shared& obj, bool is_write) {
   if (w.actor != kNoActor && w.actor != actor && !ordered_before(w, a) &&
       !share_lock(w.locks, a.held)) {
     report_race(is_write ? "write-write-race" : "read-write-race", w, actor,
-                o, obj_id);
+                obj.name_, obj_id);
   }
   Access* cur = nullptr;
   if (is_write) {
     for (const Access& r : o.reads) {
       if (r.actor != actor && !ordered_before(r, a) &&
           !share_lock(r.locks, a.held)) {
-        report_race("write-read-race", r, actor, o, obj_id);
+        report_race("write-read-race", r, actor, obj.name_, obj_id);
       }
     }
     o.reads.clear();
@@ -457,7 +479,7 @@ void Analyzer::add_finding(FindingKind kind, const char* rule,
 }
 
 void Analyzer::report_race(const char* rule, const Access& prev,
-                           std::uint32_t actor, const ObjState& obj,
+                           std::uint32_t actor, const std::string& obj_name,
                            std::uint32_t obj_id) {
   const std::uint32_t lo = std::min(prev.actor, actor);
   const std::uint32_t hi = std::max(prev.actor, actor);
@@ -467,7 +489,7 @@ void Analyzer::report_race(const char* rule, const Access& prev,
   ++races_;
   m_races_.add_always(1);
   add_finding(FindingKind::kRace, rule,
-              "\"" + obj.name + "\": " + actor_name(actor) +
+              "\"" + obj_name + "\": " + actor_name(actor) +
                   " conflicts with " + actor_name(prev.actor) +
                   " (no common lock, unordered by happens-before; prior "
                   "access at t=" +
@@ -477,9 +499,12 @@ void Analyzer::report_race(const char* rule, const Access& prev,
 
 void Analyzer::add_order_edge(std::uint32_t from, std::uint32_t to,
                               std::uint32_t actor) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) << 32) | to;
-  if (!order_edges_.insert(key).second) return;
+  // Known edges: a lock's successors are a handful, so a scan is cheaper
+  // than hashing the pair on every nested acquire.
+  if (from < order_adj_.size()) {
+    const std::vector<std::uint32_t>& next = order_adj_[from];
+    if (std::find(next.begin(), next.end(), to) != next.end()) return;
+  }
   if (order_adj_.size() <= std::max(from, to)) {
     order_adj_.resize(std::max(from, to) + 1);
   }

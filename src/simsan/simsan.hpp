@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -44,6 +43,10 @@
 
 #include "obs/metrics.hpp"
 #include "simcore/partition.hpp"
+
+namespace pm2::sim {
+class Engine;
+}  // namespace pm2::sim
 
 namespace pm2::san {
 
@@ -152,9 +155,10 @@ class Analyzer {
   void reset();
   std::uint32_t epoch() const { return epoch_; }
 
-  /// Source of report timestamps (virtual nanoseconds). Installed by
+  /// Source of report timestamps (virtual nanoseconds): @p engine's clock,
+  /// read through the calling thread's partition. Installed by
   /// Cluster::enable_simsan(); null means "stamp 0".
-  void set_now_fn(std::function<std::uint64_t()> fn) { now_fn_ = std::move(fn); }
+  void set_clock(const sim::Engine* engine) { clock_ = engine; }
 
   // --- identity interning ---------------------------------------------------
 
@@ -229,6 +233,10 @@ class Analyzer {
   struct LockState {
     std::string name;
     Clock clock;  ///< released-at clock (joined, not assigned)
+    /// An actor whose clock covers `clock` (it released last, holding
+    /// everything the slot had published), or kNoActor: its acquires have
+    /// nothing to join.
+    std::uint32_t covered_by = kNoActor;
   };
 
   struct Access {
@@ -239,7 +247,6 @@ class Analyzer {
   };
 
   struct ObjState {
-    std::string name;
     Access last_write;
     std::vector<Access> reads;  ///< one per actor since the last write
   };
@@ -250,25 +257,29 @@ class Analyzer {
 
   std::uint32_t intern_slot(SlotTag& tag, const std::string& name);
   static void join(Clock& a, const Clock& b);
+  /// Publish @p actor's clock through slot @p l (a release): join it into
+  /// the slot's clock and note whether the actor's clock now covers it.
+  void publish(LockState& l, std::uint32_t actor);
+  /// Observe slot @p l as @p actor (an acquire).
+  void observe(std::uint32_t actor, const LockState& l);
   std::uint32_t tick(ActorState& a, std::uint32_t self);
   bool ordered_before(const Access& prev, const ActorState& cur) const;
   static bool share_lock(const std::vector<std::uint32_t>& a,
                          const std::vector<std::uint32_t>& b);
-  std::uint64_t now() const { return now_fn_ ? now_fn_() : 0; }
+  std::uint64_t now() const;
   void add_finding(FindingKind kind, const char* rule, std::string message);
   void report_race(const char* rule, const Access& prev, std::uint32_t actor,
-                   const ObjState& obj, std::uint32_t obj_id);
+                   const std::string& obj_name, std::uint32_t obj_id);
   void add_order_edge(std::uint32_t from, std::uint32_t to,
                       std::uint32_t actor);
   bool find_path(std::uint32_t from, std::uint32_t to,
                  std::vector<std::uint32_t>& path) const;
-  ObjState& resolve_obj(Shared& obj);
   std::string actor_name(std::uint32_t a) const;
   std::string lock_names(const std::vector<std::uint32_t>& locks) const;
 
   bool enabled_ = false;
   std::uint32_t epoch_ = 1;
-  std::function<std::uint64_t()> now_fn_;
+  const sim::Engine* clock_ = nullptr;
 
   std::vector<ActorState> actors_;
   std::unordered_map<const void*, std::uint32_t> thread_actors_;
@@ -279,8 +290,7 @@ class Analyzer {
 
   // Lock-order graph: adjacency per lock slot + dedup of recorded edges
   // and reported cycles (by canonical member set).
-  std::vector<std::vector<std::uint32_t>> order_adj_;
-  std::unordered_set<std::uint64_t> order_edges_;
+  std::vector<std::vector<std::uint32_t>> order_adj_;  ///< lock-order edges
   std::unordered_set<std::string> reported_cycles_;
 
   std::unordered_set<std::uint64_t> reported_races_;

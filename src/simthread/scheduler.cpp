@@ -57,6 +57,209 @@ mach::Machine& ThreadContext::machine() const {
 Scheduler& ThreadContext::scheduler() const { return thread_.sched_; }
 
 // ---------------------------------------------------------------------------
+// SpinGroup
+// ---------------------------------------------------------------------------
+
+/// The spinning threads of one engine partition, of every node that lives
+/// there, and the proof that their steps repeat (Scheduler::spin).
+///
+/// A checkpoint is a moment when a spinner's next step is the next thing the
+/// partition runs: its step event was taken, or its last charge advanced the
+/// clock in place. The configuration there is each spinner's next step time
+/// less now, its phase, and the order of the pending steps. The group keeps
+/// one checkpoint's configuration, taken at a spinner's (the reference's)
+/// checkpoint. When the reference reaches its phase again, one period P
+/// later, the period is steady if
+///   - nothing else ran: the engine counted no event but the steps seen,
+///     and its queue epoch did not change (no loop or window started, no
+///     cancelled entry left the queue);
+///   - no cache line moved: each spinner's node counted no transfer;
+///   - each spinner completed exactly one cycle, and the configuration is
+///     the same.
+/// Then each later period repeats the same steps in the same order, the
+/// same ones in place and the same ones as events, for as long as nothing
+/// else is due within what a period reaches (Engine::repeat_limit), no
+/// step reaches a time-based hand-back and the loop goes on. The k whole
+/// periods that fit are applied at once: each spinner's cycles, k·P of
+/// charges per spinner, the clock and every pending step k·P later, and the
+/// period's events counted k times.
+class SpinGroup final : public sim::Engine::PartitionLocal {
+ public:
+  explicit SpinGroup(sim::Engine& engine)
+      : engine_(engine), partition_(engine.current_partition()) {}
+
+  /// The calling partition's group.
+  static SpinGroup& of(sim::Engine& engine) {
+    auto& local = engine.partition_local();
+    if (local == nullptr) local = std::make_unique<SpinGroup>(engine);
+    return static_cast<SpinGroup&>(*local);
+  }
+
+  void join(Scheduler& sched, Thread* t, SpinSteps& steps) {
+    members_.push_back(Member{&sched, t, &steps, 0, 0, 0, {}});
+    steps.group_ = this;
+    armed_ = false;
+  }
+
+  void leave(SpinSteps& steps) {
+    std::erase_if(members_,
+                  [&steps](const Member& m) { return m.steps == &steps; });
+    steps.group_ = nullptr;
+    armed_ = false;
+  }
+
+  /// @p steps' step event was taken to run now.
+  void taken(SpinSteps& steps) {
+    ++taken_;
+    checkpoint(steps);
+  }
+
+  /// @p steps' next step runs now, before anything else.
+  void checkpoint(SpinSteps& steps) {
+    if (!armed_ || !quiet()) {
+      arm(steps);
+    } else if (&steps == ref_ && steps.phase_ == ref_phase_) {
+      at_period_end(steps);
+    }
+  }
+
+ private:
+  struct Member {
+    Scheduler* sched;
+    Thread* t;
+    SpinSteps* steps;
+    // At the kept checkpoint:
+    sim::Time rel = 0;  ///< next step's time less the checkpoint's
+    int phase = 0;
+    std::uint64_t cycles = 0;
+    sim::EventHandle next;  ///< pending next step (ties run in its order)
+  };
+
+  std::uint64_t executed() const {
+    return engine_.partition_events_executed(partition_);
+  }
+
+  /// Nothing but the steps seen ran since the kept checkpoint, and nothing
+  /// else left the queue or came into it.
+  bool quiet() const {
+    return executed() == executed_ + taken_ &&
+           engine_.queue_epoch(partition_) == epoch_;
+  }
+
+  std::uint64_t transfers() const {
+    std::uint64_t n = 0;
+    for (const Member& m : members_) n += m.sched->machine().line_transfers();
+    return n;
+  }
+
+  /// Keep the checkpoint of @p due, whose step runs now.
+  void arm(SpinSteps& due) {
+    ref_ = &due;
+    ref_phase_ = due.phase_;
+    epoch_ = engine_.queue_epoch(partition_);
+    transfers_ = transfers();
+    const sim::Time now = engine_.now();
+    for (Member& m : members_) {
+      m.rel = m.steps == &due ? 0 : m.steps->pending_at_ - now;
+      m.phase = m.steps->phase_;
+      m.cycles = m.steps->cycles_;
+      m.next = m.steps->pending_;
+    }
+    restart();
+    armed_ = true;
+  }
+
+  void restart() {
+    start_ = engine_.now();
+    executed_ = executed();
+    taken_ = 0;
+  }
+
+  /// True if, at @p due's checkpoint, each spinner is one cycle on from the
+  /// kept checkpoint in the same configuration; keeps this one instead.
+  bool one_cycle_on(const SpinSteps& due) {
+    const sim::Time now = engine_.now();
+    bool same = true;
+    for (Member& m : members_) {
+      const sim::Time rel = m.steps == &due ? 0 : m.steps->pending_at_ - now;
+      same = same && rel == m.rel && m.steps->phase_ == m.phase &&
+             m.steps->cycles_ == m.cycles + 1;
+      m.rel = rel;
+      m.phase = m.steps->phase_;
+      m.cycles = m.steps->cycles_;
+    }
+    // Pending steps due at one time run in the order they were scheduled.
+    for (const Member& a : members_) {
+      for (const Member& b : members_) {
+        if (same && &a != &b && a.rel == b.rel && a.steps != &due &&
+            b.steps != &due &&
+            a.next.scheduled_before(b.next) !=
+                a.steps->pending_.scheduled_before(b.steps->pending_)) {
+          same = false;
+        }
+      }
+    }
+    for (Member& m : members_) m.next = m.steps->pending_;
+    return same;
+  }
+
+  /// The reference @p due is back in its phase: a period ended.
+  void at_period_end(SpinSteps& due) {
+    if (transfers() != transfers_) {
+      arm(due);
+      return;
+    }
+    const std::uint64_t events = taken_;
+    const sim::Time now = engine_.now();
+    const sim::Time period = now - start_;
+    const bool steady = one_cycle_on(due) && period > 0;
+    restart();
+    if (!steady) return;
+    sim::Time reach = 0;  // of a period, past its end
+    sim::Time hand_back = sim::kTimeInfinity;
+    for (const Member& m : members_) {
+      reach = std::max(reach, m.rel);
+      hand_back = std::min(hand_back, m.steps->hand_back_time());
+    }
+    // k periods run every step, and end every charge, before now + k P +
+    // reach: that must stay before the earliest hand-back time and within
+    // the limit, as the verified period's did.
+    if (hand_back - 1 - now - reach < period) return;
+    pending_.clear();
+    for (const Member& m : members_) {
+      if (m.steps != &due) pending_.push_back(m.steps->pending_);
+    }
+    const sim::Time limit = engine_.repeat_limit(pending_);
+    // A spin that nothing bounds never ends either way: leave it to run.
+    if (std::min(limit, hand_back) == sim::kTimeInfinity) return;
+    const sim::Time k =
+        (std::min(hand_back - 1, limit) - now - reach) / period;
+    if (k <= 0) return;
+    const sim::Time span = k * period;
+    for (Member& m : members_) {
+      m.sched->skip_cycles(m.t, *m.steps, static_cast<std::uint64_t>(k), span);
+      m.cycles = m.steps->cycles_;
+      if (m.steps != &due) m.steps->pending_at_ += span;
+    }
+    engine_.skip_ahead(pending_, span, static_cast<std::uint64_t>(k) * events);
+    restart();
+  }
+
+  sim::Engine& engine_;
+  const int partition_;
+  std::vector<Member> members_;
+  std::vector<sim::EventHandle> pending_;  ///< members' next steps, reused
+  bool armed_ = false;
+  SpinSteps* ref_ = nullptr;
+  int ref_phase_ = 0;
+  sim::Time start_ = 0;          ///< the kept checkpoint's time
+  std::uint64_t executed_ = 0;   ///< partition events executed there
+  std::uint64_t taken_ = 0;      ///< step events taken since
+  std::uint64_t epoch_ = 0;      ///< Engine::queue_epoch() when armed
+  std::uint64_t transfers_ = 0;  ///< members' nodes' line transfers then
+};
+
+// ---------------------------------------------------------------------------
 // Scheduler
 // ---------------------------------------------------------------------------
 
@@ -484,15 +687,19 @@ void Scheduler::charge_current(sim::Time dt) {
 void Scheduler::spin(SpinSteps& steps) {
   Thread* t = running_;
   assert(t != nullptr && "spin outside a thread");
+  SpinGroup::of(engine()).join(*this, t, steps);
   if (run_steps(t, steps)) return;
   t->suspend_reason_ = SuspendReason::kCharge;
   // A world torn down mid-spin unwinds the fiber from here: its next step
   // must not run against the frames and the thread it steps.
   struct CancelOnUnwind {
     sim::Engine& engine;
-    sim::EventHandle& next;
-    ~CancelOnUnwind() { engine.cancel(next); }
-  } cancel{engine(), steps.pending_};
+    SpinSteps& steps;
+    ~CancelOnUnwind() {
+      engine.cancel(steps.pending_);
+      if (steps.group_ != nullptr) steps.group_->leave(steps);
+    }
+  } cancel{engine(), steps};
   run_ahead(t);
 }
 
@@ -501,8 +708,10 @@ void Scheduler::run_ahead(Thread* t) {
   // is a charge's resume or a spinning thread's step: a step in place, a
   // resume by one fiber switch (none for t's own), with no pass through
   // the engine stack. Anything else runs there, once t gives its fiber up.
+  // Every take is within the run loop or window this one runs in.
+  sim::Engine::Taker taker(engine());
   Resume next{};
-  while (engine().take_next(next)) {
+  while (taker.take(next)) {
     running_ = nullptr;
     if (next.steps == nullptr ||
         next.sched->steps_hand_back(next.t, *next.steps)) {
@@ -522,25 +731,43 @@ bool Scheduler::run_steps(Thread* t, SpinSteps& steps) {
   Core& c = cores_[static_cast<std::size_t>(t->core_)];
   for (;;) {
     const sim::Time dt = steps.step();
-    if (dt == SpinSteps::kHandBack) return true;
+    if (dt == SpinSteps::kHandBack) {
+      steps.group_->leave(steps);
+      return true;
+    }
     assert(dt >= 0);
     if (dt == 0) continue;
     // charge_current's accounting, with the step's own resume event.
     c.busy_time += dt;
     t->cpu_time_ += dt;
-    if (engine().try_advance(dt)) continue;
+    if (engine().try_advance(dt)) {
+      steps.group_->checkpoint(steps);
+      continue;
+    }
     steps.pending_ = engine().schedule_after(dt, Resume{this, t, &steps});
+    steps.pending_at_ = engine().now() + dt;
     return false;
   }
 }
 
 bool Scheduler::steps_hand_back(Thread* t, SpinSteps& steps) {
+  steps.group_->taken(steps);
   // The steps see what the fiber would: t running, its context active.
   const ExecContext::Activation act(&t->ctx_);
   running_ = t;
   const bool back = run_steps(t, steps);
   running_ = nullptr;
   return back;
+}
+
+void Scheduler::skip_cycles(Thread* t, SpinSteps& steps, std::uint64_t k,
+                            sim::Time span) {
+  Core& c = cores_[static_cast<std::size_t>(t->core_)];
+  c.busy_time += span;
+  t->cpu_time_ += span;
+  skipped_cycles_ += k;
+  const ExecContext::Activation act(&t->ctx_);
+  steps.skip_cycles(k);
 }
 
 void Scheduler::work(sim::Time total) {

@@ -44,8 +44,15 @@ struct Hook {
   std::function<bool(int core)> want;  ///< may be null => "never pending"
 };
 
+class SpinGroup;
+
 /// The rest of a spin loop, which a thread hands to Scheduler::spin() so its
 /// fiber is not resumed for every iteration.
+///
+/// A spin that repeats a cycle describes it (phase_, cycles_,
+/// hand_back_time(), skip_cycles()), so the scheduler can apply whole
+/// periods of its partition's spinners at once when nothing else is due;
+/// one whose cycles_ stays 0 runs every step.
 class SpinSteps {
  public:
   /// What step() returns to resume the thread.
@@ -57,12 +64,30 @@ class SpinSteps {
   /// on another thread's fiber stack.
   virtual sim::Time step() = 0;
 
+  /// The earliest time at which a step would hand back on time alone (a
+  /// deadline passed, a timeslice over with a thread queued), or
+  /// kTimeInfinity; earlier steps hand back only on what an event changes.
+  virtual sim::Time hand_back_time() const { return 0; }
+
+  /// Apply at once what @p k more cycles would do besides their charges,
+  /// each repeating the last one, and count them in cycles_.
+  virtual void skip_cycles(std::uint64_t k) { (void)k; }
+
  protected:
   ~SpinSteps() = default;
 
+  /// Where the cycle stands: the step that runs next, as the spin numbers
+  /// its steps.
+  int phase_ = 0;
+  /// Cycles completed so far, each ending in the phase it started from.
+  std::uint64_t cycles_ = 0;
+
  private:
   friend class Scheduler;
-  sim::EventHandle pending_;  ///< the scheduled next step, if any
+  friend class SpinGroup;
+  sim::EventHandle pending_;   ///< the scheduled next step, if any
+  sim::Time pending_at_ = 0;   ///< its time
+  SpinGroup* group_ = nullptr;  ///< the partition's spinners, while spinning
 };
 
 class Scheduler {
@@ -132,6 +157,13 @@ class Scheduler {
   /// time, in place when Engine::try_advance allows, otherwise as one event
   /// in the slot the charge's resume would take), while the thread keeps
   /// its core and its fiber stays suspended. @p steps must outlive the call.
+  ///
+  /// When only the steps of the partition's spinners are due, and one
+  /// period of them is seen to end where it started (each spinner one cycle
+  /// on, no cache line moved, nothing else run), the periods that still fit
+  /// before anything else is due are applied at once: every count, clock
+  /// and event count as running them would leave it (DESIGN.md, "Busy-wait
+  /// period skip").
   void spin(SpinSteps& steps);
 
   void yield();
@@ -171,6 +203,9 @@ class Scheduler {
   // --- statistics ----------------------------------------------------------
 
   std::uint64_t context_switches() const { return total_switches_; }
+  /// Spin cycles of this node's threads applied at once, not run step by
+  /// step (spin(): whole periods skipped).
+  std::uint64_t skipped_spin_cycles() const { return skipped_cycles_; }
   sim::Time core_busy_time(int core) const;
   sim::Time core_hook_time(int core) const;
 
@@ -180,6 +215,7 @@ class Scheduler {
 
  private:
   friend class ThreadContext;
+  friend class SpinGroup;
 
   struct Core {
     int id = 0;
@@ -236,6 +272,10 @@ class Scheduler {
   bool run_steps(Thread* t, SpinSteps& steps);
   /// run_steps() for a suspended spinner @p t, as it would run them.
   bool steps_hand_back(Thread* t, SpinSteps& steps);
+  /// @p k skipped cycles of spinner @p t, lasting @p span: their charges
+  /// and, with t's context active, what else they do.
+  void skip_cycles(Thread* t, SpinSteps& steps, std::uint64_t k,
+                   sim::Time span);
   void post_resume(int core, Thread* t);
   void finish_thread(int core, Thread* t);
   void enter_idle(Core& c);
@@ -261,6 +301,7 @@ class Scheduler {
   int live_threads_ = 0;
   Thread* running_ = nullptr;
   std::uint64_t total_switches_ = 0;
+  std::uint64_t skipped_cycles_ = 0;
   obs::TraceLog* timeline_ = nullptr;
   int timeline_pid_ = 0;
   // Interned-id caches for the per-slice span emission (hot path): filled

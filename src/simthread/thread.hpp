@@ -92,6 +92,8 @@ class Thread {
 
   /// Total virtual CPU time consumed by this thread.
   sim::Time cpu_time() const { return cpu_time_; }
+  /// End of the running timeslice (Scheduler::timeslice_over()).
+  sim::Time slice_end() const { return slice_end_; }
 
  private:
   friend class Scheduler;

@@ -48,12 +48,14 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 namespace pm2::nm {
 namespace {
 
-/// Second-build budgets, with headroom over what libstdc++ 12 counts: 127
-/// and 2,194 (405 and 11,896 when instruments were keyed by composed
-/// strings, every lock and endpoint queue was a std::deque and the stack
-/// pool kept only half of a fanin world's 128 stacks).
+/// Second-build budgets, with headroom over what libstdc++ 12 counts: 119
+/// and 1,674 (127 and 2,194 when every RX ring was a std::deque and every
+/// packet builder allocated its header region when built; 405 and 11,896
+/// when instruments were keyed by composed strings, every lock and endpoint
+/// queue was a std::deque and the stack pool kept only half of a fanin
+/// world's 128 stacks).
 constexpr std::uint64_t kPingpongBudget = 160;
-constexpr std::uint64_t kFaninEndpointsBudget = 2500;
+constexpr std::uint64_t kFaninEndpointsBudget = 1900;
 /// Allocations per message inside run() of the pingpong shape: 6.5 when
 /// every gate bound its receives in a hash map and every pass collected its
 /// received packets in a fresh vector.

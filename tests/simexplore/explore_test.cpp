@@ -306,7 +306,7 @@ void injected_race(const xpl::RunHandle&) {
                         mach::CostBook::xeon_quad());
   mth::Scheduler sched(machine);
   auto& an = san::Analyzer::global();
-  an.set_now_fn([&engine] { return static_cast<std::uint64_t>(engine.now()); });
+  an.set_clock(&engine);
   an.set_enabled(true);
   san::Shared counter("unit.counter");
   bool first_done = false;
@@ -327,7 +327,7 @@ void injected_race(const xpl::RunHandle&) {
   }, a1);
   engine.run();
   an.set_enabled(false);
-  an.set_now_fn(nullptr);
+  an.set_clock(nullptr);
 }
 
 TEST(Explore, FindsTheInjectedRaceOnADivergentSchedule) {
